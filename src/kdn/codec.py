@@ -44,25 +44,52 @@ class CrcMismatch(CodecError):
     pass
 
 
-# CRC-32C (Castagnoli), reflected polynomial 0x82F63B78.
-def _make_crc32c_table() -> list[int]:
-    table = []
-    for n in range(256):
-        c = n
-        for _ in range(8):
-            c = (c >> 1) ^ 0x82F63B78 if c & 1 else c >> 1
-        table.append(c)
-    return table
+# CRC-32C (Castagnoli), reflected polynomial 0x82F63B78, a block at a time.
+# The register is linear over GF(2) in the message bytes, so byte b at offset i
+# of a block adds row i, column b of _CRC_TABLES (b advanced over the block's
+# remaining B - i bytes); a block's rows XOR to one word.  Advancing a register
+# over B zero bytes is the XOR of rows 0-3 looked up by its four bytes, which
+# folds the block words in order.
+_CRC_BLOCK = 512
+_CRC_SLAB = 128  # blocks per vector pass: 64 KiB in, 768 KiB of temporaries
 
 
-_CRC32C_TABLE = _make_crc32c_table()
+def _crc32c_tables(block: int) -> np.ndarray:
+    t = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        t = np.where(t & 1, (t >> 1) ^ np.uint32(0x82F63B78), t >> 1)
+    rows = np.empty((block, 256), np.uint32)
+    rows[-1] = t
+    for i in range(block - 2, -1, -1):
+        rows[i] = t[rows[i + 1] & 0xFF] ^ (rows[i + 1] >> 8)
+    return rows
+
+
+_CRC_TABLES = _crc32c_tables(_CRC_BLOCK)
+_CRC_OFFSETS = np.arange(_CRC_BLOCK, dtype=np.intp) * 256
+_ADV0, _ADV1, _ADV2, _ADV3 = (row.tolist() for row in _CRC_TABLES[:4])
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    crc ^= 0xFFFFFFFF
-    for b in data:
-        crc = _CRC32C_TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+    """CRC-32C of ``data``; ``crc`` continues the CRC of bytes before it."""
+    n = len(data)
+    n_blocks = -(-n // _CRC_BLOCK)
+    # leading zero bytes keep a zero register at zero
+    buf = np.zeros(n_blocks * _CRC_BLOCK, np.uint8)
+    head = buf.size - n
+    buf[head:] = np.frombuffer(data, np.uint8)
+    # The incoming register acts as its low bytes XORed into the first message
+    # bytes; bytes past the end of a message shorter than 4 shift straight out.
+    reg_in = crc ^ 0xFFFFFFFF
+    k = min(n, 4)
+    buf[head : head + k] ^= np.frombuffer(reg_in.to_bytes(4, "little"), np.uint8)[:k]
+    blocks = buf.reshape(n_blocks, _CRC_BLOCK)
+    reg = 0
+    for lo in range(0, n_blocks, _CRC_SLAB):
+        words = np.bitwise_xor.reduce(np.take(_CRC_TABLES, _CRC_OFFSETS + blocks[lo : lo + _CRC_SLAB]), axis=1)
+        for w in words.tolist():
+            reg = _ADV0[reg & 0xFF] ^ _ADV1[reg >> 8 & 0xFF] ^ _ADV2[reg >> 16 & 0xFF] ^ _ADV3[reg >> 24] ^ w
+    return reg ^ (reg_in >> 8 * k) ^ 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -193,54 +220,74 @@ def delta_decode(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_st
     L, H, T, D = shape
     if stream.size != L * H * T * D:
         raise DecodeError(f"delta stream has {stream.size} values, expected {L * H * T * D}")
-    vals = stream.reshape(L, H, D, T).astype(np.int64).copy()
-    for t in range(1, T):
-        if t % anchor_stride != 0:
-            vals[..., t] += vals[..., t - 1]
+    # a running sum that restarts at each anchor: cumsum over whole windows,
+    # no longer than T so that a huge stride from a header cannot inflate the padding
+    w = max(1, min(anchor_stride, T))
+    padded = -(-T // w) * w
+    vals = np.zeros((L, H, D, padded), np.int64)
+    vals[..., :T] = stream.reshape(L, H, D, T)
+    vals = vals.reshape(L, H, D, padded // w, w).cumsum(axis=-1).reshape(L, H, D, padded)[..., :T]
     if vals.size and (vals.min() < 0 or vals.max() > 255):
         raise DecodeError("decoded codes out of byte range")
     return vals.transpose(0, 1, 3, 2).astype(np.uint8)
 
 
-def zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63) if n < 0 else n << 1
+def zigzag(n):
+    """0, -1, 1, -2, ... -> 0, 1, 2, 3, ...; an int, or an int64 array to uint64."""
+    z = (n << 1) ^ (n >> 63)
+    return z.view(np.uint64) if isinstance(z, np.ndarray) else z
 
 
-def unzigzag(z: int) -> int:
-    return (z >> 1) ^ -(z & 1)
+def unzigzag(z):
+    """Inverse of ``zigzag``; an int, or a uint64 array to int64."""
+    n = (z >> 1) ^ -(z & 1)
+    return n.view(np.int64) if isinstance(n, np.ndarray) else n
+
+
+# _VARINT_LIMITS[k] = 2**(7k + 7), the smallest zigzagged value that needs k + 2 bytes
+_VARINT_LIMITS = np.array([1 << 7 * k for k in range(1, 10)], np.uint64)
 
 
 def _varint_encode(values: np.ndarray) -> bytes:
-    out = bytearray()
-    for v in values.tolist():
-        z = (v << 1) ^ (v >> 63) if v < 0 else v << 1
-        while z >= 0x80:
-            out.append((z & 0x7F) | 0x80)
-            z >>= 7
-        out.append(z)
-    return bytes(out)
+    """LEB128 of the zigzagged values: 7 bits a byte, low first, 0x80 = more follow."""
+    z = zigzag(np.asarray(values, dtype=np.int64))
+    nbytes = np.searchsorted(_VARINT_LIMITS, z, side="right") + 1
+    ends = np.cumsum(nbytes)
+    group = np.arange(ends[-1] if z.size else 0) - np.repeat(ends - nbytes, nbytes)
+    out = (np.repeat(z, nbytes) >> (7 * group).astype(np.uint64)).astype(np.uint8) | 0x80
+    out[ends - 1] &= 0x7F
+    return out.tobytes()
 
 
 def _varint_decode(data: bytes) -> np.ndarray:
-    vals = []
-    i, n = 0, len(data)
-    while i < n:
-        shift = 0
-        z = 0
-        start = i
-        while True:
-            if i >= n:
-                raise DecodeError("truncated varint", start)
-            b = data[i]
-            i += 1
-            z |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            shift += 7
-            if shift > 70:
-                raise DecodeError("varint too long", start)
-        vals.append((z >> 1) ^ -(z & 1))
-    return np.array(vals, dtype=np.int64)
+    b = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(b < 0x80)
+    starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
+    lengths = ends - starts + 1
+    # ten 7-bit groups carry 70 bits; 64 of them fit only if the tenth byte is 0 or 1
+    wide = (lengths > 10) | ((lengths == 10) & (b[ends] > 1))
+    if wide.any():
+        raise DecodeError("varint longer than 64 bits", int(starts[wide.argmax()]))
+    tail = int(ends[-1]) + 1 if ends.size else 0
+    if tail < b.size:
+        raise DecodeError("truncated varint", tail)
+    group = np.arange(b.size) - np.repeat(starts, lengths)
+    z = np.bitwise_or.reduceat((b & 0x7F).astype(np.uint64) << (7 * group).astype(np.uint64), starts)
+    return unzigzag(z)
+
+
+def _inflate(data: bytes, limit: int | None, section: str) -> bytes:
+    """DEFLATE-decode ``data``; more than ``limit`` output bytes is a DecodeError."""
+    d = zlib.decompressobj()
+    try:
+        raw = d.decompress(data, 0 if limit is None else limit + 1)
+    except zlib.error as e:
+        raise DecodeError(f"{section} invalid: {e}") from e
+    if limit is not None and len(raw) > limit:
+        raise DecodeError(f"{section} inflates past {limit} bytes")
+    if not d.eof:
+        raise DecodeError(f"{section} truncated")
+    return raw
 
 
 def lossless_encode(ints: np.ndarray, lossless_id: int) -> bytes:
@@ -256,17 +303,17 @@ def lossless_encode(ints: np.ndarray, lossless_id: int) -> bytes:
     raise CodecError(f"unknown lossless_id {lossless_id}")
 
 
-def lossless_decode(data: bytes, lossless_id: int) -> np.ndarray:
+def lossless_decode(data: bytes, lossless_id: int, n_values: int | None = None) -> np.ndarray:
+    """Decode a code stream; ``n_values`` caps DEFLATE output at 2 bytes a value.
+
+    Codes and their deltas zigzag to at most 510, two varint bytes.
+    """
     if lossless_id == LOSSLESS_RAW:
         return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
     if lossless_id == LOSSLESS_VARINT:
         return _varint_decode(data)
     if lossless_id == LOSSLESS_VARINT_DEFLATE:
-        try:
-            raw = zlib.decompress(data)
-        except zlib.error as e:
-            raise DecodeError(f"DEFLATE stream invalid: {e}") from e
-        return _varint_decode(raw)
+        return _varint_decode(_inflate(data, None if n_values is None else 2 * n_values, "DEFLATE stream"))
     raise DecodeError(f"unknown lossless_id {lossless_id}")
 
 
@@ -343,10 +390,7 @@ def _unpack_params(blob: bytes, shape: tuple[int, int, int, int], group_size: in
     L, H, T, D = shape
     n_groups = (T + group_size - 1) // group_size if T else 0
     count = L * H * n_groups * D
-    try:
-        raw = zlib.decompress(blob)
-    except zlib.error as e:
-        raise DecodeError(f"parameter section invalid: {e}") from e
+    raw = _inflate(blob, 16 * count, "parameter section")
     if len(raw) != 4 * 4 * count:
         raise DecodeError(f"parameter section has {len(raw)} bytes, expected {16 * count}")
     arrs = []
@@ -397,8 +441,8 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
     params_blob = chunk.payload[8 : 8 + params_len]
     codes_blob = chunk.payload[8 + params_len :]
     k_scale, k_zero, v_scale, v_zero = _unpack_params(params_blob, shape, profile.group_size)
-    stream = lossless_decode(codes_blob, profile.lossless_id)
     half = np.prod(shape, dtype=int)
+    stream = lossless_decode(codes_blob, profile.lossless_id, 2 * half)
     if stream.size != 2 * half:
         raise DecodeError(f"code stream has {stream.size} values, expected {2 * half}")
     if profile.lossless_id == LOSSLESS_RAW:

@@ -1,7 +1,8 @@
-"""Independent straight-line re-implementation of the reference model.
+"""Independent straight-line re-implementations used as test oracles.
 
-Deliberately written with explicit Python loops and math.sin so that it
-shares no code path with the package; golden tests compare the two.
+The reference model and the codec's byte paths, deliberately written with
+explicit Python loops (and math.sin) so that they share no code path with the
+package; golden and property tests compare the two.
 """
 
 import math
@@ -71,3 +72,69 @@ def ref_prefill(n_layers, n_heads, d_head, vocab_size, tokens, rope_base=10000.0
                 delta[t] += attn @ wo[h]
         x = x + delta
     return k_pre, v_all, x
+
+
+# -- codec: per-byte and per-value loops -------------------------------------------
+
+
+def _crc32c_table():
+    table = []
+    for n in range(256):
+        c = n
+        for _ in range(8):
+            c = (c >> 1) ^ 0x82F63B78 if c & 1 else c >> 1
+        table.append(c)
+    return table
+
+
+_CRC32C_TABLE = _crc32c_table()
+
+
+def ref_crc32c(data, crc=0):
+    crc ^= 0xFFFFFFFF
+    for b in data:
+        crc = _CRC32C_TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
+
+
+def ref_varint_encode(values):
+    out = bytearray()
+    for v in np.asarray(values, dtype=np.int64).tolist():
+        z = (v << 1) ^ (v >> 63) if v < 0 else v << 1
+        while z >= 0x80:
+            out.append((z & 0x7F) | 0x80)
+            z >>= 7
+        out.append(z)
+    return bytes(out)
+
+
+def ref_varint_decode(data):
+    """Meant for valid streams: a value over 64 bits raises OverflowError."""
+    vals = []
+    i, n = 0, len(data)
+    while i < n:
+        shift = 0
+        z = 0
+        while True:
+            if i >= n:
+                raise ValueError("truncated varint")
+            b = data[i]
+            i += 1
+            z |= (b & 0x7F) << shift
+            if not b & 0x80:
+                break
+            shift += 7
+            if shift > 70:
+                raise ValueError("varint too long")
+        vals.append((z >> 1) ^ -(z & 1))
+    return np.array(vals, dtype=np.int64)
+
+
+def ref_delta_decode(stream, shape, anchor_stride):
+    """Running sums restarting at each anchor, as int64 (L, H, T, D), unchecked."""
+    L, H, T, D = shape
+    vals = np.asarray(stream, dtype=np.int64).reshape(L, H, D, T).copy()
+    for t in range(1, T):
+        if t % anchor_stride != 0:
+            vals[..., t] += vals[..., t - 1]
+    return vals.transpose(0, 1, 3, 2)

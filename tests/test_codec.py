@@ -1,4 +1,7 @@
+import dataclasses
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -27,10 +30,12 @@ from kdn.codec import (
     quantize,
     unzigzag,
     zigzag,
+    _CRC_BLOCK,
     _varint_decode,
     _varint_encode,
 )
 from kdn.model import KvCache
+from reference import ref_crc32c, ref_delta_decode, ref_varint_decode, ref_varint_encode
 
 
 def _bitwise_crc32c(data: bytes) -> int:
@@ -55,6 +60,24 @@ def test_crc32c_matches_bitwise_oracle(data):
     assert crc32c(data) == _bitwise_crc32c(data)
 
 
+B = _CRC_BLOCK
+
+
+@pytest.mark.parametrize("n", [*range(10), B - 1, B, B + 1, 3 * B + 7, 1 << 20])
+def test_crc32c_matches_table_loop(n):
+    data = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
+    for crc in (0, 0x1EDC6F41):
+        assert crc32c(data, crc) == ref_crc32c(data, crc)
+    cut = n // 3
+    assert crc32c(data) == crc32c(data[cut:], crc32c(data[:cut]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.binary(max_size=3 * B), b=st.binary(max_size=3 * B), crc=st.integers(0, 0xFFFFFFFF))
+def test_crc32c_chains(a, b, crc):
+    assert crc32c(a + b, crc) == crc32c(b, crc32c(a, crc)) == ref_crc32c(a + b, crc)
+
+
 # -- zigzag / varint --------------------------------------------------------------
 
 
@@ -73,8 +96,38 @@ def test_varint_known_bytes():
 
 
 def test_varint_truncated():
-    with pytest.raises(DecodeError):
-        _varint_decode(b"\xac")
+    with pytest.raises(DecodeError) as e:
+        _varint_decode(b"\x01\xac")
+    assert e.value.offset == 1
+
+
+INT64_EDGES = [0, 1, -1, 2, -2, 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63)]
+
+
+def test_varint_int64_edges():
+    arr = np.array(INT64_EDGES, dtype=np.int64)
+    data = _varint_encode(arr)
+    assert data == ref_varint_encode(arr)
+    assert data.endswith(b"\xfe" + b"\xff" * 8 + b"\x01" + b"\xff" * 9 + b"\x01")
+    assert _varint_decode(data).tolist() == INT64_EDGES
+    assert zigzag(arr).tolist() == [zigzag(n) for n in INT64_EDGES]
+    assert unzigzag(zigzag(arr)).tolist() == [unzigzag(zigzag(n)) for n in INT64_EDGES] == INT64_EDGES
+
+
+@pytest.mark.parametrize("bad", [b"\xff" * 10 + b"\x01", b"\xff" * 9 + b"\x7f", b"\xff" * 9 + b"\x02", b"\x80" * 11 + b"\x00"])
+def test_varint_over_64_bits(bad):
+    with pytest.raises(DecodeError) as e:
+        _varint_decode(b"\x05\xac\x02" + bad + b"\x00")
+    assert e.value.offset == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=64))
+def test_varint_bytes_match_reference(values):
+    arr = np.array(values, dtype=np.int64)
+    data = _varint_encode(arr)
+    assert data == ref_varint_encode(arr)
+    assert _varint_decode(data).tolist() == ref_varint_decode(data).tolist() == values
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,6 +223,22 @@ def test_delta_roundtrip(seed, stride, t):
     assert np.array_equal(delta_decode(stream, codes.shape, stride), codes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 40), st.integers(1, 4)),
+    stride=st.integers(1, 50),
+)
+def test_delta_decode_matches_reference(seed, shape, stride):
+    stream = np.random.default_rng(seed).integers(-8, 40, size=int(np.prod(shape)))
+    expected = ref_delta_decode(stream, shape, stride)
+    if expected.size and (expected.min() < 0 or expected.max() > 255):
+        with pytest.raises(DecodeError):
+            delta_decode(stream, shape, stride)
+    else:
+        assert np.array_equal(delta_decode(stream, shape, stride), expected)
+
+
 def test_delta_decode_bad_size():
     with pytest.raises(DecodeError):
         delta_decode(np.zeros(5, np.int64), (1, 1, 2, 1), 16)
@@ -203,6 +272,17 @@ def test_raw_rejects_signed():
 def test_deflate_decode_rejects_garbage():
     with pytest.raises(DecodeError):
         lossless_decode(b"not deflate", LOSSLESS_VARINT_DEFLATE)
+    truncated = lossless_encode(np.arange(100), LOSSLESS_VARINT_DEFLATE)[:-5]
+    with pytest.raises(DecodeError):
+        lossless_decode(truncated, LOSSLESS_VARINT_DEFLATE)
+
+
+def test_deflate_cap_is_two_bytes_per_value():
+    vals = np.full(100, -255)  # zigzags to 509: two varint bytes each
+    data = lossless_encode(vals, LOSSLESS_VARINT_DEFLATE)
+    assert lossless_decode(data, LOSSLESS_VARINT_DEFLATE, 100).tolist() == vals.tolist()
+    with pytest.raises(DecodeError):
+        lossless_decode(data, LOSSLESS_VARINT_DEFLATE, 99)
 
 
 # -- full pipeline -------------------------------------------------------------------
@@ -239,6 +319,44 @@ def test_compression_ratios_on_smooth_fixture():
     assert raw / len(chunk4.to_bytes()) >= 8.0
     chunk_raw = compress_cache(cache, PROFILES["8bit-raw"])
     assert raw / len(chunk_raw.to_bytes()) >= 3.9
+
+
+def _with_sections(chunk, params=None, codes=None):
+    """``chunk`` with a payload section replaced, re-framed with a valid CRC."""
+    params_len, _ = struct.unpack_from("<II", chunk.payload)
+    params = chunk.payload[8 : 8 + params_len] if params is None else params
+    codes = chunk.payload[8 + params_len :] if codes is None else codes
+    payload = struct.pack("<II", len(params), len(codes)) + params + codes
+    replaced = dataclasses.replace(chunk, payload=payload, crc=crc32c(payload))
+    return CompressedChunk.from_bytes(replaced.to_bytes())
+
+
+def test_overlong_varint_in_crc_valid_chunk():
+    chunk = compress_cache(fixtures.random_cache(n_tokens=4, seed=2), PROFILES["8bit-varint"])
+    with pytest.raises(DecodeError):
+        decompress_cache(_with_sections(chunk, codes=b"\xff" * 10 + b"\x01"))
+
+
+@pytest.fixture(scope="module")
+def deflate_bomb():
+    """DEFLATE of 64 MiB of zeros, about 64 KB."""
+    z = zlib.compressobj(9)
+    mib = bytes(1 << 20)
+    return b"".join(z.compress(mib) for _ in range(64)) + z.flush()
+
+
+@pytest.mark.parametrize("section", ["params", "codes"])
+def test_inflation_is_bounded_by_geometry(deflate_bomb, section):
+    chunk = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), PROFILES["8bit-deflate"])
+    bomb = _with_sections(chunk, **{section: deflate_bomb})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError):
+            decompress_cache(bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_crc_corruption_detected():
