@@ -104,8 +104,6 @@ def cmd_serve(args) -> int:
         raise CliError(f"cannot bind {args.host}:{args.port}: {e}") from e
     host, port = server.server_address
     print(f"kdn serve: {len(st.entries)} chunks at {root}, listening on {host}:{port}")
-    if args.bw:
-        print(f"link model: {args.bw:.3e} B/s, latency {args.latency}s (simulation only)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -322,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", help="store root (or KDN_ROOT)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7311)
-    p.add_argument("--bw", type=float, default=0.0, help="link bandwidth B/s for reporting")
-    p.add_argument("--latency", type=float, default=0.0)
     p.add_argument("--capacity", type=int, default=1 << 30)
     p.set_defaults(func=cmd_serve)
 

@@ -330,7 +330,6 @@ class CompressedChunk:
     uncompressed_len: int
     payload: bytes
     crc: int
-    key: bytes | None = None  # filled in by the store; not part of the wire layout
 
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(

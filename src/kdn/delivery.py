@@ -5,8 +5,8 @@ Wire layout per frame, little-endian:
     "KDN1" | type u8 | payload_len u32 | payload | crc32c u32
 
 The crc covers type byte plus payload.  Requests by token text answer with
-zero or more CHUNK frames (compressed-chunk bytes, in token order) followed
-by END carrying the miss-suffix token list.
+zero or more CHUNK frames (compressed-chunk blobs as stored, in token order)
+followed by END carrying the miss-suffix token list.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import socketserver
 import struct
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import codec
 from .model import KvCache, rebase
@@ -88,26 +89,61 @@ def encode_frame(frame: Frame) -> bytes:
     )
 
 
-def decode_frame(data: bytes) -> tuple[Frame | None, int]:
-    """Streaming-safe decode: (None, 0) means more bytes are needed."""
-    if len(data) < 9:
+def decode_frame(data: bytes, start: int = 0) -> tuple[Frame | None, int]:
+    """Streaming-safe decode at ``data[start:]``: (None, 0) means more bytes are needed."""
+    if len(data) - start < 9:
         return None, 0
-    if data[:4] != FRAME_MAGIC:
+    if data[start : start + 4] != FRAME_MAGIC:
         raise FrameDecodeError("bad frame magic")
-    ftype = data[4]
-    (plen,) = struct.unpack_from("<I", data, 5)
+    ftype = data[start + 4]
+    (plen,) = struct.unpack_from("<I", data, start + 5)
     if plen > MAX_PAYLOAD:
         raise FrameDecodeError(f"oversize payload ({plen} bytes)")
     total = 9 + plen + 4
-    if len(data) < total:
+    if len(data) - start < total:
         return None, 0
-    payload = data[9 : 9 + plen]
-    (crc,) = struct.unpack_from("<I", data, 9 + plen)
+    payload = bytes(data[start + 9 : start + 9 + plen])
+    (crc,) = struct.unpack_from("<I", data, start + 9 + plen)
     if codec.crc32c(bytes([ftype]) + payload) != crc:
         raise FrameDecodeError("frame crc32c mismatch")
     if ftype not in _FRAME_TYPES:
         raise FrameDecodeError(f"unknown frame type {ftype}")
     return Frame(ftype, payload), total
+
+
+class FrameReader:
+    """Incremental frame decoder for one connection: ``feed`` it received
+    bytes and take whole frames from ``next``.  After ``next`` raises
+    FrameDecodeError, ``resync`` skips to the next frame magic past the bad
+    frame's start, across later feeds if need be."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._pos = 0
+        self._scanning = False  # resyncing, next magic not seen yet
+
+    def feed(self, data: bytes) -> None:
+        del self._buf[: self._pos]  # consumed bytes go once per read, not once per frame
+        self._pos = 0
+        self._buf += data
+
+    def next(self) -> Frame | None:
+        """The next whole frame, or None until more bytes arrive."""
+        if self._scanning:
+            found = self._buf.find(FRAME_MAGIC, self._pos)
+            if found < 0:
+                # keep a tail that may be the start of a magic split by the read
+                keep = max(k for k in range(4) if self._buf.endswith(FRAME_MAGIC[:k]))
+                self._pos = len(self._buf) - keep
+                return None
+            self._pos, self._scanning = found, False
+        frame, consumed = decode_frame(self._buf, self._pos)
+        self._pos += consumed
+        return frame
+
+    def resync(self) -> None:
+        self._pos += 1
+        self._scanning = True
 
 
 def encode_token_request(model_id: int, mode: str, tokens: list[int]) -> Frame:
@@ -149,7 +185,7 @@ def decode_err(frame: Frame) -> tuple[int, str]:
 
 
 def handle_request(store: Store, frame: Frame) -> list[Frame]:
-    """Answer one request frame with CHUNK* END, or a single ERR."""
+    """Answer one request frame with CHUNK* (blobs as stored) END, or a single ERR."""
     try:
         if frame.frame_type == REQ_TOKENS:
             payload = frame.payload
@@ -160,8 +196,8 @@ def handle_request(store: Store, frame: Frame) -> list[Frame]:
             if mode_byte not in _BYTE_MODE:
                 return [encode_err(ERR_BAD_REQUEST, f"unknown mode byte {mode_byte}")]
             tokens = _decode_token_list(payload, 9)
-            hits, miss = store.retrieve_text(model_id, tokens, _BYTE_MODE[mode_byte])
-            frames = [Frame(CHUNK, chunk.to_bytes()) for _, chunk in hits]
+            keys, miss = store.lookup(model_id, tokens, _BYTE_MODE[mode_byte])
+            frames = [Frame(CHUNK, store.read_blob(key)) for key in keys]
             frames.append(encode_end(miss))
             return frames
         if frame.frame_type == REQ_KEYS:
@@ -179,7 +215,7 @@ def handle_request(store: Store, frame: Frame) -> list[Frame]:
                     return [encode_err(ERR_BAD_REQUEST, f"unknown mode byte {mode_byte}")]
                 key = ChunkKey(payload[off + 1 : off + 33], _BYTE_MODE[mode_byte])
                 if key.digest in store.entries:
-                    frames.append(Frame(CHUNK, store.get_chunk(key).to_bytes()))
+                    frames.append(Frame(CHUNK, store.read_blob(key)))
             frames.append(encode_end([]))
             return frames
         return [encode_err(ERR_BAD_REQUEST, f"unexpected frame type {frame.frame_type}")]
@@ -190,57 +226,38 @@ def handle_request(store: Store, frame: Frame) -> list[Frame]:
         return [encode_err(ERR_INTERNAL, f"{type(e).__name__}: {e}")]
 
 
-def process_stream(store: Store, data: bytes) -> bytes:
-    """Process a whole inbound byte buffer, resyncing on garbage.
-
-    Used directly by fuzz tests; the socket server runs the same logic
-    incrementally.
-    """
-    out = bytearray()
-    buf = memoryview(bytes(data))
-    pos = 0
-    while pos < len(buf):
+def _replies(store: Store, reader: FrameReader) -> Iterator[bytes]:
+    """Encoded answers to the whole requests in ``reader``; ERR_BAD_FRAME and a resync per bad frame."""
+    while True:
         try:
-            frame, consumed = decode_frame(bytes(buf[pos:]))
+            frame = reader.next()
         except FrameDecodeError as e:
-            out += encode_frame(encode_err(ERR_BAD_FRAME, str(e)))
-            nxt = bytes(buf[pos + 1 :]).find(FRAME_MAGIC)
-            if nxt < 0:
-                break
-            pos += 1 + nxt
+            yield encode_frame(encode_err(ERR_BAD_FRAME, str(e)))
+            reader.resync()
             continue
         if frame is None:
-            break  # incomplete tail
-        pos += consumed
+            return
         for reply in handle_request(store, frame):
-            out += encode_frame(reply)
-    return bytes(out)
+            yield encode_frame(reply)
+
+
+def process_stream(store: Store, data: bytes) -> bytes:
+    """The server's replies to ``data`` arriving on one connection."""
+    reader = FrameReader()
+    reader.feed(data)
+    return b"".join(_replies(store, reader))
 
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        buf = b""
-        while True:
-            try:
-                chunk = self.request.recv(65536)
-            except OSError:
-                return
-            if not chunk:
-                return
-            buf += chunk
-            while buf:
-                try:
-                    frame, consumed = decode_frame(buf)
-                except FrameDecodeError as e:
-                    self.request.sendall(encode_frame(encode_err(ERR_BAD_FRAME, str(e))))
-                    nxt = buf[1:].find(FRAME_MAGIC)
-                    buf = b"" if nxt < 0 else buf[1 + nxt :]
-                    continue
-                if frame is None:
-                    break
-                buf = buf[consumed:]
-                for reply in handle_request(self.server.store, frame):
-                    self.request.sendall(encode_frame(reply))
+        reader = FrameReader()
+        try:
+            for chunk in iter(lambda: self.request.recv(65536), b""):
+                reader.feed(chunk)
+                for reply in _replies(self.server.store, reader):
+                    self.request.sendall(reply)
+        except OSError:
+            pass  # the client went away
 
 
 class KdnServer(socketserver.ThreadingTCPServer):
@@ -270,43 +287,36 @@ class Client:
     def _roundtrip(self, request: Frame) -> list[Frame]:
         with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
             sock.sendall(encode_frame(request))
-            buf = b""
+            reader = FrameReader()
             frames: list[Frame] = []
-            while True:
-                frame = None
-                while buf:
-                    frame, consumed = decode_frame(buf)
-                    if frame is None:
-                        break
-                    buf = buf[consumed:]
+            for chunk in iter(lambda: sock.recv(65536), b""):
+                reader.feed(chunk)
+                while (frame := reader.next()) is not None:
                     frames.append(frame)
                     if frame.frame_type in (END, ERR):
                         return frames
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise FetchError("connection closed before END")
-                buf += chunk
+            raise FetchError("connection closed before END")
 
     def fetch(self, model_id: int, mode: str, tokens: list[int]) -> tuple[list[KvCache], list[int]]:
         """Retrieve-by-text: decode, crc-check, decompress and re-base.
 
-        Chain chunks are re-based to consecutive positions.  A crc failure
-        is retried once before giving up.
+        Chain chunks are re-based to consecutive positions.
         """
-        request = encode_token_request(model_id, mode, tokens)
+        return self._fetch(encode_token_request(model_id, mode, tokens), mode)
+
+    def fetch_keys(self, keys: list[ChunkKey]) -> list[KvCache]:
+        caches, _ = self._fetch(encode_key_request(keys), MODE_STANDALONE)
+        return caches
+
+    def _fetch(self, request: Frame, mode: str) -> tuple[list[KvCache], list[int]]:
+        """A corrupt frame or chunk (crc or decode failure) is retried once before giving up."""
         last_err: Exception | None = None
         for _ in range(2):
             try:
-                frames = self._roundtrip(request)
-                return _assemble(frames, mode)
-            except (codec.CrcMismatch, FrameDecodeError) as e:
+                return _assemble(self._roundtrip(request), mode)
+            except (codec.CodecError, FrameDecodeError) as e:
                 last_err = e
         raise FetchError(f"fetch failed after retry: {last_err}")
-
-    def fetch_keys(self, keys: list[ChunkKey]) -> list[KvCache]:
-        frames = self._roundtrip(encode_key_request(keys))
-        caches, _ = _assemble(frames, MODE_STANDALONE)
-        return caches
 
 
 def _assemble(frames: list[Frame], mode: str) -> tuple[list[KvCache], list[int]]:

@@ -326,15 +326,10 @@ def extend(
 
 def save_fixture(path, config: ModelConfig, cache: KvCache, states: np.ndarray) -> None:
     """Golden-fixture file: "KDNF" header, u16 config fields, f32 tensors."""
-    header = FIXTURE_MAGIC + struct.pack(
-        "<6H",
-        config.n_layers,
-        config.n_heads,
-        config.d_head,
-        config.vocab_size,
-        cache.n_tokens,
-        int(cache.start_pos),
-    )
+    fields = (config.n_layers, config.n_heads, config.d_head, config.vocab_size, cache.n_tokens, int(cache.start_pos))
+    if not all(0 <= f <= 0xFFFF for f in fields):
+        raise ModelError(f"fixture header fields {fields} do not all fit in u16")
+    header = FIXTURE_MAGIC + struct.pack("<6H", *fields)
     with open(path, "wb") as f:
         f.write(header)
         f.write(cache.k_pre.astype("<f4").tobytes())

@@ -192,11 +192,8 @@ class Store:
             last_access=self._clock,
         )
 
-    def flush(self) -> None:
-        """Manifest appends are already synchronous; nothing buffered."""
-
     def close(self) -> None:
-        self.flush()
+        """Release the store; manifest appends are synchronous, so nothing is buffered."""
 
     # -- accounting --------------------------------------------------------
 
@@ -232,15 +229,17 @@ class Store:
         if not any(e.file == fname for e in self.entries.values()):
             (self.blob_dir / fname).unlink(missing_ok=True)
 
-    def get_chunk(self, key: ChunkKey) -> codec.CompressedChunk:
+    def read_blob(self, key: ChunkKey) -> bytes:
+        """The chunk's bytes as stored, unparsed; refreshes its LRU position."""
         entry = self.entries.get(key.digest)
         if entry is None:
             raise StoreError(f"key {key.hex[:12]} not in store")
         self._touch(entry)
-        data = (self.blob_dir / entry.file).read_bytes()
-        chunk = codec.CompressedChunk.from_bytes(data)
-        chunk.key = key.digest
-        return chunk
+        return (self.blob_dir / entry.file).read_bytes()
+
+    def get_chunk(self, key: ChunkKey) -> codec.CompressedChunk:
+        """The parsed, crc-checked chunk under ``key``."""
+        return codec.CompressedChunk.from_bytes(self.read_blob(key))
 
     # -- store / retrieve ----------------------------------------------------
 
@@ -252,6 +251,11 @@ class Store:
                blob: bytes, profile: codec.CodecProfile) -> None:
         if self.total_size + len(blob) > self.config.capacity:
             self.evict_to(self.config.capacity - len(blob))
+        self._commit(key, tokens, parent, blob, profile, pinned=False, created=time.time())
+
+    def _commit(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None, blob: bytes,
+                profile: codec.CodecProfile, pinned: bool, created: float) -> str:
+        """Write ``blob``, then point ``key`` at it by a manifest record; returns the blob's file name."""
         fname = self._write_blob(blob)
         if self._crash_hook is not None:
             self._crash_hook()
@@ -263,11 +267,12 @@ class Store:
             "parent": parent.hex if parent else None,
             "codec": profile.to_dict(),
             "size": len(blob),
-            "pinned": False,
-            "created": time.time(),
+            "pinned": pinned,
+            "created": created,
         }
         self._append_manifest(rec)
         self._replay(rec)
+        return fname
 
     def store_text(
         self,
@@ -316,17 +321,17 @@ class Store:
             raise StoreError(f"unknown mode {mode!r}")
         return keys
 
-    def retrieve_text(
+    def lookup(
         self, model_id: int, tokens: list[int], mode: str = MODE_CHAIN
-    ) -> tuple[list[tuple[ChunkKey, codec.CompressedChunk]], list[int]]:
-        """Look up the longest stored coverage of ``tokens``.
+    ) -> tuple[list[ChunkKey], list[int]]:
+        """Keys of the longest stored coverage of ``tokens``, and the miss suffix.
 
         Chain mode walks the key chain over the token prefix and returns the
         unmatched remainder as the miss suffix.  Standalone mode looks up
         each chunk independently; the miss suffix concatenates the tokens of
-        the missed chunks.  Misses are data, not errors.
+        the missed chunks.  Misses are data, not errors.  Reads no blob.
         """
-        hits: list[tuple[ChunkKey, codec.CompressedChunk]] = []
+        keys: list[ChunkKey] = []
         if mode == MODE_CHAIN:
             parent: ChunkKey | None = None
             pos = 0
@@ -336,34 +341,38 @@ class Store:
                 if match is None:
                     break
                 key, n = match
-                hits.append((key, self.get_chunk(key)))
+                keys.append(key)
                 parent = key
                 pos += n
-            return hits, tokens[pos:]
+            return keys, tokens[pos:]
         if mode == MODE_STANDALONE:
             miss: list[int] = []
             for chunk_tokens in self._split_chunks(tokens):
                 key = make_key(model_id, MODE_STANDALONE, None, chunk_tokens)
                 if key.digest in self.entries:
-                    hits.append((key, self.get_chunk(key)))
+                    keys.append(key)
                 else:
                     miss.extend(chunk_tokens)
-            return hits, miss
+            return keys, miss
         raise StoreError(f"unknown mode {mode!r}")
+
+    def retrieve_text(
+        self, model_id: int, tokens: list[int], mode: str = MODE_CHAIN
+    ) -> tuple[list[tuple[ChunkKey, codec.CompressedChunk]], list[int]]:
+        """``lookup`` plus the parsed, crc-checked chunk of every hit."""
+        keys, miss = self.lookup(model_id, tokens, mode)
+        return [(key, self.get_chunk(key)) for key in keys], miss
 
     def _best_chain_child(
         self, model_id: int, parent: ChunkKey | None, remaining: list[int]
     ) -> tuple[ChunkKey, int] | None:
         """Longest stored chain chunk whose tokens prefix ``remaining``."""
-        best: tuple[ChunkKey, int] | None = None
         # full chunk first: the common case needs one hash, not a scan
-        cs = self.config.chunk_size
-        for n in range(min(cs, len(remaining)), 0, -1):
+        for n in range(min(self.config.chunk_size, len(remaining)), 0, -1):
             key = make_key(model_id, MODE_CHAIN, parent, remaining[:n])
             if key.digest in self.entries:
-                best = (key, n)
-                break
-        return best
+                return key, n
+        return None
 
     # -- eviction ------------------------------------------------------------
 
@@ -415,22 +424,8 @@ class Store:
         edited = transform(cache, params)
         blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
         old_file = entry.file
-        fname = self._write_blob(blob)
-        if self._crash_hook is not None:
-            self._crash_hook()
-        rec = {
-            "key": key.hex,
-            "mode": key.mode,
-            "file": fname,
-            "tokens": entry.tokens,
-            "parent": entry.parent.hex if entry.parent else None,
-            "codec": entry.codec_profile.to_dict(),
-            "size": len(blob),
-            "pinned": entry.pinned,
-            "created": entry.created,
-        }
-        self._append_manifest(rec)
-        self._replay(rec)
+        fname = self._commit(key, entry.tokens, entry.parent, blob, entry.codec_profile,
+                             pinned=entry.pinned, created=entry.created)
         if fname != old_file:
             self._maybe_delete_blob(old_file)
 

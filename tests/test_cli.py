@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from kdn import blender
 from kdn.cli import main
-from kdn.model import ModelConfig, build_model, load_fixture, prefill
+from kdn.model import ModelConfig, build_model, load_fixture, prefill, rebase
 
 MODEL_JSON = json.dumps({"n_layers": 2, "n_heads": 2, "d_head": 4, "vocab_size": 32})
 
@@ -128,6 +129,21 @@ def test_blend_ratio_out_of_range_is_usage_error(workspace, capsys):
     code, _, err = _run(capsys, ["blend", "--request", str(req), "--out", str(workspace / "o")])
     assert code == 2
     assert "ratio" in err
+
+
+def test_blend_unwritable_fixture_is_operational_error(workspace, capsys, monkeypatch):
+    real_blend = blender.selective_blend
+
+    def far_blend(*args, **kwargs):
+        blended, states, report = real_blend(*args, **kwargs)
+        return rebase(blended, 70_000), states, report  # start_pos past the fixture's u16
+
+    monkeypatch.setattr(blender, "selective_blend", far_blend)
+    req = workspace / "blend.json"
+    req.write_text(json.dumps({"model": json.loads(MODEL_JSON), "segments": [[1, 2], [3, 4]], "ratio": 0.5}))
+    code, _, err = _run(capsys, ["blend", "--request", str(req), "--out", str(workspace / "o")])
+    assert code == 1
+    assert "u16" in err
 
 
 def test_blend_bad_request_file(workspace, capsys):

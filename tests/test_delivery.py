@@ -1,4 +1,6 @@
+import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -9,16 +11,19 @@ from kdn.delivery import (
     CHUNK,
     END,
     ERR,
+    FRAME_MAGIC,
     REQ_KEYS,
     REQ_TOKENS,
     Client,
     FetchError,
     Frame,
     FrameDecodeError,
+    FrameReader,
     KdnServer,
     LinkModel,
     ProtocolError,
     _FRAME_OVERHEAD,
+    _replies,
     decode_err,
     decode_frame,
     encode_end,
@@ -102,12 +107,13 @@ def test_golden_frame_with_payload():
 @given(
     ftype=st.sampled_from([REQ_KEYS, REQ_TOKENS, CHUNK, END, ERR]),
     payload=st.binary(max_size=512),
+    lead=st.binary(max_size=16),
     trailer=st.binary(max_size=16),
 )
-def test_frame_roundtrip(ftype, payload, trailer):
+def test_frame_roundtrip(ftype, payload, lead, trailer):
     frame = Frame(ftype, payload)
     wire = encode_frame(frame)
-    decoded, consumed = decode_frame(wire + trailer)
+    decoded, consumed = decode_frame(bytearray(lead + wire + trailer), len(lead))
     assert decoded == frame
     assert consumed == len(wire)
 
@@ -163,6 +169,20 @@ def test_handle_key_request(store, model):
     assert [f.frame_type for f in replies] == [END]
 
 
+def test_handle_request_serves_blobs_as_stored(store, model, monkeypatch):
+    def parse(cls, data):
+        raise AssertionError("the server parsed a chunk")
+
+    monkeypatch.setattr(codec.CompressedChunk, "from_bytes", classmethod(parse))
+    tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    keys, _ = store.lookup(model.model_id, tokens)
+    on_disk = [(store.blob_dir / store.entries[k.digest].file).read_bytes() for k in keys]
+    for request in (encode_token_request(model.model_id, MODE_CHAIN, tokens), encode_key_request(keys)):
+        replies = handle_request(store, request)
+        assert [f.frame_type for f in replies] == [CHUNK, CHUNK, END]
+        assert [f.payload for f in replies[:-1]] == on_disk
+
+
 def test_handle_malformed_requests(store):
     for frame in (
         Frame(REQ_TOKENS, b"\x00"),  # too short
@@ -209,6 +229,41 @@ def test_process_stream_resyncs_after_garbage(store, model):
 def test_process_stream_totality(fuzz_store, data):
     out = process_stream(fuzz_store, data)  # must never raise
     assert isinstance(out, bytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_replies_do_not_depend_on_read_boundaries(fuzz_store, model, data):
+    # the socket handler feeds each recv() to one FrameReader; any split of a
+    # stream of requests and garbage must be answered as the whole stream is
+    request = st.one_of(
+        st.integers(0, 10).map(lambda n: list(range(1, n + 1))),
+        st.lists(st.integers(0, 31), max_size=10),
+    ).map(lambda tokens: encode_frame(encode_token_request(model.model_id, MODE_CHAIN, tokens)))
+    part = st.one_of(
+        request,
+        request.flatmap(lambda r: st.integers(0, len(r)).map(lambda k: r[:k])),
+        st.binary(max_size=24),
+        st.sampled_from([FRAME_MAGIC[:k] for k in range(1, 5)]),
+    )
+    stream = b"".join(data.draw(st.lists(part, max_size=6)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+    reader = FrameReader()
+    out = b""
+    for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+        reader.feed(stream[lo:hi])
+        out += b"".join(_replies(fuzz_store, reader))
+    assert out == process_stream(fuzz_store, stream)
+
+
+def test_garbage_split_across_reads_gets_one_err(fuzz_store, model):
+    req = encode_frame(encode_token_request(model.model_id, MODE_CHAIN, [1, 2, 3, 4, 5, 6, 7, 8]))
+    reader = FrameReader()
+    types = []
+    for piece in (b"garbage!!", b"more garbage, no magic K", b"D", b"N", req[3:]):
+        reader.feed(piece)
+        types += [decode_frame(wire)[0].frame_type for wire in _replies(fuzz_store, reader)]
+    assert types == [ERR, CHUNK, END]
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,6 +323,63 @@ def test_tcp_server_survives_garbage_then_serves(store, model):
         client = Client(host, port, timeout=10.0)
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, [1, 2, 3, 4, 5, 6, 7, 8])
         assert miss == [] and len(caches) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _read_until_end(sock) -> list[int]:
+    reader = FrameReader()
+    types: list[int] = []
+    while not types or types[-1] != END:
+        frame = reader.next()
+        if frame is None:
+            data = sock.recv(65536)
+            assert data, "connection closed before END"
+            reader.feed(data)
+        else:
+            types.append(frame.frame_type)
+    return types
+
+
+def test_tcp_magic_split_across_reads_is_answered(store, model):
+    req = encode_frame(encode_token_request(model.model_id, MODE_CHAIN, [1, 2, 3, 4, 5, 6, 7, 8]))
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        with socket.create_connection(server.server_address, timeout=5.0) as sock:
+            sock.sendall(b"garbage!!" + req[:2])
+            time.sleep(0.2)  # let the server read the first piece on its own
+            sock.sendall(req[2:])
+            assert _read_until_end(sock) == [ERR, CHUNK, END]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("offset", [0, -10], ids=["chunk-magic", "payload-byte"])
+def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, monkeypatch, offset):
+    tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    keys, _ = store.lookup(model.model_id, tokens)
+    path = store.blob_dir / store.entries[keys[1].digest].file
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        requests = []
+        roundtrip = client._roundtrip
+        monkeypatch.setattr(client, "_roundtrip", lambda req: requests.append(req) or roundtrip(req))
+        with pytest.raises(FetchError):
+            client.fetch(model.model_id, MODE_CHAIN, tokens)
+        assert len(requests) == 2  # the first try and its one retry
+        with pytest.raises(FetchError):
+            client.fetch_keys(keys[1:])
+        caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens[:8])
+        assert [c.n_tokens for c in caches] == [8] and miss == []
+        assert len(client.fetch_keys(keys[:1])) == 1
     finally:
         server.shutdown()
         server.server_close()

@@ -258,6 +258,14 @@ def test_fixture_roundtrip(tmp_path, model):
     np.testing.assert_allclose(states2, states, atol=1e-6)  # f32 storage
 
 
+def test_fixture_header_overflow_is_model_error(tmp_path, model):
+    cache, states = prefill(model, [7, 8, 9])
+    path = tmp_path / "far.kdnf"
+    with pytest.raises(ModelError):
+        save_fixture(path, CFG, rebase(cache, 70_000), states)
+    assert not path.exists()
+
+
 def test_fixture_bad_magic(tmp_path):
     p = tmp_path / "bad.kdnf"
     p.write_bytes(b"NOPE" + b"\x00" * 12)

@@ -178,6 +178,19 @@ def test_get_chunk_unknown_key(tmp_path, model):
     st = _store(tmp_path)
     with pytest.raises(StoreError):
         st.get_chunk(make_key(model.model_id, MODE_CHAIN, None, [9]))
+    with pytest.raises(StoreError):
+        st.read_blob(make_key(model.model_id, MODE_CHAIN, None, [9]))
+
+
+@pytest.mark.parametrize("profile", sorted(codec.PROFILES))
+def test_blob_is_canonical_chunk_bytes(tmp_path, model, profile):
+    # the server sends blobs unparsed, so a blob must be byte-equal to what
+    # parsing and re-serializing it gives
+    st = _store(tmp_path)
+    keys = st.store_text(model, [i % 32 for i in range(20)], profile=codec.PROFILES[profile])
+    for key in keys:
+        blob = st.read_blob(key)
+        assert blob == codec.CompressedChunk.from_bytes(blob).to_bytes()
 
 
 # -- eviction -----------------------------------------------------------------------
