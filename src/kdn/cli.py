@@ -68,9 +68,9 @@ def _store_root(args) -> Path:
     return Path(root)
 
 
-def _open_store(args) -> store.Store:
+def _open_store(args, must_exist: bool = False) -> store.Store:
     root = _store_root(args)
-    if not root.exists() and getattr(args, "must_exist", False):
+    if must_exist and not root.exists():
         raise CliError(f"store root {root} does not exist")
     return store.open_store(store.StoreConfig(root=root, capacity=args.capacity))
 
@@ -94,16 +94,13 @@ def _emit_table(headers: list[str], rows: list[list], fmt: str) -> None:
 
 
 def cmd_serve(args) -> int:
-    root = _store_root(args)
-    if not root.exists():
-        raise CliError(f"store root {root} does not exist")
-    st = store.open_store(store.StoreConfig(root=root, capacity=args.capacity))
+    st = _open_store(args, must_exist=True)
     try:
         server = delivery.serve(st, host=args.host, port=args.port)
     except OSError as e:
         raise CliError(f"cannot bind {args.host}:{args.port}: {e}") from e
     host, port = server.server_address
-    print(f"kdn serve: {len(st.entries)} chunks at {root}, listening on {host}:{port}")
+    print(f"kdn serve: {len(st.entries)} chunks at {st.root}, listening on {host}:{port}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

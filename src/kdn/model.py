@@ -31,6 +31,9 @@ _E_TOK = 31
 
 ROLE_Q, ROLE_K, ROLE_V, ROLE_O = 0, 1, 2, 3
 
+# keys per causal score tile in ``attend``
+TILE = 128
+
 
 class ModelError(ValueError):
     """Invalid model configuration or inputs."""
@@ -199,7 +202,7 @@ def build_model(config: ModelConfig) -> Model:
 
 
 def apply_rope(x: np.ndarray, positions: np.ndarray, rope_base: float) -> np.ndarray:
-    """Rotate (token, dim) rows pairwise by their absolute positions."""
+    """Rotate (..., token, dim) rows pairwise by their absolute positions."""
     d = x.shape[-1]
     theta = rope_base ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
     ang = positions[:, None].astype(np.float64) * theta[None, :]
@@ -209,14 +212,6 @@ def apply_rope(x: np.ndarray, positions: np.ndarray, rope_base: float) -> np.nda
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
-
-
-def _causal_softmax(scores: np.ndarray, q_positions: np.ndarray, k_positions: np.ndarray) -> np.ndarray:
-    mask = k_positions[None, :] > q_positions[:, None]
-    scores = np.where(mask, -np.inf, scores)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    return w / w.sum(axis=-1, keepdims=True)
 
 
 def attend(
@@ -231,18 +226,51 @@ def attend(
     """One layer of multi-head causal attention for the given query rows.
 
     ``k_pre``/``v`` are (head, token, dim) and may mix freshly computed rows
-    with cache rows; accumulation is float64 throughout.
+    with cache rows; accumulation is float64 throughout.  Keys must sit at
+    contiguous ascending positions ``k0, k0 + 1, ...`` and every query at a
+    position ``p >= k0``; anything else raises ModelError.
+
+    Scores are computed in causal tiles: the row at ``p`` attends only
+    ``keys[:min(n_keys, roundup(p - k0 + 1, TILE))]``, masked inside that
+    span, and rows with the same span run as one group.  The span depends on
+    the row's own position alone, so attending a subset of rows gives the
+    same bits as those rows of a call over all of them.
     """
     cfg = model.config
-    out = np.zeros((x_q.shape[0], cfg.d_model), dtype=np.float64)
+    n_keys = len(k_positions)
+    k0 = int(k_positions[0]) if n_keys else 0
+    if not np.array_equal(k_positions, np.arange(k0, k0 + n_keys)):
+        raise ModelError("key positions must be contiguous and ascending")
+    n_rows = len(x_q)
+    if n_rows and (n_keys == 0 or np.min(q_positions) < k0):
+        raise ModelError(f"query positions must not precede the first key at {k0}")
+
+    if n_rows == 1:
+        # numpy multiplies a one-row matrix by gemv, which rounds differently
+        # from gemm; a repeated row keeps every product on gemm
+        x_q, q_positions = np.repeat(x_q, 2, axis=0), np.repeat(q_positions, 2)
+    offsets = q_positions - k0
+    q = apply_rope(x_q @ model.wq[layer], q_positions, cfg.rope_base)  # (head, row, dim)
+    k = apply_rope(k_pre.astype(np.float64), k_positions, cfg.rope_base)
+    v = v.astype(np.float64)
+    ctx = np.empty_like(q)
+    spans = np.minimum(n_keys, (offsets // TILE + 1) * TILE)
     inv_sqrt_d = 1.0 / np.sqrt(float(cfg.d_head))
+    for m in np.unique(spans):
+        rows = np.flatnonzero(spans == m)
+        if len(rows) == 1:
+            rows = np.repeat(rows, 2)  # gemm, as above
+        scores = q[:, rows] @ k[:, :m].transpose(0, 2, 1)
+        scores *= inv_sqrt_d
+        np.copyto(scores, -np.inf, where=np.arange(m) > offsets[rows, None])
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        ctx[:, rows] = scores @ v[:, :m]
+    out = np.zeros((x_q.shape[0], cfg.d_model), dtype=np.float64)
     for h in range(cfg.n_heads):
-        q = apply_rope(x_q @ model.wq[layer, h], q_positions, cfg.rope_base)
-        k = apply_rope(k_pre[h].astype(np.float64), k_positions, cfg.rope_base)
-        scores = (q @ k.T) * inv_sqrt_d
-        weights = _causal_softmax(scores, q_positions, k_positions)
-        out += (weights @ v[h].astype(np.float64)) @ model.wo[layer, h]
-    return out
+        out += ctx[h] @ model.wo[layer, h]
+    return out[:n_rows]
 
 
 def _project_kv(model: Model, layer: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

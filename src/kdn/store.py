@@ -14,6 +14,7 @@ import logging
 import os
 import struct
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,6 +132,8 @@ class Store:
         self.blob_dir = self.root / "blobs"
         self.manifest_path = self.root / "manifest.jsonl"
         self.entries: dict[bytes, StoreEntry] = {}
+        self._total_size = 0  # sum of entry sizes, kept by _index/_unindex
+        self._file_refs: Counter[str] = Counter()  # live entries per blob file
         self._clock = 0
         self._crash_hook = None  # test hook, called between blob write and manifest append
         self._recover()
@@ -151,24 +154,20 @@ class Store:
                     except (ValueError, KeyError, StoreError) as e:
                         log.warning("manifest line %d skipped: %s", lineno, e)
         # entries whose blob vanished are dropped; blobs without entries are orphans
-        live_files = set()
-        for digest in list(self.entries):
-            entry = self.entries[digest]
+        for digest, entry in list(self.entries.items()):
             path = self.blob_dir / entry.file
             if not path.exists() or path.stat().st_size != entry.size:
                 log.warning("dropping entry %s: blob missing or truncated", entry.key.hex[:12])
-                del self.entries[digest]
-            else:
-                live_files.add(entry.file)
+                self._unindex(digest)
         for blob in self.blob_dir.iterdir():
-            if blob.name not in live_files:
+            if blob.name not in self._file_refs:
                 log.warning("collecting orphan blob %s", blob.name)
                 blob.unlink()
 
     def _replay(self, rec: dict) -> None:
         op = rec.get("op", "put")
         if op == "del":
-            self.entries.pop(bytes.fromhex(rec["key"]), None)
+            self._unindex(bytes.fromhex(rec["key"]))
             return
         if op == "pin":
             digest = bytes.fromhex(rec["key"])
@@ -180,7 +179,7 @@ class Store:
         if rec.get("parent"):
             parent = ChunkKey(bytes.fromhex(rec["parent"]), rec["mode"])
         self._clock += 1
-        self.entries[key.digest] = StoreEntry(
+        entry = StoreEntry(
             key=key,
             tokens=[int(t) for t in rec["tokens"]],
             parent=parent,
@@ -191,6 +190,7 @@ class Store:
             created=float(rec.get("created", 0.0)),
             last_access=self._clock,
         )
+        self._index(entry)
 
     def close(self) -> None:
         """Release the store; manifest appends are synchronous, so nothing is buffered."""
@@ -199,7 +199,23 @@ class Store:
 
     @property
     def total_size(self) -> int:
-        return sum(e.size for e in self.entries.values())
+        return self._total_size
+
+    def _index(self, entry: StoreEntry) -> None:
+        """Put ``entry`` under its key, replacing any entry there."""
+        self._unindex(entry.key.digest)
+        self.entries[entry.key.digest] = entry
+        self._total_size += entry.size
+        self._file_refs[entry.file] += 1
+
+    def _unindex(self, digest: bytes) -> None:
+        """Drop the entry under ``digest``, if any; its blob file stays on disk."""
+        entry = self.entries.pop(digest, None)
+        if entry is not None:
+            self._total_size -= entry.size
+            self._file_refs[entry.file] -= 1
+            if not self._file_refs[entry.file]:
+                del self._file_refs[entry.file]
 
     def _touch(self, entry: StoreEntry) -> None:
         self._clock += 1
@@ -226,7 +242,7 @@ class Store:
         return name
 
     def _maybe_delete_blob(self, fname: str) -> None:
-        if not any(e.file == fname for e in self.entries.values()):
+        if fname not in self._file_refs:
             (self.blob_dir / fname).unlink(missing_ok=True)
 
     def read_blob(self, key: ChunkKey) -> bytes:
@@ -389,7 +405,7 @@ class Store:
             if self.total_size <= capacity:
                 break
             self._append_manifest({"op": "del", "key": entry.key.hex})
-            del self.entries[entry.key.digest]
+            self._unindex(entry.key.digest)
             self._maybe_delete_blob(entry.file)
             evicted.append(entry.key)
         if self.total_size > capacity:

@@ -2,7 +2,8 @@
 
 The reference model and the codec's byte paths, deliberately written with
 explicit Python loops (and math.sin) so that they share no code path with the
-package; golden and property tests compare the two.
+package; golden and property tests compare the two.  ``ref_attend`` is the
+untiled attention kernel the tiled one replaced.
 """
 
 import math
@@ -72,6 +73,43 @@ def ref_prefill(n_layers, n_heads, d_head, vocab_size, tokens, rope_base=10000.0
                 delta[t] += attn @ wo[h]
         x = x + delta
     return k_pre, v_all, x
+
+
+def _rope_rows(x, positions, rope_base):
+    d = x.shape[-1]
+    theta = rope_base ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
+    ang = positions[:, None].astype(np.float64) * theta[None, :]
+    cos, sin = np.cos(ang), np.sin(ang)
+    out = np.empty_like(x, dtype=np.float64)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def _causal_softmax(scores, q_positions, k_positions):
+    mask = k_positions[None, :] > q_positions[:, None]
+    scores = np.where(mask, -np.inf, scores)
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def ref_attend(model, layer, x_q, q_positions, k_pre, v, k_positions):
+    """Untiled attention: per head, a full (query, key) score matrix, masked.
+
+    Same signature as ``kdn.model.attend``; takes keys at any positions.
+    """
+    cfg = model.config
+    out = np.zeros((x_q.shape[0], cfg.d_model), dtype=np.float64)
+    inv_sqrt_d = 1.0 / np.sqrt(float(cfg.d_head))
+    for h in range(cfg.n_heads):
+        q = _rope_rows(x_q @ model.wq[layer, h], q_positions, cfg.rope_base)
+        k = _rope_rows(k_pre[h].astype(np.float64), k_positions, cfg.rope_base)
+        scores = (q @ k.T) * inv_sqrt_d
+        weights = _causal_softmax(scores, q_positions, k_positions)
+        out += (weights @ v[h].astype(np.float64)) @ model.wo[layer, h]
+    return out
 
 
 # -- codec: per-byte and per-value loops -------------------------------------------

@@ -42,6 +42,14 @@ def test_put_then_get(workspace, capsys):
     assert "miss_suffix: 0 tokens" in out
 
 
+def test_serve_missing_root_exits_1(tmp_path, capsys):
+    root = tmp_path / "missing"
+    code, _, err = _run(capsys, ["serve", "--root", str(root), "--port", "0"])
+    assert code == 1
+    assert "does not exist" in err
+    assert not root.exists()
+
+
 def test_put_idempotent_message(workspace, capsys):
     root = str(workspace / "store")
     args = ["put", "--root", root, "--model", MODEL_JSON, "--tokens", str(workspace / "tokens.txt")]

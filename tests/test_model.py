@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdn.model import (
+    TILE,
     KvCache,
     ModelConfig,
     ModelError,
+    attend,
     build_model,
     concat_caches,
     extend,
@@ -17,7 +19,7 @@ from kdn.model import (
     save_fixture,
 )
 
-from reference import ref_embed, ref_prefill, ref_weight
+from reference import ref_attend, ref_embed, ref_prefill, ref_weight
 
 CFG = ModelConfig(n_layers=2, n_heads=2, d_head=4, vocab_size=32)
 
@@ -107,6 +109,16 @@ def test_golden_prefill_offset_and_bigger():
     assert cache.start_pos == 5
 
 
+def test_golden_prefill_across_a_tile_edge():
+    cfg = ModelConfig(1, 1, 4, 32)
+    tokens = [(7 * i + 3) % 32 for i in range(TILE + 2)]
+    cache, states = prefill(build_model(cfg), tokens)
+    k_ref, v_ref, x_ref = ref_prefill(1, 1, 4, 32, tokens)
+    np.testing.assert_allclose(cache.k_pre, k_ref, atol=1e-6)
+    np.testing.assert_allclose(cache.v, v_ref, atol=1e-6)
+    np.testing.assert_allclose(states, x_ref, atol=1e-9)
+
+
 def test_single_token_kv_is_plain_projection(model):
     cache, _ = prefill(model, [5])
     for layer in range(CFG.n_layers):
@@ -128,6 +140,60 @@ def test_token_out_of_range(model):
         prefill(model, [32])
     with pytest.raises(ModelError):
         extend(model, prefill(model, [1])[0], None, [-1])
+
+
+# -- tiled attention ---------------------------------------------------------------
+
+ATTN_CFG = ModelConfig(1, 2, 4, 32)
+
+
+def _attend_inputs(n, start_pos, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, ATTN_CFG.d_model))
+    k_pre = rng.standard_normal((ATTN_CFG.n_heads, n, ATTN_CFG.d_head)).astype(np.float32)
+    v = rng.standard_normal((ATTN_CFG.n_heads, n, ATTN_CFG.d_head)).astype(np.float32)
+    return x, start_pos + np.arange(n), k_pre, v
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 300])
+@pytest.mark.parametrize("start_pos", [0, 70])
+def test_attend_matches_untiled_reference(n, start_pos):
+    m = build_model(ATTN_CFG)
+    x, pos, k_pre, v = _attend_inputs(n, start_pos)
+    got = attend(m, 0, x, pos, k_pre, v, pos)
+    want = ref_attend(m, 0, x, pos, k_pre, v, pos)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # queries that see every key: the extend shape
+    tail = slice(n - 5, n)
+    got = attend(m, 0, x[tail], pos[tail], k_pre, v, pos)
+    np.testing.assert_allclose(got, want[tail], rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(st.sampled_from([127, 128, 129, 257]), st.integers(1, 300)),
+    start_pos=st.integers(0, 200),
+)
+def test_attend_rows_are_independent(data, n, start_pos):
+    # a row's result depends only on its own position, never on the other
+    # rows of the call, so any subset reproduces the full call bit for bit
+    m = build_model(ATTN_CFG)
+    x, pos, k_pre, v = _attend_inputs(n, start_pos, seed=n)
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted))
+    full = attend(m, 0, x, pos, k_pre, v, pos)
+    part = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
+    assert np.array_equal(part, full[rows])
+
+
+def test_attend_rejects_unordered_keys():
+    m = build_model(ATTN_CFG)
+    x, pos, k_pre, v = _attend_inputs(6, 10)
+    for k_pos in (pos[::-1], np.array([10, 11, 12, 14, 15, 16]), np.array([10, 11, 11, 12, 13, 14])):
+        with pytest.raises(ModelError):
+            attend(m, 0, x, pos, k_pre, v, k_pos)
+    with pytest.raises(ModelError):  # a query before the first key sees nothing
+        attend(m, 0, x[:1], np.array([9]), k_pre, v, pos)
 
 
 # -- extend == prefill -----------------------------------------------------------

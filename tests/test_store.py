@@ -1,9 +1,12 @@
 import hashlib
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdn import codec
 from kdn.model import ModelConfig, build_model, concat_caches, prefill
@@ -240,6 +243,61 @@ def test_evicted_blobs_removed_from_disk(tmp_path, model):
     st.store_text(model, [1, 2, 3, 4], mode=MODE_STANDALONE)
     st.store_text(model, [5, 6, 7, 8], mode=MODE_STANDALONE)
     assert len(list(st.blob_dir.iterdir())) == 1
+
+
+def _check_accounting(store):
+    assert store.total_size == sum(e.size for e in store.entries.values())
+    # every live entry's blob is on disk, and nothing else is
+    assert {p.name for p in store.blob_dir.iterdir()} == {e.file for e in store.entries.values()}
+    for e in store.entries.values():
+        assert (store.blob_dir / e.file).stat().st_size == e.size
+
+
+_DOCS = [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 9], [7, 8, 9, 10], [5, 6]]
+_STORE_OPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from([MODE_CHAIN, MODE_STANDALONE]), st.integers(0, len(_DOCS) - 1)),
+    st.tuples(st.just("pin"), st.integers(0, 20), st.booleans()),
+    st.tuples(st.just("edit"), st.integers(0, 20), st.sampled_from([0.5, 1.0, 2.0])),
+    st.tuples(st.just("evict"), st.integers(0, 4)),
+    st.tuples(st.just("reopen")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(_STORE_OPS, max_size=12))
+def test_running_totals_match_entries(model, ops):
+    one = _blob_size(model, [1, 2, 3, 4])
+    with tempfile.TemporaryDirectory() as tmp:
+        config = StoreConfig(root=Path(tmp), capacity=5 * one, chunk_size=4)
+        store = open_store(config)
+        # the chain's first chunk and the standalone chunk of the same tokens
+        # are the same bytes, so two keys start out sharing one blob file
+        store.store_text(model, _DOCS[0], mode=MODE_CHAIN)
+        store.store_text(model, _DOCS[0], mode=MODE_STANDALONE)
+        assert len({e.file for e in store.entries.values()}) < len(store.entries)
+        for op in ops:
+            keys = sorted(store.entries)
+            if op[0] == "put":
+                try:
+                    store.store_text(model, _DOCS[op[2]], mode=op[1])
+                except CapacityError:
+                    pass
+            elif op[0] in ("pin", "edit") and keys:
+                key = store.entries[keys[op[1] % len(keys)]].key
+                if op[0] == "pin":
+                    store.pin(key, op[2])
+                else:
+                    store.apply_edit(key, 1, {"factor": op[2], "tokens": [0]})
+            elif op[0] == "evict":
+                try:
+                    store.evict_to(op[1] * one)
+                except CapacityError:
+                    pass
+            elif op[0] == "reopen":
+                before = set(store.entries)
+                store = open_store(config)
+                assert set(store.entries) == before
+            _check_accounting(store)
 
 
 # -- persistence / recovery -----------------------------------------------------------
