@@ -251,28 +251,44 @@ _VARINT_LIMITS = np.array([1 << 7 * k for k in range(1, 10)], np.uint64)
 def _varint_encode(values: np.ndarray) -> bytes:
     """LEB128 of the zigzagged values: 7 bits a byte, low first, 0x80 = more follow."""
     z = zigzag(np.asarray(values, dtype=np.int64))
-    nbytes = np.searchsorted(_VARINT_LIMITS, z, side="right") + 1
+    longest = int(np.searchsorted(_VARINT_LIMITS, z.max(initial=0), side="right")) + 1
+    nbytes = np.ones(z.size, np.intp)
+    for limit in _VARINT_LIMITS[: longest - 1]:
+        nbytes += z >= limit
     ends = np.cumsum(nbytes)
-    group = np.arange(ends[-1] if z.size else 0) - np.repeat(ends - nbytes, nbytes)
-    out = (np.repeat(z, nbytes) >> (7 * group).astype(np.uint64)).astype(np.uint8) | 0x80
+    starts = ends - nbytes
+    size = int(ends[-1]) if ends.size else 0
+    # One pass per length class, longest first: pass j writes group j of every
+    # value at its start + j.  Past a shorter value's end that byte lands in a
+    # later value, whose own pass for that byte comes later and overwrites it.
+    out = np.empty(size + longest - 1, np.uint8)
+    for j in range(longest - 1, -1, -1):
+        out[j:][starts] = (z >> np.uint64(7 * j)).astype(np.uint8) | 0x80
     out[ends - 1] &= 0x7F
-    return out.tobytes()
+    return out[:size].tobytes()
 
 
 def _varint_decode(data: bytes) -> np.ndarray:
+    """Inverse of ``_varint_encode``; a varint over 64 bits or cut short is a DecodeError at its first byte."""
     b = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(b < 0x80)
-    starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
-    lengths = ends - starts + 1
-    # ten 7-bit groups carry 70 bits; 64 of them fit only if the tenth byte is 0 or 1
-    wide = (lengths > 10) | ((lengths == 10) & (b[ends] > 1))
-    if wide.any():
-        raise DecodeError("varint longer than 64 bits", int(starts[wide.argmax()]))
+    lengths = np.diff(ends, prepend=-1)
+    longest = int(lengths.max(initial=0))
+    if longest >= 10:
+        # ten 7-bit groups carry 70 bits; 64 of them fit only if the tenth byte is 0 or 1
+        wide = (lengths > 10) | ((lengths == 10) & (b[ends] > 1))
+        if wide.any():
+            i = wide.argmax()
+            raise DecodeError("varint longer than 64 bits", int(ends[i] - lengths[i]) + 1)
     tail = int(ends[-1]) + 1 if ends.size else 0
     if tail < b.size:
         raise DecodeError("truncated varint", tail)
-    group = np.arange(b.size) - np.repeat(starts, lengths)
-    z = np.bitwise_or.reduceat((b & 0x7F).astype(np.uint64) << (7 * group).astype(np.uint64), starts)
+    # Start from each varint's last (highest) group; fold in byte end - k of
+    # the varints longer than k, one pass per length class.
+    z = b[ends].astype(np.uint64)
+    for k in range(1, longest):
+        longer = np.flatnonzero(lengths > k)
+        z[longer] = z[longer] << np.uint64(7) | b[ends[longer] - k] & 0x7F
     return unzigzag(z)
 
 
@@ -454,18 +470,3 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
         v_codes = delta_decode(stream[half:], shape, profile.anchor_stride)
     q = QuantizedCache(k_codes, v_codes, k_scale, k_zero, v_scale, v_zero, chunk.start_pos, profile)
     return dequantize(q)
-
-
-def compress_with_mask(cache: KvCache, profile: CodecProfile, keep_mask: np.ndarray | None) -> CompressedChunk:
-    """Pre-compression filter hook: drop tokens where the keep mask is False.
-
-    Token selection policies (which tokens to drop) are out of scope; callers
-    supply the mask.
-    """
-    if keep_mask is None:
-        return compress_cache(cache, profile)
-    keep_mask = np.asarray(keep_mask, dtype=bool)
-    if keep_mask.shape != (cache.n_tokens,):
-        raise CodecError("keep mask length must equal n_tokens")
-    filtered = KvCache(cache.k_pre[:, :, keep_mask], cache.v[:, :, keep_mask], cache.start_pos)
-    return compress_cache(filtered, profile)

@@ -35,6 +35,8 @@ CHUNK = 3
 END = 4
 ERR = 5
 _FRAME_TYPES = {REQ_KEYS, REQ_TOKENS, CHUNK, END, ERR}
+# the frame crc continues from the type byte's crc over the payload
+_TYPE_CRC = {t: codec.crc32c(bytes([t])) for t in _FRAME_TYPES}
 
 ERR_BAD_FRAME = 1
 ERR_BAD_REQUEST = 2
@@ -79,14 +81,9 @@ def encode_frame(frame: Frame) -> bytes:
         raise ProtocolError(f"unknown frame type {frame.frame_type}")
     if len(frame.payload) > MAX_PAYLOAD:
         raise ProtocolError("payload exceeds 64 MiB")
-    body = bytes([frame.frame_type]) + frame.payload
-    return (
-        FRAME_MAGIC
-        + bytes([frame.frame_type])
-        + struct.pack("<I", len(frame.payload))
-        + frame.payload
-        + struct.pack("<I", codec.crc32c(body))
-    )
+    crc = codec.crc32c(frame.payload, _TYPE_CRC[frame.frame_type])
+    return b"".join((FRAME_MAGIC, bytes([frame.frame_type]), struct.pack("<I", len(frame.payload)),
+                     frame.payload, struct.pack("<I", crc)))
 
 
 def decode_frame(data: bytes, start: int = 0) -> tuple[Frame | None, int]:
@@ -102,12 +99,13 @@ def decode_frame(data: bytes, start: int = 0) -> tuple[Frame | None, int]:
     total = 9 + plen + 4
     if len(data) - start < total:
         return None, 0
-    payload = bytes(data[start + 9 : start + 9 + plen])
-    (crc,) = struct.unpack_from("<I", data, start + 9 + plen)
-    if codec.crc32c(bytes([ftype]) + payload) != crc:
-        raise FrameDecodeError("frame crc32c mismatch")
     if ftype not in _FRAME_TYPES:
         raise FrameDecodeError(f"unknown frame type {ftype}")
+    with memoryview(data) as view:  # released at once: a FrameReader resizes its buffer
+        payload = view[start + 9 : start + 9 + plen].tobytes()
+    (crc,) = struct.unpack_from("<I", data, start + 9 + plen)
+    if codec.crc32c(payload, _TYPE_CRC[ftype]) != crc:
+        raise FrameDecodeError("frame crc32c mismatch")
     return Frame(ftype, payload), total
 
 

@@ -135,7 +135,7 @@ class Store:
         self._total_size = 0  # sum of entry sizes, kept by _index/_unindex
         self._file_refs: Counter[str] = Counter()  # live entries per blob file
         self._clock = 0
-        self._crash_hook = None  # test hook, called between blob write and manifest append
+        self._crash_hook = None  # test hook at each crash point: after a blob write, after del records
         self._recover()
 
     # -- lifecycle ---------------------------------------------------------
@@ -221,9 +221,10 @@ class Store:
         self._clock += 1
         entry.last_access = self._clock
 
-    def _append_manifest(self, rec: dict) -> None:
+    def _append_manifest(self, *recs: dict) -> None:
+        """Append one JSON line per record, in one write with one fsync."""
         with open(self.manifest_path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(rec) + "\n")
+            f.write("".join(json.dumps(rec) + "\n" for rec in recs))
             f.flush()
             os.fsync(f.fileno())
 
@@ -393,27 +394,33 @@ class Store:
     # -- eviction ------------------------------------------------------------
 
     def evict_to(self, capacity: int) -> list[ChunkKey]:
-        """Drop unpinned entries in LRU order until total size <= capacity."""
-        evicted: list[ChunkKey] = []
+        """Drop unpinned entries in LRU order until total size <= capacity.
+
+        The victims' ``del`` records go to the manifest in one append before
+        any blob is unlinked; a crash in between leaves only orphan blobs.
+        """
         if self.total_size <= capacity:
-            return evicted
-        candidates = sorted(
-            (e for e in self.entries.values() if not e.pinned),
-            key=lambda e: e.last_access,
-        )
-        for entry in candidates:
-            if self.total_size <= capacity:
+            return []
+        victims: list[StoreEntry] = []
+        size = self.total_size
+        for entry in sorted((e for e in self.entries.values() if not e.pinned), key=lambda e: e.last_access):
+            if size <= capacity:
                 break
-            self._append_manifest({"op": "del", "key": entry.key.hex})
-            self._unindex(entry.key.digest)
-            self._maybe_delete_blob(entry.file)
-            evicted.append(entry.key)
+            victims.append(entry)
+            size -= entry.size
+        if victims:
+            self._append_manifest(*({"op": "del", "key": e.key.hex} for e in victims))
+            if self._crash_hook is not None:
+                self._crash_hook()
+            for entry in victims:
+                self._unindex(entry.key.digest)
+                self._maybe_delete_blob(entry.file)
         if self.total_size > capacity:
             pinned_bytes = sum(e.size for e in self.entries.values() if e.pinned)
             raise CapacityError(
                 f"cannot reach {capacity} bytes: {pinned_bytes} bytes pinned"
             )
-        return evicted
+        return [e.key for e in victims]
 
     def pin(self, key: ChunkKey, pinned: bool = True) -> None:
         entry = self.entries.get(key.digest)

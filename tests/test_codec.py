@@ -19,7 +19,6 @@ from kdn.codec import (
     CrcMismatch,
     DecodeError,
     compress_cache,
-    compress_with_mask,
     crc32c,
     decompress_cache,
     delta_decode,
@@ -34,7 +33,7 @@ from kdn.codec import (
     _varint_decode,
     _varint_encode,
 )
-from kdn.model import KvCache
+from kdn.model import KvCache, ModelConfig, build_model, prefill
 from reference import ref_crc32c, ref_delta_decode, ref_varint_decode, ref_varint_encode
 
 
@@ -128,6 +127,61 @@ def test_varint_bytes_match_reference(values):
     data = _varint_encode(arr)
     assert data == ref_varint_encode(arr)
     assert _varint_decode(data).tolist() == ref_varint_decode(data).tolist() == values
+
+
+def _of_length(n_bytes: int, r: int) -> int:
+    """An int64 whose zigzag takes exactly ``n_bytes`` varint bytes, picked by ``r``."""
+    lo = 1 << 7 * (n_bytes - 1) if n_bytes > 1 else 0
+    z = lo + r % ((1 << min(7 * n_bytes, 64)) - lo)
+    return unzigzag(z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10), st.integers(0, (1 << 64) - 1)), max_size=80))
+def test_varint_mixed_length_classes_match_reference(draws):
+    values = [_of_length(n, r) for n, r in draws]
+    arr = np.array(values, dtype=np.int64)
+    data = _varint_encode(arr)
+    assert data == ref_varint_encode(arr)
+    assert len(data) == sum(n for n, _ in draws)
+    assert _varint_decode(data).tolist() == ref_varint_decode(data).tolist() == values
+
+
+# a bad varint's offset must not depend on the length classes before it
+LEADS = [_varint_encode(np.array([_of_length(n, 12345), _of_length(n, 678)], dtype=np.int64)) for n in range(1, 11)]
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=[f"after-{n}-byte" for n in range(1, 11)])
+@pytest.mark.parametrize("bad", [b"\xff" * 10 + b"\x01", b"\xff" * 9 + b"\x7f", b"\x80" * 11 + b"\x00"])
+def test_varint_over_64_bits_after_each_length_class(lead, bad):
+    for after in (b"", b"\x05", LEADS[-1]):
+        with pytest.raises(DecodeError) as e:
+            _varint_decode(lead + bad + after)
+        assert e.value.offset == len(lead)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=[f"after-{n}-byte" for n in range(1, 11)])
+@pytest.mark.parametrize("cut", [1, 5, 9, 12])
+def test_varint_truncated_after_each_length_class(lead, cut):
+    with pytest.raises(DecodeError) as e:
+        _varint_decode(lead + b"\xff" * cut)
+    assert e.value.offset == len(lead)
+
+
+def test_varint_decode_memory_is_linear_in_its_bytes():
+    # the code stream of a 1024-token chunk of the 4L x 4H x 16d benchmark model, 8-bit
+    cfg = ModelConfig(n_layers=4, n_heads=4, d_head=16, vocab_size=256)
+    tokens = np.random.default_rng(7).integers(0, 256, 1024).tolist()
+    q = quantize(prefill(build_model(cfg), tokens)[0], PROFILES["8bit-varint"])
+    data = _varint_encode(np.concatenate([delta_encode(q.k_codes, 16), delta_encode(q.v_codes, 16)]))
+    tracemalloc.start()
+    try:
+        values = _varint_decode(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.size == 2 * 4 * 4 * 1024 * 16
+    assert peak < 32 * len(data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,14 +471,3 @@ def test_profile_validation():
         CodecProfile(lossless_id=9)
     p = CodecProfile.from_dict(CodecProfile(quant_bits=4).to_dict())
     assert p.quant_bits == 4
-
-
-def test_compress_with_mask_drops_tokens():
-    cache = fixtures.random_cache(n_tokens=10, seed=6)
-    mask = np.ones(10, bool)
-    mask[[2, 7]] = False
-    chunk = compress_with_mask(cache, PROFILES["8bit-deflate"], mask)
-    assert chunk.n_tokens == 8
-    assert compress_with_mask(cache, PROFILES["8bit-deflate"], None).n_tokens == 10
-    with pytest.raises(CodecError):
-        compress_with_mask(cache, PROFILES["8bit-deflate"], np.ones(9, bool))

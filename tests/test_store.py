@@ -245,6 +245,25 @@ def test_evicted_blobs_removed_from_disk(tmp_path, model):
     assert len(list(st.blob_dir.iterdir())) == 1
 
 
+def _standalone_trio(tmp_path, model):
+    """A store holding three standalone chunks, stored a, b, c; returns it and their keys."""
+    st = _store(tmp_path, capacity=3 * _blob_size(model, [1, 2, 3, 4]) + 10, chunk_size=8)
+    docs = ([1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12])
+    keys = [st.store_text(model, toks, mode=MODE_STANDALONE)[0] for toks in docs]
+    return st, keys
+
+
+def test_eviction_appends_its_del_records_with_one_fsync(tmp_path, model, monkeypatch):
+    st, keys = _standalone_trio(tmp_path, model)
+    fsyncs = []
+    monkeypatch.setattr("kdn.store.os.fsync", fsyncs.append)
+    assert st.evict_to(0) == keys
+    assert len(fsyncs) == 1
+    lines = st.manifest_path.read_text().splitlines()
+    assert [json.loads(line) for line in lines[-3:]] == [{"op": "del", "key": k.hex} for k in keys]
+    assert st.entries == {} and list(st.blob_dir.iterdir()) == []
+
+
 def _check_accounting(store):
     assert store.total_size == sum(e.size for e in store.entries.values())
     # every live entry's blob is on disk, and nothing else is
@@ -374,6 +393,25 @@ def test_crash_during_edit_keeps_old_content(tmp_path, model):
     st2 = _store(tmp_path)
     after = codec.decompress_cache(st2.get_chunk(key))
     assert np.array_equal(before.v, after.v)
+
+
+def test_crash_between_del_records_and_unlinks(tmp_path, model):
+    st, keys = _standalone_trio(tmp_path, model)
+    st.get_chunk(keys[0])  # a is now the most recent: b and c go
+
+    def boom():
+        raise RuntimeError("simulated crash")
+
+    st._crash_hook = boom
+    with pytest.raises(RuntimeError):
+        st.evict_to(st.entries[keys[0].digest].size)
+    assert len(list(st.blob_dir.iterdir())) == 3  # records written, nothing unlinked
+    st2 = _store(tmp_path)  # replay drops b and c; their blobs are collected as orphans
+    assert set(st2.entries) == {keys[0].digest}
+    _check_accounting(st2)
+    st2.store_text(model, [5, 6, 7, 8], mode=MODE_STANDALONE)  # and b can be stored again
+    assert set(st2.entries) == {keys[0].digest, keys[1].digest}
+    _check_accounting(st2)
 
 
 # -- offline edits ----------------------------------------------------------------------
