@@ -92,6 +92,56 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     return reg ^ (reg_in >> 8 * k) ^ 0xFFFFFFFF
 
 
+# Advancing a register over zero bytes is linear too, so like rows 0-3 above
+# it is four byte tables: table j, entry b is the advance of b << 8j.
+# _CRC_SHIFT[k] advances over 2**k zero bytes.  Level 0 is one step of the
+# byte table; level k + 1 is level k applied to its own entries.
+def _crc32c_shift_tables(levels: int) -> np.ndarray:
+    b = np.arange(256, dtype=np.uint32)
+    out = np.empty((levels, 4, 256), np.uint32)
+    out[0] = _CRC_TABLES[-1], b, b << 8, b << 16  # reg -> table[reg & 0xFF] ^ reg >> 8
+    for k in range(1, levels):
+        t = out[k - 1]
+        out[k] = t[0][t & 0xFF] ^ t[1][t >> 8 & 0xFF] ^ t[2][t >> 16 & 0xFF] ^ t[3][t >> 24]
+    return out
+
+
+_CRC_SHIFT = memoryview(_crc32c_shift_tables(64).reshape(-1))  # flat: level k, byte j at 1024k + 256j
+
+
+def crc32c_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC-32C of A + B from crc1 = crc32c(A, crc), crc2 = crc32c(B) and len2 = len(B)."""
+    if not 0 <= len2 < 1 << 64:
+        raise ValueError(f"length {len2} out of range")
+    reg, o, s = crc1, 0, _CRC_SHIFT
+    while len2:
+        if len2 & 1:
+            reg = s[o | reg & 0xFF] ^ s[o | 256 | reg >> 8 & 0xFF] ^ s[o | 512 | reg >> 16 & 0xFF] ^ s[o | 768 | reg >> 24]
+        len2 >>= 1
+        o += 1024
+    return reg ^ crc2
+
+
+# A CRC followed by its own four little-endian bytes has a fixed CRC, that of
+# four zero bytes: the appended bytes cancel the register they are XORed into.
+_CRC_OF_CRC = crc32c(bytes(4))
+
+
+def chunk_crc32c(blob: bytes, crc: int = 0) -> int:
+    """``crc32c(blob, crc)`` of a chunk blob, reading only its header.
+
+    The blob's payload is followed by its stored CRC, so payload and trailer
+    together have CRC ``_CRC_OF_CRC`` whatever the payload, and the result
+    equals ``crc32c(blob, crc)`` exactly when the stored CRC is right, which
+    ``CompressedChunk.from_bytes`` checks.  Bytes that are not a
+    length-consistent chunk get a plain ``crc32c``.
+    """
+    plen = len(blob) - _HEADER.size - 4
+    if plen < 0 or _HEADER.unpack_from(blob)[-1] != plen:
+        return crc32c(blob, crc)
+    return crc32c_combine(crc32c(blob[: _HEADER.size], crc), _CRC_OF_CRC, plen + 4)
+
+
 @dataclass(frozen=True)
 class CodecProfile:
     quant_bits: int = 8

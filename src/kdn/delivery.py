@@ -7,6 +7,15 @@ Wire layout per frame, little-endian:
 The crc covers type byte plus payload.  Requests by token text answer with
 zero or more CHUNK frames (compressed-chunk blobs as stored, in token order)
 followed by END carrying the miss-suffix token list.
+
+A CHUNK frame's crc is built without reading its payload: CRC-32C values
+compose, and a chunk's payload followed by its stored payload crc has a fixed
+crc, so ``codec.chunk_crc32c`` derives the frame crc from the type byte and
+the chunk header.  The wire bytes are those of a crc over every byte whenever
+the stored crc is right.  Both ends derive it the same way, so the frame check
+catches a damaged header or length, and the client's chunk crc check (one
+pass over the payload) catches a damaged payload or trailer, in transit or at
+rest.
 """
 
 from __future__ import annotations
@@ -76,12 +85,19 @@ class LinkModel:
             raise ValueError("bandwidth must be positive")
 
 
+def _frame_crc(ftype: int, payload: bytes) -> int:
+    # a CHUNK frame's crc comes from the chunk header alone, so neither side
+    # reads the payload here; the client's chunk check reads it once
+    crc = _TYPE_CRC[ftype]
+    return codec.chunk_crc32c(payload, crc) if ftype == CHUNK else codec.crc32c(payload, crc)
+
+
 def encode_frame(frame: Frame) -> bytes:
     if frame.frame_type not in _FRAME_TYPES:
         raise ProtocolError(f"unknown frame type {frame.frame_type}")
     if len(frame.payload) > MAX_PAYLOAD:
         raise ProtocolError("payload exceeds 64 MiB")
-    crc = codec.crc32c(frame.payload, _TYPE_CRC[frame.frame_type])
+    crc = _frame_crc(frame.frame_type, frame.payload)
     return b"".join((FRAME_MAGIC, bytes([frame.frame_type]), struct.pack("<I", len(frame.payload)),
                      frame.payload, struct.pack("<I", crc)))
 
@@ -104,7 +120,7 @@ def decode_frame(data: bytes, start: int = 0) -> tuple[Frame | None, int]:
     with memoryview(data) as view:  # released at once: a FrameReader resizes its buffer
         payload = view[start + 9 : start + 9 + plen].tobytes()
     (crc,) = struct.unpack_from("<I", data, start + 9 + plen)
-    if codec.crc32c(payload, _TYPE_CRC[ftype]) != crc:
+    if _frame_crc(ftype, payload) != crc:
         raise FrameDecodeError("frame crc32c mismatch")
     return Frame(ftype, payload), total
 
@@ -298,7 +314,10 @@ class Client:
     def fetch(self, model_id: int, mode: str, tokens: list[int]) -> tuple[list[KvCache], list[int]]:
         """Retrieve-by-text: decode, crc-check, decompress and re-base.
 
-        Chain chunks are re-based to consecutive positions.
+        Each CHUNK frame's crc is checked against the one derived from its
+        chunk header; then the chunk crc check reads the payload once, and
+        vouches for the frame crc too.  Chain chunks are re-based to
+        consecutive positions.
         """
         return self._fetch(encode_token_request(model_id, mode, tokens), mode)
 

@@ -192,9 +192,6 @@ class Store:
         )
         self._index(entry)
 
-    def close(self) -> None:
-        """Release the store; manifest appends are synchronous, so nothing is buffered."""
-
     # -- accounting --------------------------------------------------------
 
     @property
@@ -398,9 +395,13 @@ class Store:
 
         The victims' ``del`` records go to the manifest in one append before
         any blob is unlinked; a crash in between leaves only orphan blobs.
+        An unreachable ``capacity`` raises before anything is evicted.
         """
         if self.total_size <= capacity:
             return []
+        pinned_bytes = sum(e.size for e in self.entries.values() if e.pinned)
+        if pinned_bytes > capacity:
+            raise CapacityError(f"cannot reach {capacity} bytes: {pinned_bytes} bytes pinned")
         victims: list[StoreEntry] = []
         size = self.total_size
         for entry in sorted((e for e in self.entries.values() if not e.pinned), key=lambda e: e.last_access):
@@ -408,18 +409,12 @@ class Store:
                 break
             victims.append(entry)
             size -= entry.size
-        if victims:
-            self._append_manifest(*({"op": "del", "key": e.key.hex} for e in victims))
-            if self._crash_hook is not None:
-                self._crash_hook()
-            for entry in victims:
-                self._unindex(entry.key.digest)
-                self._maybe_delete_blob(entry.file)
-        if self.total_size > capacity:
-            pinned_bytes = sum(e.size for e in self.entries.values() if e.pinned)
-            raise CapacityError(
-                f"cannot reach {capacity} bytes: {pinned_bytes} bytes pinned"
-            )
+        self._append_manifest(*({"op": "del", "key": e.key.hex} for e in victims))
+        if self._crash_hook is not None:
+            self._crash_hook()
+        for entry in victims:
+            self._unindex(entry.key.digest)
+            self._maybe_delete_blob(entry.file)
         return [e.key for e in victims]
 
     def pin(self, key: ChunkKey, pinned: bool = True) -> None:

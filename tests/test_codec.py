@@ -18,8 +18,10 @@ from kdn.codec import (
     CompressedChunk,
     CrcMismatch,
     DecodeError,
+    chunk_crc32c,
     compress_cache,
     crc32c,
+    crc32c_combine,
     decompress_cache,
     delta_decode,
     delta_encode,
@@ -30,6 +32,7 @@ from kdn.codec import (
     unzigzag,
     zigzag,
     _CRC_BLOCK,
+    _HEADER,
     _varint_decode,
     _varint_encode,
 )
@@ -75,6 +78,83 @@ def test_crc32c_matches_table_loop(n):
 @given(a=st.binary(max_size=3 * B), b=st.binary(max_size=3 * B), crc=st.integers(0, 0xFFFFFFFF))
 def test_crc32c_chains(a, b, crc):
     assert crc32c(a + b, crc) == crc32c(b, crc32c(a, crc)) == ref_crc32c(a + b, crc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.binary(max_size=2 * B), b=st.binary(max_size=4 * B + 3), crc=st.integers(0, 0xFFFFFFFF))
+def test_crc32c_combine_matches_reference(a, b, crc):
+    assert crc32c_combine(ref_crc32c(a, crc), ref_crc32c(b), len(b)) == ref_crc32c(a + b, crc)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, B - 1, B, B + 1, 2 * B, 3 * B + 7, (2 << 20) + 5])
+def test_crc32c_combine_at_block_edges_and_mib_lengths(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 256, 37, dtype=np.uint8).tobytes()
+    b = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+    assert crc32c_combine(crc32c(a, 0x1EDC6F41), crc32c(b), n) == ref_crc32c(a + b, 0x1EDC6F41)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(0, 0xFFFFFFFF),
+    y=st.integers(0, 0xFFFFFFFF),
+    z=st.integers(0, 0xFFFFFFFF),
+    m=st.integers(0, 1 << 62),
+    n=st.integers(0, 1 << 62),
+)
+def test_crc32c_combine_composes_over_any_length(x, y, z, m, n):
+    # advancing over m zero bytes and then n is advancing over m + n, at every table level
+    assert crc32c_combine(crc32c_combine(x, y, m), z, n) == crc32c_combine(x, crc32c_combine(y, z, n), m + n)
+
+
+def test_crc32c_combine_rejects_lengths_out_of_range():
+    for n in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            crc32c_combine(0, 0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=3 * B))
+def test_crc_of_bytes_and_their_crc_is_fixed(data):
+    # the CRC-32C residue that lets a chunk blob's crc skip its payload
+    assert ref_crc32c(data + struct.pack("<I", ref_crc32c(data))) == 0x48674BC7
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_chunk_crc32c_equals_crc32c(name):
+    blob = compress_cache(fixtures.random_cache(n_tokens=40, seed=3), PROFILES[name]).to_bytes()
+    for crc in (0, 0x1EDC6F41, 0xFFFFFFFF):
+        assert chunk_crc32c(blob, crc) == crc32c(blob, crc) == ref_crc32c(blob, crc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(header=st.binary(min_size=_HEADER.size, max_size=_HEADER.size), payload=st.binary(max_size=3 * B),
+       crc=st.integers(0, 0xFFFFFFFF))
+def test_chunk_crc32c_of_any_length_consistent_blob(header, payload, crc):
+    # only the payload length and the stored payload crc have to be right
+    blob = header[:-8] + struct.pack("<Q", len(payload)) + payload + struct.pack("<I", ref_crc32c(payload))
+    assert chunk_crc32c(blob, crc) == ref_crc32c(blob, crc)
+
+
+def test_chunk_crc32c_falls_back_for_other_bytes():
+    blob = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), PROFILES["8bit-deflate"]).to_bytes()
+    at = _HEADER.size - 8  # payload_len, the header's last field
+    (plen,) = struct.unpack_from("<Q", blob, at)
+    wrong_len = [blob[:at] + struct.pack("<Q", plen + d) + blob[at + 8 :] for d in (-1, 1, 1 << 40)]
+    truncated = [blob[:k] for k in (0, 1, _HEADER.size - 1, _HEADER.size, _HEADER.size + 4, len(blob) - 1)]
+    for data in [b"not a chunk at all, and long enough to hold a chunk header", blob + b"\0", *truncated, *wrong_len]:
+        for crc in (0, 0x1EDC6F41):
+            assert chunk_crc32c(data, crc) == crc32c(data, crc)
+
+
+def test_chunk_crc32c_does_not_read_the_payload():
+    blob = bytearray(compress_cache(fixtures.random_cache(n_tokens=8, seed=2), PROFILES["8bit-deflate"]).to_bytes())
+    derived = chunk_crc32c(bytes(blob))
+    blob[_HEADER.size + 10] ^= 0xFF
+    # the stored payload crc is now wrong, so the derived value no longer is a crc32c of the bytes
+    assert chunk_crc32c(bytes(blob)) == derived != crc32c(bytes(blob))
+    with pytest.raises(CrcMismatch):
+        CompressedChunk.from_bytes(bytes(blob))
 
 
 # -- zigzag / varint --------------------------------------------------------------

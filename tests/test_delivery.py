@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdn import codec
+from kdn import codec, delivery, fixtures
 from kdn.delivery import (
     CHUNK,
     END,
@@ -116,6 +116,16 @@ def test_frame_roundtrip(ftype, payload, lead, trailer):
     decoded, consumed = decode_frame(bytearray(lead + wire + trailer), len(lead))
     assert decoded == frame
     assert consumed == len(wire)
+
+
+@pytest.mark.parametrize("name", sorted(codec.PROFILES))
+def test_chunk_frame_bytes_match_bitwise_reference(name):
+    # the frame crc is derived from the chunk header; the bytes are those of a full pass
+    blob = codec.compress_cache(fixtures.random_cache(n_tokens=8, seed=4), codec.PROFILES[name]).to_bytes()
+    wire = encode_frame(Frame(CHUNK, blob))
+    crc = _bitwise_crc32c(bytes([CHUNK]) + blob)
+    assert wire == b"KDN1" + bytes([CHUNK]) + struct.pack("<I", len(blob)) + blob + struct.pack("<I", crc)
+    assert decode_frame(wire) == (Frame(CHUNK, blob), len(wire))
 
 
 def test_decode_incomplete_returns_none():
@@ -380,6 +390,34 @@ def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, mon
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens[:8])
         assert [c.n_tokens for c in caches] == [8] and miss == []
         assert len(client.fetch_keys(keys[:1])) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("offset", [21, 60], ids=["header-start-pos", "payload-byte"])
+def test_tcp_chunk_flipped_in_transit_fails_fetch(store, model, monkeypatch, offset):
+    # a damaged header fails the frame check; a damaged payload passes it (the
+    # frame crc is derived from the chunk header) and fails the chunk crc
+    encode = delivery.encode_frame
+
+    def encode_and_flip(frame):
+        wire = bytearray(encode(frame))
+        if frame.frame_type == CHUNK:
+            wire[9 + offset] ^= 0x01  # after the frame crc was computed
+        return bytes(wire)
+
+    monkeypatch.setattr(delivery, "encode_frame", encode_and_flip)
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        requests = []
+        roundtrip = client._roundtrip
+        monkeypatch.setattr(client, "_roundtrip", lambda req: requests.append(req) or roundtrip(req))
+        with pytest.raises(FetchError):
+            client.fetch(model.model_id, MODE_CHAIN, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+        assert len(requests) == 2  # the first try and its one retry
     finally:
         server.shutdown()
         server.server_close()

@@ -237,6 +237,44 @@ def test_capacity_error_when_all_pinned(tmp_path, model):
         st.store_text(model, [9, 10, 11, 12], mode=MODE_STANDALONE)
 
 
+def _five_with_first_pinned(tmp_path, model, chunk_size=8):
+    """A store holding five standalone 4-token chunks, the first pinned; returns it and one's size."""
+    one = _blob_size(model, [1, 2, 3, 4])
+    st = _store(tmp_path, capacity=5 * one + 10, chunk_size=chunk_size)
+    keys = [st.store_text(model, [4 * i + j for j in range(1, 5)], mode=MODE_STANDALONE)[0] for i in range(5)]
+    st.pin(keys[0])
+    assert len(st.entries) == 5
+    return st, one
+
+
+def _snapshot(store):
+    blobs = {p.name: p.read_bytes() for p in store.blob_dir.iterdir()}
+    return dict(store.entries), store.total_size, store.manifest_path.read_bytes(), blobs
+
+
+def test_unreachable_capacity_evicts_nothing(tmp_path, model):
+    st, one = _five_with_first_pinned(tmp_path, model)
+    before = _snapshot(st)
+
+    def crash():
+        raise AssertionError("eviction started")
+
+    st._crash_hook = crash
+    with pytest.raises(CapacityError):
+        st.evict_to(one // 2)
+    assert _snapshot(st) == before
+
+
+def test_put_that_cannot_fit_leaves_store_intact(tmp_path, model):
+    st, one = _five_with_first_pinned(tmp_path, model, chunk_size=128)
+    big = [i % 32 for i in range(128)]
+    assert _blob_size(model, big) > st.config.capacity - one  # fits only by evicting the pinned chunk
+    before = _snapshot(st)
+    with pytest.raises(CapacityError):
+        st.store_text(model, big, mode=MODE_STANDALONE)
+    assert _snapshot(st) == before
+
+
 def test_evicted_blobs_removed_from_disk(tmp_path, model):
     one = _blob_size(model, [1, 2, 3, 4])
     st = _store(tmp_path, capacity=one + 10, chunk_size=8)
@@ -326,7 +364,6 @@ def test_reopen_preserves_entries(tmp_path, model):
     st = _store(tmp_path)
     keys = st.store_text(model, [1, 2, 3, 4, 5])
     st.pin(keys[0])
-    st.close()
     st2 = _store(tmp_path)
     assert set(st2.entries) == {k.digest for k in keys}
     assert st2.entries[keys[0].digest].pinned
@@ -337,7 +374,6 @@ def test_reopen_preserves_entries(tmp_path, model):
 def test_corrupt_manifest_line_skipped(tmp_path, model):
     st = _store(tmp_path)
     keys = st.store_text(model, [1, 2, 3])
-    st.close()
     with open(st.manifest_path, "a") as f:
         f.write("{not json\n")
         f.write(json.dumps({"op": "put", "key": "zz"}) + "\n")
