@@ -23,6 +23,7 @@ from .model import (
     extend,
     prefill,
     rebase,
+    _prefill_layers,
     _project_kv,
 )
 from . import codec
@@ -173,7 +174,10 @@ def selective_blend(
 
     blended = KvCache(k_out, v_out, start_pos=0)
 
-    oracle_cache, oracle_states = prefill(model, tokens)
+    # the oracle is a full prefill; its layer 0 is the pass above
+    oracle_cache = KvCache(np.zeros_like(stale.k_pre), np.zeros_like(stale.v))
+    oracle_cache.k_pre[0], oracle_cache.v[0] = k1, v1
+    oracle_states = _prefill_layers(model, oracle_cache, h1, 1)
     kv_error = 0.0
     if n:
         kv_error = max(

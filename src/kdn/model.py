@@ -231,10 +231,13 @@ def attend(
     position ``p >= k0``; anything else raises ModelError.
 
     Scores are computed in causal tiles: the row at ``p`` attends only
-    ``keys[:min(n_keys, roundup(p - k0 + 1, TILE))]``, masked inside that
-    span, and rows with the same span run as one group.  The span depends on
-    the row's own position alone, so attending a subset of rows gives the
-    same bits as those rows of a call over all of them.
+    ``keys[:min(n_keys, roundup(p - k0 + 1, TILE))]``, and rows with the same
+    span run as one group.  Only the group's last (diagonal) tile is masked;
+    every row of the group sees all keys before it.  The span depends on the
+    row's own position alone, so attending a subset of rows gives the same
+    bits as those rows of a call over all of them.  Each call allocates one
+    float64 score workspace, sized for its largest group across all heads,
+    and every group's scores and softmax live in a view of it.
     """
     cfg = model.config
     n_keys = len(k_positions)
@@ -255,14 +258,19 @@ def attend(
     v = v.astype(np.float64)
     ctx = np.empty_like(q)
     spans = np.minimum(n_keys, (offsets // TILE + 1) * TILE)
+    groups, counts = np.unique(spans, return_counts=True)
+    # a lone row runs twice (gemm, as above)
+    work = np.empty(cfg.n_heads * int(np.max(groups * np.maximum(counts, 2), initial=0)))
     inv_sqrt_d = 1.0 / np.sqrt(float(cfg.d_head))
-    for m in np.unique(spans):
+    for m in groups:
         rows = np.flatnonzero(spans == m)
         if len(rows) == 1:
-            rows = np.repeat(rows, 2)  # gemm, as above
-        scores = q[:, rows] @ k[:, :m].transpose(0, 2, 1)
+            rows = np.repeat(rows, 2)
+        scores = work[: cfg.n_heads * len(rows) * m].reshape(cfg.n_heads, len(rows), m)
+        np.matmul(q[:, rows], k[:, :m].transpose(0, 2, 1), out=scores)
         scores *= inv_sqrt_d
-        np.copyto(scores, -np.inf, where=np.arange(m) > offsets[rows, None])
+        lo = (m - 1) // TILE * TILE
+        np.copyto(scores[..., lo:], -np.inf, where=np.arange(lo, m) > offsets[rows, None])
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
@@ -299,16 +307,22 @@ def prefill(model: Model, tokens: list[int], start_pos: int = 0) -> tuple[KvCach
     """
     _check_tokens(model, tokens)
     cfg = model.config
-    n = len(tokens)
-    k_pre = np.zeros((cfg.n_layers, cfg.n_heads, n, cfg.d_head), dtype=np.float32)
-    v = np.zeros_like(k_pre)
-    x = model.embed[tokens].copy() if n else np.zeros((0, cfg.d_model))
-    positions = start_pos + np.arange(n)
-    for layer in range(cfg.n_layers):
-        k_pre[layer], v[layer] = _project_kv(model, layer, x)
-        if n:
-            x = x + attend(model, layer, x, positions, k_pre[layer], v[layer], positions)
-    return KvCache(k_pre, v, start_pos=start_pos), x
+    k_pre = np.zeros((cfg.n_layers, cfg.n_heads, len(tokens), cfg.d_head), dtype=np.float32)
+    cache = KvCache(k_pre, np.zeros_like(k_pre), start_pos=start_pos)
+    return cache, _prefill_layers(model, cache, model.embed[tokens], 0)
+
+
+def _prefill_layers(model: Model, cache: KvCache, x: np.ndarray, first: int) -> np.ndarray:
+    """Layers ``first``.. of a prefill over all of ``cache``'s tokens.
+
+    ``x`` is the residual stream entering layer ``first``; each layer's K/V
+    rows are written into ``cache`` in place.  Returns the final states.
+    """
+    positions = cache.start_pos + np.arange(cache.n_tokens)
+    for layer in range(first, model.config.n_layers):
+        cache.k_pre[layer], cache.v[layer] = _project_kv(model, layer, x)
+        x = x + attend(model, layer, x, positions, cache.k_pre[layer], cache.v[layer], positions)
+    return x
 
 
 def extend(

@@ -106,6 +106,15 @@ def test_single_segment_is_exact_at_any_ratio(model):
         assert report.final_state_error == pytest.approx(0.0, abs=1e-12)
 
 
+def test_empty_segment_blends(model):
+    seg = Segment.from_tokens(model, [])
+    for r in (0.0, 1.0):
+        blended, states, report = selective_blend(model, [seg], r)
+        assert blended.n_tokens == 0
+        assert states.shape == (0, CFG.d_model)
+        assert report.selected == []
+
+
 def test_zero_ratio_is_pure_stale(model, segments):
     blended, states, report = selective_blend(model, segments, 0.0)
     stale, _ = concat_stale(model, segments)

@@ -135,6 +135,15 @@ def test_empty_prefill(model):
     assert states.shape == (0, CFG.d_model)
 
 
+def test_attend_zero_rows(model):
+    # no query rows means no span groups, and an empty score workspace
+    full, _ = prefill(model, [1, 2, 3])
+    for cache in (full, full.slice_tokens(0, 0)):
+        pos = np.arange(cache.n_tokens)
+        out = attend(model, 0, np.zeros((0, CFG.d_model)), pos[:0], cache.k_pre[0], cache.v[0], pos)
+        assert out.shape == (0, CFG.d_model)
+
+
 def test_token_out_of_range(model):
     with pytest.raises(ModelError):
         prefill(model, [32])
@@ -167,6 +176,11 @@ def test_attend_matches_untiled_reference(n, start_pos):
     tail = slice(n - 5, n)
     got = attend(m, 0, x[tail], pos[tail], k_pre, v, pos)
     np.testing.assert_allclose(got, want[tail], rtol=0, atol=1e-12 * np.abs(want).max())
+    # repeated positions make a span group of more than TILE rows; past the
+    # first tile, the last row is a lone-row group, also as the widest one
+    for rows in (np.r_[np.repeat(np.arange(min(n, TILE)), 2), n - 1], np.r_[0, n - 1]):
+        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
+        np.testing.assert_allclose(got, want[rows], rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @settings(max_examples=40, deadline=None)
