@@ -18,6 +18,7 @@ from .model import (
     KvCache,
     Model,
     ModelError,
+    TILE,
     attend,
     concat_caches,
     extend,
@@ -174,10 +175,13 @@ def selective_blend(
 
     blended = KvCache(k_out, v_out, start_pos=0)
 
-    # the oracle is a full prefill; its layer 0 is the pass above
+    # the oracle is a full prefill; its layer 0 is the pass above.  Only the
+    # last row's final state is read, so the final layer attends only that
+    # row's span group, the rows a full call would run with it (see attend)
     oracle_cache = KvCache(np.zeros_like(stale.k_pre), np.zeros_like(stale.v))
     oracle_cache.k_pre[0], oracle_cache.v[0] = k1, v1
-    oracle_states = _prefill_layers(model, oracle_cache, h1, 1)
+    last_group = np.arange(max(n - 1, 0) // TILE * TILE, n)
+    oracle_states = _prefill_layers(model, oracle_cache, h1, 1, last_group)
     kv_error = 0.0
     if n:
         kv_error = max(

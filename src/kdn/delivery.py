@@ -164,8 +164,7 @@ def encode_token_request(model_id: int, mode: str, tokens: list[int]) -> Frame:
     payload = (
         struct.pack("<Q", model_id)
         + bytes([_MODE_BYTE[mode]])
-        + struct.pack("<I", len(tokens))
-        + b"".join(struct.pack("<I", t) for t in tokens)
+        + struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens)
     )
     return Frame(REQ_TOKENS, payload)
 
@@ -186,7 +185,7 @@ def _decode_token_list(data: bytes, offset: int) -> list[int]:
 
 
 def encode_end(miss_suffix: list[int]) -> Frame:
-    return Frame(END, struct.pack("<I", len(miss_suffix)) + b"".join(struct.pack("<I", t) for t in miss_suffix))
+    return Frame(END, struct.pack(f"<I{len(miss_suffix)}I", len(miss_suffix), *miss_suffix))
 
 
 def encode_err(code: int, message: str) -> Frame:

@@ -34,6 +34,9 @@ ROLE_Q, ROLE_K, ROLE_V, ROLE_O = 0, 1, 2, 3
 # keys per causal score tile in ``attend``
 TILE = 128
 
+# token rows to index a (token, ...) array by
+Rows = np.ndarray | list[int] | slice
+
 
 class ModelError(ValueError):
     """Invalid model configuration or inputs."""
@@ -234,10 +237,13 @@ def attend(
     ``keys[:min(n_keys, roundup(p - k0 + 1, TILE))]``, and rows with the same
     span run as one group.  Only the group's last (diagonal) tile is masked;
     every row of the group sees all keys before it.  The span depends on the
-    row's own position alone, so attending a subset of rows gives the same
-    bits as those rows of a call over all of them.  Each call allocates one
-    float64 score workspace, sized for its largest group across all heads,
-    and every group's scores and softmax live in a view of it.
+    row's own position alone, so a call over whole span groups gives the same
+    bits as those rows of a call over all of them.  Any other subset of rows
+    may differ in the last bits, because BLAS rounds a product differently by
+    its row count: at 1024 keys of 4 heads x 16 dims, the last row alone, or
+    rows 1000-1023, were off by up to 7e-17 of the output's scale.  Each call allocates one float64 score workspace, sized
+    for its largest group across all heads, and every group's scores and
+    softmax live in a view of it.
     """
     cfg = model.config
     n_keys = len(k_positions)
@@ -247,6 +253,8 @@ def attend(
     n_rows = len(x_q)
     if n_rows and (n_keys == 0 or np.min(q_positions) < k0):
         raise ModelError(f"query positions must not precede the first key at {k0}")
+    if not n_rows:
+        return np.zeros((0, cfg.d_model))
 
     if n_rows == 1:
         # numpy multiplies a one-row matrix by gemv, which rounds differently
@@ -260,7 +268,7 @@ def attend(
     spans = np.minimum(n_keys, (offsets // TILE + 1) * TILE)
     groups, counts = np.unique(spans, return_counts=True)
     # a lone row runs twice (gemm, as above)
-    work = np.empty(cfg.n_heads * int(np.max(groups * np.maximum(counts, 2), initial=0)))
+    work = np.empty(cfg.n_heads * int(np.max(groups * np.maximum(counts, 2))))
     inv_sqrt_d = 1.0 / np.sqrt(float(cfg.d_head))
     for m in groups:
         rows = np.flatnonzero(spans == m)
@@ -298,30 +306,37 @@ def _check_tokens(model: Model, tokens: list[int]) -> None:
             raise ModelError(f"token id {t} out of range [0, {model.config.vocab_size})")
 
 
-def prefill(model: Model, tokens: list[int], start_pos: int = 0) -> tuple[KvCache, np.ndarray]:
+def prefill(
+    model: Model, tokens: list[int], start_pos: int = 0, rows: Rows = slice(None)
+) -> tuple[KvCache, np.ndarray]:
     """Run the full causal stack over ``tokens``.
 
     Returns the KV cache (pre-rotation keys) and the residual stream after
-    the final layer.  K/V rows are rounded to float32 before being used in
+    the final layer at ``rows`` (all rows by default; ``[]`` when only the
+    cache is wanted).  K/V rows are rounded to float32 before being used in
     attention so that prefill and extend see identical cache contents.
     """
     _check_tokens(model, tokens)
     cfg = model.config
     k_pre = np.zeros((cfg.n_layers, cfg.n_heads, len(tokens), cfg.d_head), dtype=np.float32)
     cache = KvCache(k_pre, np.zeros_like(k_pre), start_pos=start_pos)
-    return cache, _prefill_layers(model, cache, model.embed[tokens], 0)
+    return cache, _prefill_layers(model, cache, model.embed[tokens], 0, rows)
 
 
-def _prefill_layers(model: Model, cache: KvCache, x: np.ndarray, first: int) -> np.ndarray:
+def _prefill_layers(model: Model, cache: KvCache, x: np.ndarray, first: int, rows: Rows = slice(None)) -> np.ndarray:
     """Layers ``first``.. of a prefill over all of ``cache``'s tokens.
 
     ``x`` is the residual stream entering layer ``first``; each layer's K/V
-    rows are written into ``cache`` in place.  Returns the final states.
+    rows are written into ``cache`` in place.  No later layer reads the final
+    layer's attention, so it attends only ``rows``, and their final states
+    are returned.  Every K/V row is the same whatever ``rows`` is.
     """
     positions = cache.start_pos + np.arange(cache.n_tokens)
-    for layer in range(first, model.config.n_layers):
+    last = model.config.n_layers - 1
+    for layer in range(first, last + 1):
         cache.k_pre[layer], cache.v[layer] = _project_kv(model, layer, x)
-        x = x + attend(model, layer, x, positions, cache.k_pre[layer], cache.v[layer], positions)
+        q = rows if layer == last else slice(None)
+        x = x[q] + attend(model, layer, x[q], positions[q], cache.k_pre[layer], cache.v[layer], positions)
     return x
 
 
@@ -333,7 +348,10 @@ def extend(
 ) -> tuple[KvCache, np.ndarray]:
     """Append ``new_tokens`` to a prefix cache, computing only the new rows.
 
-    Element-wise equal to a prefill of prefix-plus-new-tokens.  When
+    Matches a prefill of prefix-plus-new-tokens up to rounding: on the
+    4 x 4 x 16 model at 100-1024 tokens, K/V were bit-equal to the prefill's
+    and the states differed by up to 2.2e-16, because the new rows run in
+    smaller span groups than the prefill's (see ``attend``).  When
     ``prior_states`` is None (e.g. the prefix came from the store and its
     hidden states are unknown) the returned states cover only the new rows.
     """

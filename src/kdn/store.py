@@ -2,8 +2,9 @@
 
 Layout on disk: ``root/manifest.jsonl`` plus ``root/blobs/<hex64>``.  The
 manifest is append-only JSON Lines; blobs are written to a temp file and
-renamed before the manifest line is appended, so a crash between the two
-leaves only an orphan blob, which is garbage-collected on open.
+renamed, and ``blobs/`` is fsynced, before the manifest lines naming them are
+appended, so a crash between the two leaves only orphan blobs, which are
+garbage-collected on open.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import struct
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,8 +79,7 @@ def make_key(
         + bytes([_MODE_CODE[mode]])
         + parent_digest
         + struct.pack("<Q", model_id)
-        + struct.pack("<I", len(chunk_tokens))
-        + b"".join(struct.pack("<I", t) for t in chunk_tokens)
+        + struct.pack(f"<I{len(chunk_tokens)}I", len(chunk_tokens), *chunk_tokens)
     )
     return ChunkKey(hashlib.sha256(canonical).digest(), mode)
 
@@ -125,6 +126,15 @@ def _scale_v_rows(cache: KvCache, params: dict) -> KvCache:
 EDIT_TRANSFORMS = {1: _scale_v_rows}
 
 
+def _fsync_dir(path: Path) -> None:
+    """Make the names in directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class Store:
     def __init__(self, config: StoreConfig):
         self.config = config
@@ -135,7 +145,8 @@ class Store:
         self._total_size = 0  # sum of entry sizes, kept by _index/_unindex
         self._file_refs: Counter[str] = Counter()  # live entries per blob file
         self._clock = 0
-        self._crash_hook = None  # test hook at each crash point: after a blob write, after del records
+        self._group: tuple[list[dict], list[str]] | None = None  # the open group commit's records and dead files
+        self._crash_hook = None  # test hook at each crash point: after a blob write, after a commit's append
         self._recover()
 
     # -- lifecycle ---------------------------------------------------------
@@ -219,11 +230,61 @@ class Store:
         entry.last_access = self._clock
 
     def _append_manifest(self, *recs: dict) -> None:
-        """Append one JSON line per record, in one write with one fsync."""
+        """Append one JSON line per record, in one write with one fsync.
+
+        The append that creates the manifest fsyncs the root directory too.
+        """
+        created = not self.manifest_path.exists()
         with open(self.manifest_path, "a", encoding="utf-8") as f:
             f.write("".join(json.dumps(rec) + "\n" for rec in recs))
             f.flush()
             os.fsync(f.fileno())
+        if created:
+            _fsync_dir(self.root)
+
+    @contextmanager
+    def _group_commit(self):
+        """Collect the manifest records of the puts and evictions in the block,
+        and the blob files they free, for one ``_commit`` at its end.
+
+        A block inside another joins the outer one.  A ``CapacityError``
+        commits the records made before it, then propagates; any other error
+        commits nothing and restores the index, and the blobs written become
+        orphans.
+        """
+        if self._group is not None:
+            yield self._group
+            return
+        recs, dead = self._group = ([], [])
+        saved = dict(self.entries), self._total_size, self._file_refs.copy()
+        try:
+            yield recs, dead
+        except CapacityError:
+            self._commit(recs, dead)
+            raise
+        except BaseException:
+            self.entries, self._total_size, self._file_refs = saved
+            raise
+        finally:
+            self._group = None
+        self._commit(recs, dead)
+
+    def _commit(self, recs: list[dict], dead: list[str]) -> None:
+        """Append ``recs`` with one manifest fsync, then unlink the ``dead``
+        blob files that no live entry uses any more.
+
+        When a record puts a blob, ``blobs/`` is fsynced first, so a durable
+        manifest line never names a blob whose rename a power loss could undo.
+        """
+        if not recs:
+            return
+        if any("file" in rec for rec in recs):
+            _fsync_dir(self.blob_dir)
+        self._append_manifest(*recs)
+        if self._crash_hook is not None:
+            self._crash_hook()
+        for fname in dead:
+            self._maybe_delete_blob(fname)
 
     # -- blob IO -----------------------------------------------------------
 
@@ -237,6 +298,8 @@ class Store:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, self.blob_dir / name)
+        if self._crash_hook is not None:
+            self._crash_hook()
         return name
 
     def _maybe_delete_blob(self, fname: str) -> None:
@@ -261,18 +324,11 @@ class Store:
         cs = self.config.chunk_size
         return [tokens[i : i + cs] for i in range(0, len(tokens), cs)]
 
-    def _admit(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None,
-               blob: bytes, profile: codec.CodecProfile) -> None:
-        if self.total_size + len(blob) > self.config.capacity:
-            self.evict_to(self.config.capacity - len(blob))
-        self._commit(key, tokens, parent, blob, profile, pinned=False, created=time.time())
-
-    def _commit(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None, blob: bytes,
-                profile: codec.CodecProfile, pinned: bool, created: float) -> str:
-        """Write ``blob``, then point ``key`` at it by a manifest record; returns the blob's file name."""
+    def _put(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None,
+             blob: bytes, profile: codec.CodecProfile, pinned: bool, created: float) -> None:
+        """Write ``blob`` and index ``key`` on it, committing the put record
+        with the enclosing group commit, if any."""
         fname = self._write_blob(blob)
-        if self._crash_hook is not None:
-            self._crash_hook()
         rec = {
             "key": key.hex,
             "mode": key.mode,
@@ -284,9 +340,9 @@ class Store:
             "pinned": pinned,
             "created": created,
         }
-        self._append_manifest(rec)
-        self._replay(rec)
-        return fname
+        with self._group_commit() as (recs, _):
+            recs.append(rec)
+            self._replay(rec)
 
     def store_text(
         self,
@@ -300,39 +356,38 @@ class Store:
         Chain mode prefills once and slices the cache per chunk; standalone
         mode prefills every chunk independently at position 0.  Re-storing
         existing keys is a no-op.
+
+        The document is one group commit: its ``put`` records and the
+        ``del`` records of the evictions that made room reach the manifest in
+        one append, in the order they were made.
         """
         if not tokens:
             raise StoreError("store_text requires a nonempty token list")
+        if mode not in _MODE_CODE:
+            raise StoreError(f"unknown mode {mode!r}")
         profile = profile or codec.CodecProfile()
-        chunks = self._split_chunks(tokens)
+        # the store reads K/V only, so no prefill here computes final states
+        full_cache = prefill(model, tokens, rows=[])[0] if mode == MODE_CHAIN else None
         keys: list[ChunkKey] = []
-        if mode == MODE_CHAIN:
-            full_cache, _ = prefill(model, tokens)
+        with self._group_commit():
             parent: ChunkKey | None = None
             offset = 0
-            for chunk_tokens in chunks:
-                key = make_key(model.model_id, MODE_CHAIN, parent, chunk_tokens)
-                if key.digest not in self.entries:
-                    sliced = full_cache.slice_tokens(offset, offset + len(chunk_tokens))
-                    blob = codec.compress_cache(sliced, profile).to_bytes()
-                    self._admit(key, chunk_tokens, parent, blob, profile)
-                else:
+            for chunk_tokens in self._split_chunks(tokens):
+                key = make_key(model.model_id, mode, parent, chunk_tokens)
+                if key.digest in self.entries:
                     self._touch(self.entries[key.digest])
-                keys.append(key)
-                parent = key
-                offset += len(chunk_tokens)
-        elif mode == MODE_STANDALONE:
-            for chunk_tokens in chunks:
-                key = make_key(model.model_id, MODE_STANDALONE, None, chunk_tokens)
-                if key.digest not in self.entries:
-                    cache, _ = prefill(model, chunk_tokens, start_pos=0)
+                else:
+                    if full_cache is not None:
+                        cache = full_cache.slice_tokens(offset, offset + len(chunk_tokens))
+                    else:
+                        cache = prefill(model, chunk_tokens, rows=[])[0]
                     blob = codec.compress_cache(cache, profile).to_bytes()
-                    self._admit(key, chunk_tokens, None, blob, profile)
-                else:
-                    self._touch(self.entries[key.digest])
+                    if self.total_size + len(blob) > self.config.capacity:
+                        self.evict_to(self.config.capacity - len(blob))
+                    self._put(key, chunk_tokens, parent, blob, profile, pinned=False, created=time.time())
                 keys.append(key)
-        else:
-            raise StoreError(f"unknown mode {mode!r}")
+                parent = key if mode == MODE_CHAIN else None
+                offset += len(chunk_tokens)
         return keys
 
     def lookup(
@@ -394,8 +449,9 @@ class Store:
         """Drop unpinned entries in LRU order until total size <= capacity.
 
         The victims' ``del`` records go to the manifest in one append before
-        any blob is unlinked; a crash in between leaves only orphan blobs.
-        An unreachable ``capacity`` raises before anything is evicted.
+        any blob is unlinked, with the enclosing group commit if there is one;
+        a crash in between leaves only orphan blobs.  An unreachable
+        ``capacity`` raises before anything is evicted.
         """
         if self.total_size <= capacity:
             return []
@@ -409,12 +465,11 @@ class Store:
                 break
             victims.append(entry)
             size -= entry.size
-        self._append_manifest(*({"op": "del", "key": e.key.hex} for e in victims))
-        if self._crash_hook is not None:
-            self._crash_hook()
-        for entry in victims:
-            self._unindex(entry.key.digest)
-            self._maybe_delete_blob(entry.file)
+        with self._group_commit() as (recs, dead):
+            for entry in victims:
+                recs.append({"op": "del", "key": entry.key.hex})
+                dead.append(entry.file)
+                self._unindex(entry.key.digest)
         return [e.key for e in victims]
 
     def pin(self, key: ChunkKey, pinned: bool = True) -> None:
@@ -441,11 +496,10 @@ class Store:
         cache = codec.decompress_cache(chunk)
         edited = transform(cache, params)
         blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
-        old_file = entry.file
-        fname = self._commit(key, entry.tokens, entry.parent, blob, entry.codec_profile,
-                             pinned=entry.pinned, created=entry.created)
-        if fname != old_file:
-            self._maybe_delete_blob(old_file)
+        with self._group_commit() as (_, dead):
+            self._put(key, entry.tokens, entry.parent, blob, entry.codec_profile,
+                      pinned=entry.pinned, created=entry.created)
+            dead.append(entry.file)
 
 
 def open_store(config: StoreConfig) -> Store:

@@ -106,6 +106,16 @@ def test_single_segment_is_exact_at_any_ratio(model):
         assert report.final_state_error == pytest.approx(0.0, abs=1e-12)
 
 
+def test_full_recompute_is_exact_at_1024_tokens():
+    # the oracle's final layer attends only the last row's span group, which
+    # rounds as that group does in a full call; a lone last row would not
+    m = build_model(ModelConfig(2, 4, 16, 64))
+    segs = [Segment.from_tokens(m, [(s * 37 + 11 * i) % 64 for i in range(256)]) for s in range(4)]
+    _, _, report = selective_blend(m, segs, 1.0)
+    assert report.kv_error == 0.0
+    assert report.final_state_error == 0.0
+
+
 def test_empty_segment_blends(model):
     seg = Segment.from_tokens(model, [])
     for r in (0.0, 1.0):

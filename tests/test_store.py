@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdn import codec
-from kdn.model import ModelConfig, build_model, concat_caches, prefill
+from kdn.model import ModelConfig, ModelError, build_model, concat_caches, prefill
 from kdn.store import (
     EDIT_TRANSFORMS,
     MODE_CHAIN,
@@ -194,6 +195,136 @@ def test_blob_is_canonical_chunk_bytes(tmp_path, model, profile):
     for key in keys:
         blob = st.read_blob(key)
         assert blob == codec.CompressedChunk.from_bytes(blob).to_bytes()
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("mode", [MODE_CHAIN, MODE_STANDALONE])
+def test_store_text_blobs_are_compressed_prefill_slices(tmp_path, n_layers, mode):
+    # store_text's prefill skips the final layer's attention, which no K/V reads
+    m = build_model(ModelConfig(n_layers, 2, 4, 32))
+    tokens = [(3 * i + 2) % 32 for i in range(20)]
+    st = _store(tmp_path)
+    keys = st.store_text(m, tokens, mode=mode)
+    full, _ = prefill(m, tokens)
+    for i, key in enumerate(keys):
+        chunk = tokens[8 * i : 8 * i + 8]
+        cache = full.slice_tokens(8 * i, 8 * i + len(chunk)) if mode == MODE_CHAIN else prefill(m, chunk)[0]
+        assert st.read_blob(key) == codec.compress_cache(cache, codec.CodecProfile()).to_bytes()
+
+
+def _record_fsyncs(monkeypatch):
+    """Record the (device, inode) of every file or directory fsynced, in order."""
+    synced = []
+    real = os.fsync
+
+    def fsync(fd):
+        stat = os.fstat(fd)
+        synced.append((stat.st_dev, stat.st_ino))
+        real(fd)
+
+    monkeypatch.setattr("kdn.store.os.fsync", fsync)
+    return synced
+
+
+def _names(store, synced):
+    """What each recorded fsync hit: "root", "blobs", "manifest" or a blob's file name."""
+    paths = {"root": store.root, "blobs": store.blob_dir, "manifest": store.manifest_path}
+    paths.update((p.name, p) for p in store.blob_dir.iterdir())
+    by_inode = {(os.stat(p).st_dev, os.stat(p).st_ino): name for name, p in paths.items()}
+    return [by_inode.get(ident, "?") for ident in synced]
+
+
+def test_store_text_commits_with_one_manifest_fsync(tmp_path, model, monkeypatch):
+    st = _store(tmp_path)
+    synced = _record_fsyncs(monkeypatch)
+    doc = [i % 32 for i in range(20)]
+    keys = st.store_text(model, doc)
+    files = [st.entries[k.digest].file for k in keys]
+    # each blob, then blobs/ once, then the manifest once; the manifest was
+    # created by this append, so the root directory follows it
+    assert _names(st, synced) == files + ["blobs", "manifest", "root"]
+    synced.clear()
+    keys = st.store_text(model, doc + [5, 6])  # two chunks stored, one new
+    assert _names(st, synced) == [st.entries[keys[-1].digest].file, "blobs", "manifest"]
+    synced.clear()
+    st.store_text(model, doc)  # nothing new: nothing appended
+    assert synced == []
+    assert len(st.manifest_path.read_text().splitlines()) == 4
+
+
+def _records(store):
+    return [{k: v for k, v in json.loads(line).items() if k != "created"}
+            for line in store.manifest_path.read_text().splitlines()]
+
+
+def test_group_commit_keeps_the_per_chunk_record_order(tmp_path, model):
+    # one store_text of three chunks that each evict, against three one-chunk
+    # puts; the third chunk evicts the first
+    doc = [t % 32 for t in range(13, 37)]
+    grouped, keys = _standalone_trio(tmp_path / "grouped", model)
+    per_chunk, _ = _standalone_trio(tmp_path / "per_chunk", model)
+    new = grouped.store_text(model, doc, mode=MODE_STANDALONE)
+    for i in range(0, len(doc), 8):
+        per_chunk.store_text(model, doc[i : i + 8], mode=MODE_STANDALONE)
+    recs = _records(grouped)
+    assert recs == _records(per_chunk)
+    assert [(r.get("op", "put"), r["key"]) for r in recs[3:]] == [
+        ("del", keys[0].hex), ("del", keys[1].hex), ("put", new[0].hex), ("del", keys[2].hex),
+        ("put", new[1].hex), ("del", new[0].hex), ("put", new[2].hex)]
+    _check_accounting(grouped)
+
+
+@pytest.mark.parametrize("crash_at", [1, 2, 3])
+def test_crash_during_a_multi_chunk_put(tmp_path, model, crash_at):
+    # crash points of a two-chunk put that evicts: after blob 1, after blob 2,
+    # and after the manifest append, before the victims are unlinked
+    st, keys = _standalone_trio(tmp_path, model)
+    before = _snapshot(_store(tmp_path))
+    calls = []
+
+    def crash():
+        calls.append(1)
+        if len(calls) == crash_at:
+            raise RuntimeError("simulated crash")
+
+    st._crash_hook = crash
+    doc = list(range(13, 29))
+    with pytest.raises(RuntimeError):
+        st.store_text(model, doc, mode=MODE_STANDALONE)
+    assert len(list(st.blob_dir.iterdir())) == 3 + min(crash_at, 2)  # nothing unlinked
+    reopened = _store(tmp_path)
+    _check_accounting(reopened)  # no orphan is left
+    if crash_at < 3:
+        assert _snapshot(reopened) == before
+        # and the crashed store's index is back to before the put
+        assert set(st.entries) == {k.digest for k in keys} and st.total_size == before[1]
+    else:
+        new = {make_key(model.model_id, MODE_STANDALONE, None, doc[i : i + 8]).digest for i in (0, 8)}
+        assert set(reopened.entries) == new
+
+
+def test_failed_put_commits_nothing(tmp_path, model):
+    # a bad token in the second chunk fails after the first chunk's blob is written
+    st, _ = _standalone_trio(tmp_path, model)
+    before = _snapshot(st)
+    with pytest.raises(ModelError):
+        st.store_text(model, list(range(13, 21)) + [1, 2, 99], mode=MODE_STANDALONE)
+    assert _snapshot(st)[:3] == before[:3]  # entries, total and manifest
+    assert _snapshot(_store(tmp_path))[1:] == before[1:]  # the first chunk's blob was an orphan
+
+
+def test_capacity_error_partway_keeps_the_chunks_before_it(tmp_path, model):
+    small, big = [1, 1, 1, 1], [1, 2, 3, 4]
+    assert _blob_size(model, big) > _blob_size(model, small) + 100
+    pinned_size = _blob_size(model, [5, 6, 7, 8])
+    st = _store(tmp_path, capacity=pinned_size + _blob_size(model, small) + 100, chunk_size=4)
+    st.pin(st.store_text(model, [5, 6, 7, 8], mode=MODE_STANDALONE)[0])
+    with pytest.raises(CapacityError):
+        st.store_text(model, small + big, mode=MODE_STANDALONE)
+    stored = make_key(model.model_id, MODE_STANDALONE, None, small)
+    for store in (st, _store(tmp_path, chunk_size=4)):
+        assert stored.digest in store.entries and len(store.entries) == 2
+        _check_accounting(store)
 
 
 # -- eviction -----------------------------------------------------------------------
