@@ -11,22 +11,11 @@ the result reproduces a full prefill of the concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .model import (
-    KvCache,
-    Model,
-    ModelError,
-    TILE,
-    attend,
-    concat_caches,
-    extend,
-    prefill,
-    rebase,
-    _prefill_layers,
-    _project_kv,
-)
+from .model import KvCache, Model, ModelError, TILE, concat_caches, extend, prefill, _run_layers
 from . import codec
 
 
@@ -74,20 +63,14 @@ def _check_segments(model: Model, segments: list[Segment]) -> None:
 
 
 def concat_stale(model: Model, segments: list[Segment]) -> tuple[KvCache, list[int]]:
-    """Naive composition: re-base each segment to its cumulative offset.
+    """Naive composition: each segment's cache at its cumulative offset.
 
     No recomputation, so cross-attention between segments is ignored.
     Returns the concatenated cache and the segment start offsets.
     """
     _check_segments(model, segments)
-    boundaries: list[int] = []
-    offset = 0
-    rebased = []
-    for seg in segments:
-        boundaries.append(offset)
-        rebased.append(rebase(seg.stale_cache, offset))
-        offset += len(seg.tokens)
-    return concat_caches(rebased, start_pos=0), boundaries
+    boundaries = list(accumulate((len(seg.tokens) for seg in segments[:-1]), initial=0))
+    return concat_caches([seg.stale_cache for seg in segments], start_pos=0), boundaries
 
 
 def _selection(scores: np.ndarray, ratio: float) -> list[int]:
@@ -119,12 +102,13 @@ def selective_blend(
         raise BlendError(f"recompute ratio {ratio} out of [0, 1]")
     _check_segments(model, segments)
     cfg = model.config
-    stale, boundaries = concat_stale(model, segments)
+    # the blend writes into the concatenation's fresh arrays, never into a
+    # segment's own cache or states
+    blended, _ = concat_stale(model, segments)
     tokens = [t for seg in segments for t in seg.tokens]
     n = len(tokens)
-    positions = np.arange(n)
 
-    stale_states = np.concatenate(
+    out_states = np.concatenate(
         [
             seg.stale_states
             if seg.stale_states is not None
@@ -134,11 +118,11 @@ def selective_blend(
         axis=0,
     )
 
-    # layer 1: K/V for every token are plain projections of the embeddings,
-    # so a full causal pass here is cheap and seeds the fresh states
-    x = model.embed[tokens].copy()
-    k1, v1 = _project_kv(model, 0, x)
-    h1 = x + attend(model, 0, x, positions, k1, v1, positions)
+    # the oracle is a full prefill.  Its layer 0 runs first: K/V for every
+    # token are plain projections of the embeddings, so a full causal pass
+    # here is cheap and seeds the fresh states
+    oracle_cache = KvCache(np.zeros_like(blended.k_pre), np.zeros_like(blended.v))
+    h1 = _run_layers(model, oracle_cache, model.embed[tokens], slice(None), range(1))
 
     # deviation score: how far the first layer's recomputation moves each
     # token's next-layer value rows away from the stale cache
@@ -146,7 +130,7 @@ def selective_blend(
         scores = np.zeros(n)
         for h in range(cfg.n_heads):
             v2_fresh = h1 @ model.wv[1, h]
-            diff = v2_fresh - stale.v[1, h].astype(np.float64)
+            diff = v2_fresh - blended.v[1, h].astype(np.float64)
             scores += (diff**2).sum(axis=1)
         scores = np.sqrt(scores)
     else:
@@ -154,34 +138,17 @@ def selective_blend(
 
     selected = _selection(scores, ratio) if ratio > 0.0 else []
 
-    k_out = stale.k_pre.copy()
-    v_out = stale.v.copy()
-    out_states = stale_states.copy()
-
     if selected:
         sel = np.array(selected, dtype=int)
-        k_out[0][:, sel] = k1[:, sel]
-        v_out[0][:, sel] = v1[:, sel]
-        h_sel = h1[sel]
-        sel_pos = positions[sel]
-        for layer in range(1, cfg.n_layers):
-            k_fresh, v_fresh = _project_kv(model, layer, h_sel)
-            k_out[layer][:, sel] = k_fresh
-            v_out[layer][:, sel] = v_fresh
-            h_sel = h_sel + attend(
-                model, layer, h_sel, sel_pos, k_out[layer], v_out[layer], positions
-            )
-        out_states[sel] = h_sel
+        blended.k_pre[0][:, sel] = oracle_cache.k_pre[0][:, sel]
+        blended.v[0][:, sel] = oracle_cache.v[0][:, sel]
+        out_states[sel] = _run_layers(model, blended, h1[sel], sel, range(1, cfg.n_layers))
 
-    blended = KvCache(k_out, v_out, start_pos=0)
-
-    # the oracle is a full prefill; its layer 0 is the pass above.  Only the
-    # last row's final state is read, so the final layer attends only that
-    # row's span group, the rows a full call would run with it (see attend)
-    oracle_cache = KvCache(np.zeros_like(stale.k_pre), np.zeros_like(stale.v))
-    oracle_cache.k_pre[0], oracle_cache.v[0] = k1, v1
+    # only the oracle's last row's final state is read, so its final layer
+    # attends only that row's span group, the rows a full call would run
+    # with it (see attend)
     last_group = np.arange(max(n - 1, 0) // TILE * TILE, n)
-    oracle_states = _prefill_layers(model, oracle_cache, h1, 1, last_group)
+    oracle_states = _run_layers(model, oracle_cache, h1, slice(None), range(1, cfg.n_layers), last_group)
     kv_error = 0.0
     if n:
         kv_error = max(
@@ -216,12 +183,7 @@ def prefix_extend_path(
         if not miss_suffix:
             raise BlendError("nothing to do: no hits and empty suffix")
         return prefill(model, list(miss_suffix))
-    caches = []
-    offset = 0
-    for _, chunk in store_hits:
-        cache = codec.decompress_cache(chunk)
-        caches.append(rebase(cache, offset))
-        offset += cache.n_tokens
+    caches = [codec.decompress_cache(chunk) for _, chunk in store_hits]
     try:
         prefix = concat_caches(caches, start_pos=0)
     except ModelError as e:

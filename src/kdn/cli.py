@@ -34,9 +34,10 @@ def _load_model_config(spec: str) -> model.ModelConfig:
     text = spec
     if os.path.exists(spec):
         text = Path(spec).read_text()
+    # a JSONDecodeError and a ModelError are ValueErrors
     try:
         return model.ModelConfig.from_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, model.ModelError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"bad model config {spec!r}: {e}") from e
 
 
@@ -146,14 +147,14 @@ def cmd_blend(args) -> int:
     try:
         req = json.loads(Path(args.request).read_text())
         cfg = model.ModelConfig.from_dict(req["model"])
-        segment_tokens = req["segments"]
+        segment_tokens = [[int(t) for t in toks] for toks in req["segments"]]
         ratio = float(req["ratio"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, model.ModelError) as e:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"bad blend request: {e}") from e
     if not 0.0 <= ratio <= 1.0:
         raise UsageError(f"ratio {ratio} out of [0, 1]")
     mdl = model.build_model(cfg)
-    segments = [blender.Segment.from_tokens(mdl, [int(t) for t in toks]) for toks in segment_tokens]
+    segments = [blender.Segment.from_tokens(mdl, toks) for toks in segment_tokens]
     blended, states, report = blender.selective_blend(mdl, segments, ratio)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -241,9 +241,11 @@ def attend(
     bits as those rows of a call over all of them.  Any other subset of rows
     may differ in the last bits, because BLAS rounds a product differently by
     its row count: at 1024 keys of 4 heads x 16 dims, the last row alone, or
-    rows 1000-1023, were off by up to 7e-17 of the output's scale.  Each call allocates one float64 score workspace, sized
-    for its largest group across all heads, and every group's scores and
-    softmax live in a view of it.
+    rows 1000-1023, were off by up to 7e-17 of the output's scale.
+
+    Each call allocates one float64 score workspace, sized for its largest
+    group across all heads, and every group's scores and softmax live in a
+    view of it.
     """
     cfg = model.config
     n_keys = len(k_positions)
@@ -320,23 +322,29 @@ def prefill(
     cfg = model.config
     k_pre = np.zeros((cfg.n_layers, cfg.n_heads, len(tokens), cfg.d_head), dtype=np.float32)
     cache = KvCache(k_pre, np.zeros_like(k_pre), start_pos=start_pos)
-    return cache, _prefill_layers(model, cache, model.embed[tokens], 0, rows)
+    return cache, _run_layers(model, cache, model.embed[tokens], slice(None), range(cfg.n_layers), rows)
 
 
-def _prefill_layers(model: Model, cache: KvCache, x: np.ndarray, first: int, rows: Rows = slice(None)) -> np.ndarray:
-    """Layers ``first``.. of a prefill over all of ``cache``'s tokens.
+def _run_layers(
+    model: Model, cache: KvCache, x: np.ndarray, rows: Rows, layers: range, read: Rows = slice(None)
+) -> np.ndarray:
+    """Run ``layers`` for the token ``rows`` of ``cache``; the one layer loop
+    of ``prefill``, ``extend`` and ``selective_blend``.
 
-    ``x`` is the residual stream entering layer ``first``; each layer's K/V
-    rows are written into ``cache`` in place.  No later layer reads the final
-    layer's attention, so it attends only ``rows``, and their final states
-    are returned.  Every K/V row is the same whatever ``rows`` is.
+    ``x`` is the residual stream of ``rows`` entering the first of
+    ``layers``.  Each layer writes those rows' K/V into ``cache`` in place,
+    and they attend over all of the cache's tokens.  No later layer reads the
+    model's final layer's attention, so it attends only ``x[read]``.  The
+    states after ``layers`` are returned; every K/V row is the same whatever
+    ``read`` is.
     """
     positions = cache.start_pos + np.arange(cache.n_tokens)
+    q_pos = positions[rows]
     last = model.config.n_layers - 1
-    for layer in range(first, last + 1):
-        cache.k_pre[layer], cache.v[layer] = _project_kv(model, layer, x)
-        q = rows if layer == last else slice(None)
-        x = x[q] + attend(model, layer, x[q], positions[q], cache.k_pre[layer], cache.v[layer], positions)
+    for layer in layers:
+        cache.k_pre[layer][:, rows], cache.v[layer][:, rows] = _project_kv(model, layer, x)
+        q = read if layer == last else slice(None)
+        x = x[q] + attend(model, layer, x[q], q_pos[q], cache.k_pre[layer], cache.v[layer], positions)
     return x
 
 
@@ -359,29 +367,12 @@ def extend(
     cfg = model.config
     if cache.n_layers != cfg.n_layers or cache.n_heads != cfg.n_heads or cache.d_head != cfg.d_head:
         raise ModelError("cache geometry does not match the model")
-    n_old, n_new = cache.n_tokens, len(new_tokens)
-    if n_new == 0:
-        states = prior_states if prior_states is not None else np.zeros((0, cfg.d_model))
-        return cache.copy(), states
-
-    x = model.embed[new_tokens].copy()
-    all_pos = cache.start_pos + np.arange(n_old + n_new)
-    new_pos = all_pos[n_old:]
-    k_out = np.concatenate(
-        [cache.k_pre, np.zeros((cfg.n_layers, cfg.n_heads, n_new, cfg.d_head), np.float32)], axis=2
-    )
-    v_out = np.concatenate(
-        [cache.v, np.zeros((cfg.n_layers, cfg.n_heads, n_new, cfg.d_head), np.float32)], axis=2
-    )
-    for layer in range(cfg.n_layers):
-        k_new, v_new = _project_kv(model, layer, x)
-        k_out[layer, :, n_old:] = k_new
-        v_out[layer, :, n_old:] = v_new
-        x = x + attend(model, layer, x, new_pos, k_out[layer], v_out[layer], all_pos)
-    out_cache = KvCache(k_out, v_out, start_pos=cache.start_pos)
+    pad = np.zeros((cfg.n_layers, cfg.n_heads, len(new_tokens), cfg.d_head), np.float32)
+    out = concat_caches([cache, KvCache(pad, pad)], start_pos=cache.start_pos)
+    x = _run_layers(model, out, model.embed[new_tokens], slice(cache.n_tokens, None), range(cfg.n_layers))
     if prior_states is not None:
-        return out_cache, np.concatenate([prior_states, x], axis=0)
-    return out_cache, x
+        return out, np.concatenate([prior_states, x], axis=0)
+    return out, x
 
 
 def save_fixture(path, config: ModelConfig, cache: KvCache, states: np.ndarray) -> None:

@@ -74,12 +74,16 @@ def make_key(
     parent_digest = b"\x00" * 32
     if mode == MODE_CHAIN and parent is not None:
         parent_digest = parent.digest
+    try:
+        packed = struct.pack(f"<I{len(chunk_tokens)}I", len(chunk_tokens), *chunk_tokens)
+    except struct.error as e:
+        raise StoreError(f"token ids must be u32 integers: {e}") from e
     canonical = (
         KEY_MAGIC
         + bytes([_MODE_CODE[mode]])
         + parent_digest
         + struct.pack("<Q", model_id)
-        + struct.pack(f"<I{len(chunk_tokens)}I", len(chunk_tokens), *chunk_tokens)
+        + packed
     )
     return ChunkKey(hashlib.sha256(canonical).digest(), mode)
 
@@ -353,9 +357,10 @@ class Store:
     ) -> list[ChunkKey]:
         """Prefill, chunk, compress and persist a token sequence.
 
-        Chain mode prefills once and slices the cache per chunk; standalone
-        mode prefills every chunk independently at position 0.  Re-storing
-        existing keys is a no-op.
+        Chain mode prefills the whole sequence once, at its first missing
+        key, and slices the cache per chunk; standalone mode prefills every
+        missing chunk independently at position 0.  Re-storing existing keys
+        is a no-op and prefills nothing.
 
         The document is one group commit: its ``put`` records and the
         ``del`` records of the evictions that made room reach the manifest in
@@ -366,8 +371,7 @@ class Store:
         if mode not in _MODE_CODE:
             raise StoreError(f"unknown mode {mode!r}")
         profile = profile or codec.CodecProfile()
-        # the store reads K/V only, so no prefill here computes final states
-        full_cache = prefill(model, tokens, rows=[])[0] if mode == MODE_CHAIN else None
+        full_cache = None
         keys: list[ChunkKey] = []
         with self._group_commit():
             parent: ChunkKey | None = None
@@ -377,10 +381,12 @@ class Store:
                 if key.digest in self.entries:
                     self._touch(self.entries[key.digest])
                 else:
-                    if full_cache is not None:
-                        cache = full_cache.slice_tokens(offset, offset + len(chunk_tokens))
-                    else:
+                    # the store reads K/V only, so no prefill here computes final states
+                    if mode == MODE_STANDALONE:
                         cache = prefill(model, chunk_tokens, rows=[])[0]
+                    else:
+                        full_cache = full_cache or prefill(model, tokens, rows=[])[0]
+                        cache = full_cache.slice_tokens(offset, offset + len(chunk_tokens))
                     blob = codec.compress_cache(cache, profile).to_bytes()
                     if self.total_size + len(blob) > self.config.capacity:
                         self.evict_to(self.config.capacity - len(blob))

@@ -116,6 +116,32 @@ def test_full_recompute_is_exact_at_1024_tokens():
     assert report.final_state_error == 0.0
 
 
+@pytest.mark.parametrize("cfg", [ModelConfig(4, 4, 16, 256), ModelConfig(1, 4, 16, 256)])
+def test_full_recompute_is_bit_equal_to_prefill(cfg):
+    # 4 x 256 tokens: the benchmark's blend request shape
+    m = build_model(cfg)
+    seg_tokens = [[(s * 53 + 29 * i) % 256 for i in range(256)] for s in range(4)]
+    blended, states, _ = selective_blend(m, [Segment.from_tokens(m, t) for t in seg_tokens], 1.0)
+    oracle_cache, oracle_states = prefill(m, sum(seg_tokens, []))
+    assert np.array_equal(blended.k_pre, oracle_cache.k_pre)
+    assert np.array_equal(blended.v, oracle_cache.v)
+    assert np.array_equal(states, oracle_states)
+
+
+def test_blend_leaves_segments_unchanged(model, segments):
+    # the blend writes into fresh arrays, never into a segment's
+    no_states = Segment(TOKENS_B, segments[1].stale_cache.copy())
+    for segs in (segments, segments[:1], [segments[0], no_states]):
+        inputs = [a for s in segs for a in (s.stale_cache.k_pre, s.stale_cache.v, s.stale_states) if a is not None]
+        before = [a.copy() for a in inputs]
+        for r in (0.15, 1.0):
+            blended, states, _ = selective_blend(model, segs, r)
+            for out in (blended.k_pre, blended.v, states):
+                assert not any(np.may_share_memory(out, a) for a in inputs)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        assert no_states.stale_states is None
+
+
 def test_empty_segment_blends(model):
     seg = Segment.from_tokens(model, [])
     for r in (0.0, 1.0):

@@ -89,9 +89,11 @@ def test_missing_root_is_operational_error(workspace, capsys, monkeypatch):
 
 
 def test_bad_model_config(workspace, capsys):
-    code, _, err = _run(capsys, ["put", "--root", str(workspace / "s"),
-                                 "--model", "{broken", "--tokens", str(workspace / "tokens.txt")])
-    assert code == 1 and "bad model config" in err
+    not_int, infinite = (json.dumps({**json.loads(MODEL_JSON), "n_layers": v}) for v in ("x", float("inf")))
+    for spec in ("{broken", "[1]", not_int, infinite):
+        code, _, err = _run(capsys, ["put", "--root", str(workspace / "s"),
+                                     "--model", spec, "--tokens", str(workspace / "tokens.txt")])
+        assert code == 1 and err.startswith("kdn: bad model config") and err.count("\n") == 1
 
 
 def test_bad_token_file(workspace, capsys):
@@ -157,6 +159,12 @@ def test_blend_unwritable_fixture_is_operational_error(workspace, capsys, monkey
 def test_blend_bad_request_file(workspace, capsys):
     code, _, err = _run(capsys, ["blend", "--request", str(workspace / "nope.json")])
     assert code == 1 and "bad blend request" in err
+    good = {"model": json.loads(MODEL_JSON), "segments": [[1, 2]], "ratio": 0.5}
+    for bad in ({"segments": [1, 2]}, {"ratio": None}, {"model": []}, {"segments": [["a"]]}):
+        req = workspace / "bad.json"
+        req.write_text(json.dumps({**good, **bad}))
+        code, _, err = _run(capsys, ["blend", "--request", str(req), "--out", str(workspace / "out")])
+        assert code == 1 and err.startswith("kdn: bad blend request") and err.count("\n") == 1
 
 
 # -- bench ----------------------------------------------------------------------------

@@ -212,6 +212,31 @@ def test_store_text_blobs_are_compressed_prefill_slices(tmp_path, n_layers, mode
         assert st.read_blob(key) == codec.compress_cache(cache, codec.CodecProfile()).to_bytes()
 
 
+def test_chain_put_prefills_only_at_a_missing_key(tmp_path, model, monkeypatch):
+    tokens = [(5 * i + 1) % 32 for i in range(32)]
+    st = _store(tmp_path)
+    keys = st.store_text(model, tokens)
+    blobs = [st.read_blob(k) for k in keys]
+    prefilled = []
+    monkeypatch.setattr("kdn.store.prefill", lambda m, t, **kw: prefilled.append(t) or prefill(m, t, **kw))
+    assert st.store_text(model, tokens) == keys and prefilled == []  # a re-put walks the keys only
+    # touch the first two chunks, so the third is the least recently used
+    st.store_text(model, tokens[:16])
+    assert st.evict_to(st.total_size - 1) == [keys[2]]
+    assert st.store_text(model, tokens) == keys
+    # the evicted chunk is re-stored from one prefill of the whole document
+    assert prefilled == [tokens] and [st.read_blob(k) for k in keys] == blobs
+
+
+def test_keys_of_tokens_outside_u32_raise_store_error(tmp_path, model):
+    st = _store(tmp_path)
+    for mode in (MODE_CHAIN, MODE_STANDALONE):
+        for bad in (-1, 1 << 32):
+            with pytest.raises(StoreError):
+                st.store_text(model, [1, 2, bad], mode=mode)
+    assert st.entries == {}
+
+
 def _record_fsyncs(monkeypatch):
     """Record the (device, inode) of every file or directory fsynced, in order."""
     synced = []
