@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .model import KvCache, Model, prefill
+from .model import KvCache, Model, _check_tokens, prefill
 
 log = logging.getLogger(__name__)
 
@@ -360,7 +360,8 @@ class Store:
         Chain mode prefills the whole sequence once, at its first missing
         key, and slices the cache per chunk; standalone mode prefills every
         missing chunk independently at position 0.  Re-storing existing keys
-        is a no-op and prefills nothing.
+        is a no-op and prefills nothing.  A token outside the model's
+        vocabulary raises ``ModelError`` before any key is made.
 
         The document is one group commit: its ``put`` records and the
         ``del`` records of the evictions that made room reach the manifest in
@@ -370,6 +371,7 @@ class Store:
             raise StoreError("store_text requires a nonempty token list")
         if mode not in _MODE_CODE:
             raise StoreError(f"unknown mode {mode!r}")
+        _check_tokens(model, tokens)
         profile = profile or codec.CodecProfile()
         full_cache = None
         keys: list[ChunkKey] = []
@@ -385,7 +387,8 @@ class Store:
                     if mode == MODE_STANDALONE:
                         cache = prefill(model, chunk_tokens, rows=[])[0]
                     else:
-                        full_cache = full_cache or prefill(model, tokens, rows=[])[0]
+                        if full_cache is None:
+                            full_cache = prefill(model, tokens, rows=[])[0]
                         cache = full_cache.slice_tokens(offset, offset + len(chunk_tokens))
                     blob = codec.compress_cache(cache, profile).to_bytes()
                     if self.total_size + len(blob) > self.config.capacity:

@@ -228,13 +228,20 @@ def test_chain_put_prefills_only_at_a_missing_key(tmp_path, model, monkeypatch):
     assert prefilled == [tokens] and [st.read_blob(k) for k in keys] == blobs
 
 
-def test_keys_of_tokens_outside_u32_raise_store_error(tmp_path, model):
+def test_store_text_rejects_tokens_outside_the_vocab(tmp_path, model):
     st = _store(tmp_path)
+    for mode in (MODE_CHAIN, MODE_STANDALONE):
+        for bad in (-1, model.config.vocab_size, 1 << 32):
+            with pytest.raises(ModelError):
+                st.store_text(model, [1, 2, bad], mode=mode)
+    assert st.entries == {}
+
+
+def test_keys_of_tokens_outside_u32_raise_store_error():
     for mode in (MODE_CHAIN, MODE_STANDALONE):
         for bad in (-1, 1 << 32):
             with pytest.raises(StoreError):
-                st.store_text(model, [1, 2, bad], mode=mode)
-    assert st.entries == {}
+                make_key(1, mode, None, [1, 2, bad])
 
 
 def _record_fsyncs(monkeypatch):
