@@ -12,7 +12,9 @@ import io
 import json
 import math
 import os
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 from . import blender, codec, costmodel, delivery, fixtures, model, store
 
 DEFAULT_SEED = 20240901
+BENCH_REPEATS = 5  # ``bench codec`` times are medians of this many encodes and decodes
 
 
 class CliError(Exception):
@@ -47,9 +50,14 @@ def _load_tokens(path: str) -> list[int]:
     except OSError as e:
         raise CliError(f"cannot read token file: {e}") from e
     try:
-        return [int(tok) for tok in text.split()]
+        tokens = [int(tok) for tok in text.split()]
     except ValueError as e:
         raise CliError(f"token file must hold whitespace-separated integers: {e}") from e
+    # token ids are u32 on the wire and in keys
+    bad = next((t for t in tokens if not 0 <= t < 1 << 32), None)
+    if bad is not None:
+        raise CliError(f"token id {bad} out of range [0, 2**32)")
+    return tokens
 
 
 def _resolve_profile(name: str) -> codec.CodecProfile:
@@ -187,15 +195,23 @@ def cmd_bench_codec(args) -> int:
     }
     rows = []
     for name, cache in cases.items():
-        chunk = codec.compress_cache(cache, profile)
-        restored = codec.decompress_cache(chunk)
+        encode_s, decode_s = [], []
+        for _ in range(BENCH_REPEATS):
+            t0 = time.perf_counter()
+            chunk = codec.compress_cache(cache, profile)
+            t1 = time.perf_counter()
+            restored = codec.decompress_cache(chunk)
+            encode_s.append(t1 - t0)
+            decode_s.append(time.perf_counter() - t1)
         ratio = chunk.uncompressed_len / len(chunk.to_bytes())
         err = max(
             float(np.abs(restored.k_pre - cache.k_pre).max()),
             float(np.abs(restored.v - cache.v).max()),
         )
-        rows.append([name, f"{ratio:.2f}", f"{err:.3e}", chunk.uncompressed_len, len(chunk.to_bytes())])
-    _emit_table(["fixture", "ratio", "max_err", "raw_bytes", "compressed_bytes"], rows, args.output)
+        rows.append([name, f"{ratio:.2f}", f"{err:.3e}", chunk.uncompressed_len, len(chunk.to_bytes()),
+                     f"{1e3 * statistics.median(encode_s):.3f}", f"{1e3 * statistics.median(decode_s):.3f}"])
+    _emit_table(["fixture", "ratio", "max_err", "raw_bytes", "compressed_bytes", "encode_ms", "decode_ms"],
+                rows, args.output)
     return 0
 
 
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmarks")
     bench_sub = p.add_subparsers(dest="bench_target", required=True)
-    pb = bench_sub.add_parser("codec", help="ratio/error table over fixture caches")
+    pb = bench_sub.add_parser("codec", help="ratio, error and encode/decode time over fixture caches")
     pb.add_argument("--profile", required=True)
     pb.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pb.set_defaults(func=cmd_bench_codec)

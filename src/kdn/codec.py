@@ -1,7 +1,15 @@
 """KV-cache compression pipeline.
 
 Three stages: per-group affine quantization, anchor/delta integer coding,
-and a lossless container (raw bytes, zigzag varints, or varints + DEFLATE).
+and a lossless container.  The containers, by ``lossless_id``:
+
+- 0 ``LOSSLESS_RAW``: the codes themselves, one byte each, no deltas.
+- 1 ``LOSSLESS_VARINT``: signed deltas as zigzag LEB128 varints.
+- 2 ``LOSSLESS_VARINT_DEFLATE``: the varints of id 1, then DEFLATE.
+- 3 ``LOSSLESS_BYTE_DEFLATE`` (the default): deltas taken mod 256, one byte
+  each, then DEFLATE; the quantizer params are byte-planed before their
+  DEFLATE.
+
 Everything above the quantizer is bit-exact invertible, so decompression
 reproduces the dequantized values exactly.
 """
@@ -22,6 +30,8 @@ CHUNK_VERSION = 1
 LOSSLESS_RAW = 0
 LOSSLESS_VARINT = 1
 LOSSLESS_VARINT_DEFLATE = 2
+LOSSLESS_BYTE_DEFLATE = 3
+_LOSSLESS_IDS = (LOSSLESS_RAW, LOSSLESS_VARINT, LOSSLESS_VARINT_DEFLATE, LOSSLESS_BYTE_DEFLATE)
 
 # magic | version | quant_bits | group_size | anchor_stride | lossless_id
 # | n_layers | n_heads | d_head | n_tokens | start_pos | uncompressed_len | payload_len
@@ -147,7 +157,7 @@ class CodecProfile:
     quant_bits: int = 8
     group_size: int = 16
     anchor_stride: int = 16
-    lossless_id: int = LOSSLESS_VARINT_DEFLATE
+    lossless_id: int = LOSSLESS_BYTE_DEFLATE
 
     def __post_init__(self) -> None:
         if self.quant_bits not in (4, 8):
@@ -156,7 +166,7 @@ class CodecProfile:
             raise CodecError("group_size must be >= 1")
         if self.anchor_stride < 1:
             raise CodecError("anchor_stride must be >= 1")
-        if self.lossless_id not in (LOSSLESS_RAW, LOSSLESS_VARINT, LOSSLESS_VARINT_DEFLATE):
+        if self.lossless_id not in _LOSSLESS_IDS:
             raise CodecError(f"unknown lossless_id {self.lossless_id}")
 
     def to_dict(self) -> dict:
@@ -176,8 +186,8 @@ class CodecProfile:
 PROFILES = {
     "8bit-raw": CodecProfile(quant_bits=8, anchor_stride=1, lossless_id=LOSSLESS_RAW),
     "8bit-varint": CodecProfile(quant_bits=8, lossless_id=LOSSLESS_VARINT),
-    "8bit-deflate": CodecProfile(quant_bits=8, lossless_id=LOSSLESS_VARINT_DEFLATE),
-    "4bit-deflate": CodecProfile(quant_bits=4, lossless_id=LOSSLESS_VARINT_DEFLATE),
+    "8bit-deflate": CodecProfile(quant_bits=8, lossless_id=LOSSLESS_BYTE_DEFLATE),
+    "4bit-deflate": CodecProfile(quant_bits=4, lossless_id=LOSSLESS_BYTE_DEFLATE),
 }
 
 
@@ -249,24 +259,17 @@ def dequantize(q: QuantizedCache) -> KvCache:
     )
 
 
-def delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
-    """Anchor/delta coding along tokens, stream order (layer, head, channel, token).
-
-    Token 0 of each anchor window is stored raw; later tokens store the
-    signed difference from the previous token in the same channel.
-    """
-    ch_major = codes.transpose(0, 1, 3, 2).astype(np.int64)  # (L, H, D, T)
-    T = ch_major.shape[-1]
+def _anchor_deltas(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
+    """Anchor/delta coding along tokens in the dtype of ``codes``, stream order (layer, head, channel, token)."""
+    ch_major = codes.transpose(0, 1, 3, 2)  # (L, H, D, T)
     out = ch_major.copy()
-    if T > 1:
-        diffs = ch_major[..., 1:] - ch_major[..., :-1]
-        t = np.arange(1, T)
-        non_anchor = (t % anchor_stride) != 0
-        out[..., 1:][..., non_anchor] = diffs[..., non_anchor]
+    out[..., 1:] -= ch_major[..., :-1]
+    out[..., ::anchor_stride] = ch_major[..., ::anchor_stride]
     return out.reshape(-1)
 
 
-def delta_decode(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_stride: int) -> np.ndarray:
+def _anchor_sums(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_stride: int, dtype) -> np.ndarray:
+    """Inverse of ``_anchor_deltas`` in ``dtype``, channel-major (L, H, D, T)."""
     L, H, T, D = shape
     if stream.size != L * H * T * D:
         raise DecodeError(f"delta stream has {stream.size} values, expected {L * H * T * D}")
@@ -274,12 +277,35 @@ def delta_decode(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_st
     # no longer than T so that a huge stride from a header cannot inflate the padding
     w = max(1, min(anchor_stride, T))
     padded = -(-T // w) * w
-    vals = np.zeros((L, H, D, padded), np.int64)
+    vals = np.zeros((L, H, D, padded), dtype)
     vals[..., :T] = stream.reshape(L, H, D, T)
-    vals = vals.reshape(L, H, D, padded // w, w).cumsum(axis=-1).reshape(L, H, D, padded)[..., :T]
+    return vals.reshape(L, H, D, padded // w, w).cumsum(axis=-1, dtype=dtype).reshape(L, H, D, padded)[..., :T]
+
+
+def delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
+    """Anchor/delta coding along tokens, stream order (layer, head, channel, token).
+
+    Token 0 of each anchor window is stored raw; later tokens store the
+    signed difference from the previous token in the same channel.
+    """
+    return _anchor_deltas(codes.astype(np.int64), anchor_stride)
+
+
+def delta_decode(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_stride: int) -> np.ndarray:
+    vals = _anchor_sums(stream, shape, anchor_stride, np.int64)
     if vals.size and (vals.min() < 0 or vals.max() > 255):
         raise DecodeError("decoded codes out of byte range")
     return vals.transpose(0, 1, 3, 2).astype(np.uint8)
+
+
+def byte_delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
+    """``delta_encode`` of ``uint8`` codes with the differences taken mod 256: one byte a value."""
+    return _anchor_deltas(codes, anchor_stride)
+
+
+def byte_delta_decode(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_stride: int) -> np.ndarray:
+    """Inverse of ``byte_delta_encode``: the running sums wrap mod 256 as the differences did."""
+    return _anchor_sums(stream, shape, anchor_stride, np.uint8).transpose(0, 1, 3, 2)
 
 
 def zigzag(n):
@@ -357,6 +383,9 @@ def _inflate(data: bytes, limit: int | None, section: str) -> bytes:
 
 
 def lossless_encode(ints: np.ndarray, lossless_id: int) -> bytes:
+    if lossless_id == LOSSLESS_BYTE_DEFLATE:
+        # each value mod 256, one byte
+        return zlib.compress(np.asarray(ints).astype(np.uint8, copy=False).tobytes(), 9)
     ints = np.asarray(ints, dtype=np.int64)
     if lossless_id == LOSSLESS_RAW:
         if ints.size and (ints.min() < 0 or ints.max() > 255):
@@ -370,9 +399,11 @@ def lossless_encode(ints: np.ndarray, lossless_id: int) -> bytes:
 
 
 def lossless_decode(data: bytes, lossless_id: int, n_values: int | None = None) -> np.ndarray:
-    """Decode a code stream; ``n_values`` caps DEFLATE output at 2 bytes a value.
+    """Decode a code stream; ``n_values`` caps the DEFLATE output.
 
-    Codes and their deltas zigzag to at most 510, two varint bytes.
+    The cap is 2 bytes a value for id 2, whose codes and deltas zigzag to at
+    most 510, two varint bytes, and 1 byte a value for id 3, whose values are
+    ``uint8``.  Ids 0-2 decode to ``int64``.
     """
     if lossless_id == LOSSLESS_RAW:
         return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
@@ -380,6 +411,8 @@ def lossless_decode(data: bytes, lossless_id: int, n_values: int | None = None) 
         return _varint_decode(data)
     if lossless_id == LOSSLESS_VARINT_DEFLATE:
         return _varint_decode(_inflate(data, None if n_values is None else 2 * n_values, "DEFLATE stream"))
+    if lossless_id == LOSSLESS_BYTE_DEFLATE:
+        return np.frombuffer(_inflate(data, n_values, "DEFLATE stream"), np.uint8)
     raise DecodeError(f"unknown lossless_id {lossless_id}")
 
 
@@ -444,40 +477,38 @@ class CompressedChunk:
 
 
 def _pack_params(q: QuantizedCache) -> bytes:
-    raw = b"".join(
-        a.astype("<f4").tobytes() for a in (q.k_scale, q.k_zero, q.v_scale, q.v_zero)
-    )
+    raw = np.concatenate([a.astype("<f4").reshape(-1) for a in (q.k_scale, q.k_zero, q.v_scale, q.v_zero)])
+    raw = raw.view(np.uint8)
+    if q.profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
+        # byte planes: an f32's sign and exponent byte repeats where its low bytes do not
+        raw = raw.reshape(-1, 4).T
     # quantization grids repeat heavily on real caches; always DEFLATE them
-    return zlib.compress(raw, 9)
+    return zlib.compress(raw.tobytes(), 9)
 
 
-def _unpack_params(blob: bytes, shape: tuple[int, int, int, int], group_size: int):
+def _unpack_params(blob: bytes, shape: tuple[int, int, int, int], profile: CodecProfile):
     L, H, T, D = shape
-    n_groups = (T + group_size - 1) // group_size if T else 0
+    n_groups = (T + profile.group_size - 1) // profile.group_size if T else 0
     count = L * H * n_groups * D
     raw = _inflate(blob, 16 * count, "parameter section")
     if len(raw) != 4 * 4 * count:
         raise DecodeError(f"parameter section has {len(raw)} bytes, expected {16 * count}")
-    arrs = []
-    for idx in range(4):
-        a = np.frombuffer(raw, "<f4", count, idx * 4 * count)
-        arrs.append(a.reshape(L, H, n_groups, D).copy())
-    return arrs
+    b = np.frombuffer(raw, np.uint8)
+    b = b.reshape(4, -1).T if profile.lossless_id == LOSSLESS_BYTE_DEFLATE else b.reshape(-1, 4)
+    return list(b.copy().view("<f4").reshape(4, L, H, n_groups, D))
 
 
 def compress_cache(cache: KvCache, profile: CodecProfile) -> CompressedChunk:
     """quantize -> delta -> lossless, wrapped with header and crc32c."""
     q = quantize(cache, profile)
+    codes = np.concatenate([q.k_codes, q.v_codes])  # (2L, H, T, D): K's layers, then V's
     if profile.lossless_id == LOSSLESS_RAW:
         # raw container stores the quantized codes directly, one byte each
-        stream = np.concatenate([q.k_codes.reshape(-1), q.v_codes.reshape(-1)]).astype(np.int64)
+        stream = codes.reshape(-1)
+    elif profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
+        stream = byte_delta_encode(codes, profile.anchor_stride)
     else:
-        stream = np.concatenate(
-            [
-                delta_encode(q.k_codes, profile.anchor_stride),
-                delta_encode(q.v_codes, profile.anchor_stride),
-            ]
-        )
+        stream = delta_encode(codes, profile.anchor_stride)
     codes_blob = lossless_encode(stream, profile.lossless_id)
     params_blob = _pack_params(q)
     payload = struct.pack("<II", len(params_blob), len(codes_blob)) + params_blob + codes_blob
@@ -496,7 +527,9 @@ def compress_cache(cache: KvCache, profile: CodecProfile) -> CompressedChunk:
 
 
 def decompress_cache(chunk: CompressedChunk) -> KvCache:
-    shape = (chunk.n_layers, chunk.n_heads, chunk.n_tokens, chunk.d_head)
+    L = chunk.n_layers
+    shape = (L, chunk.n_heads, chunk.n_tokens, chunk.d_head)
+    both = (2 * L, *shape[1:])  # K's layers, then V's
     profile = chunk.profile
     if len(chunk.payload) < 8:
         raise DecodeError("payload shorter than section lengths", len(chunk.payload))
@@ -505,18 +538,18 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
         raise DecodeError("payload section lengths inconsistent", 0)
     params_blob = chunk.payload[8 : 8 + params_len]
     codes_blob = chunk.payload[8 + params_len :]
-    k_scale, k_zero, v_scale, v_zero = _unpack_params(params_blob, shape, profile.group_size)
-    half = np.prod(shape, dtype=int)
-    stream = lossless_decode(codes_blob, profile.lossless_id, 2 * half)
-    if stream.size != 2 * half:
-        raise DecodeError(f"code stream has {stream.size} values, expected {2 * half}")
+    k_scale, k_zero, v_scale, v_zero = _unpack_params(params_blob, shape, profile)
+    n_values = 2 * int(np.prod(shape, dtype=np.int64))
+    stream = lossless_decode(codes_blob, profile.lossless_id, n_values)
+    if stream.size != n_values:
+        raise DecodeError(f"code stream has {stream.size} values, expected {n_values}")
     if profile.lossless_id == LOSSLESS_RAW:
         if stream.size and (stream.min() < 0 or stream.max() > 255):
             raise DecodeError("raw codes out of byte range")
-        k_codes = stream[:half].astype(np.uint8).reshape(shape)
-        v_codes = stream[half:].astype(np.uint8).reshape(shape)
+        codes = stream.astype(np.uint8).reshape(both)
+    elif profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
+        codes = byte_delta_decode(stream, both, profile.anchor_stride)
     else:
-        k_codes = delta_decode(stream[:half], shape, profile.anchor_stride)
-        v_codes = delta_decode(stream[half:], shape, profile.anchor_stride)
-    q = QuantizedCache(k_codes, v_codes, k_scale, k_zero, v_scale, v_zero, chunk.start_pos, profile)
+        codes = delta_decode(stream, both, profile.anchor_stride)
+    q = QuantizedCache(codes[:L], codes[L:], k_scale, k_zero, v_scale, v_zero, chunk.start_pos, profile)
     return dequantize(q)

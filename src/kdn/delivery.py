@@ -161,12 +161,11 @@ class FrameReader:
 
 
 def encode_token_request(model_id: int, mode: str, tokens: list[int]) -> Frame:
-    payload = (
-        struct.pack("<Q", model_id)
-        + bytes([_MODE_BYTE[mode]])
-        + struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens)
-    )
-    return Frame(REQ_TOKENS, payload)
+    try:
+        packed = struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens)
+    except struct.error as e:
+        raise ProtocolError(f"token ids must be u32 integers: {e}") from e
+    return Frame(REQ_TOKENS, struct.pack("<Q", model_id) + bytes([_MODE_BYTE[mode]]) + packed)
 
 
 def encode_key_request(keys: list[ChunkKey]) -> Frame:

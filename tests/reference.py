@@ -176,3 +176,19 @@ def ref_delta_decode(stream, shape, anchor_stride):
         if t % anchor_stride != 0:
             vals[..., t] += vals[..., t - 1]
     return vals.transpose(0, 1, 3, 2)
+
+
+def ref_byte_delta_decode(stream, shape, anchor_stride):
+    """Running sums mod 256 restarting at each anchor, as uint8 (L, H, T, D)."""
+    L, H, T, D = shape
+    vals = iter(np.asarray(stream).reshape(-1).tolist())
+    out = np.zeros((L, H, T, D), dtype=np.uint8)
+    for layer in range(L):
+        for h in range(H):
+            for d in range(D):
+                acc = 0
+                for t in range(T):
+                    v = next(vals)
+                    acc = v if t % anchor_stride == 0 else (acc + v) % 256
+                    out[layer, h, t, d] = acc
+    return out

@@ -42,6 +42,15 @@ def test_put_then_get(workspace, capsys):
     assert "miss_suffix: 0 tokens" in out
 
 
+@pytest.mark.parametrize("command", ["get", "put"])
+@pytest.mark.parametrize("bad", ["-1", str(1 << 32)])
+def test_token_ids_outside_u32_exit_1(workspace, capsys, command, bad):
+    (workspace / "bad.txt").write_text(f"1 {bad} 2")
+    where = ["--host", "127.0.0.1", "--port", "9"] if command == "get" else ["--root", str(workspace / "store")]
+    code, _, err = _run(capsys, [command, *where, "--model", MODEL_JSON, "--tokens", str(workspace / "bad.txt")])
+    assert code == 1 and err.startswith(f"kdn: token id {bad} out of range") and err.count("\n") == 1
+
+
 def test_serve_missing_root_exits_1(tmp_path, capsys):
     root = tmp_path / "missing"
     code, _, err = _run(capsys, ["serve", "--root", str(root), "--port", "0"])
@@ -177,6 +186,8 @@ def test_bench_codec_json(capsys):
     by_name = {r["fixture"]: r for r in rows}
     assert float(by_name["smooth"]["ratio"]) >= 8.0
     assert float(by_name["random"]["max_err"]) >= 0.0
+    for row in rows:
+        assert float(row["encode_ms"]) > 0.0 and float(row["decode_ms"]) > 0.0
 
 
 def test_bench_codec_inline_profile(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 import tracemalloc
 import zlib
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from kdn import fixtures
 from kdn.codec import (
+    LOSSLESS_BYTE_DEFLATE,
     LOSSLESS_RAW,
     LOSSLESS_VARINT,
     LOSSLESS_VARINT_DEFLATE,
@@ -18,6 +20,8 @@ from kdn.codec import (
     CompressedChunk,
     CrcMismatch,
     DecodeError,
+    byte_delta_decode,
+    byte_delta_encode,
     chunk_crc32c,
     compress_cache,
     crc32c,
@@ -37,7 +41,7 @@ from kdn.codec import (
     _varint_encode,
 )
 from kdn.model import KvCache, ModelConfig, build_model, prefill
-from reference import ref_crc32c, ref_delta_decode, ref_varint_decode, ref_varint_encode
+from reference import ref_byte_delta_decode, ref_crc32c, ref_delta_decode, ref_varint_decode, ref_varint_encode
 
 
 def _bitwise_crc32c(data: bytes) -> int:
@@ -376,6 +380,31 @@ def test_delta_decode_matches_reference(seed, shape, stride):
 def test_delta_decode_bad_size():
     with pytest.raises(DecodeError):
         delta_decode(np.zeros(5, np.int64), (1, 1, 2, 1), 16)
+    with pytest.raises(DecodeError):
+        byte_delta_decode(np.zeros(5, np.uint8), (1, 1, 2, 1), 16)
+
+
+def test_byte_delta_wraps_mod_256():
+    codes = np.array([250, 3, 255, 0, 7], np.uint8).reshape(1, 1, 5, 1)
+    stream = byte_delta_encode(codes, anchor_stride=4)
+    assert stream.dtype == np.uint8
+    # t=0 anchor, 3 - 250 = 9, 255 - 3 = 252, 0 - 255 = 1, t=4 anchor
+    assert stream.tolist() == [250, 9, 252, 1, 7]
+    assert np.array_equal(byte_delta_decode(stream, codes.shape, 4), codes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 40), st.integers(1, 4)),
+    stride=st.integers(1, 50),
+)
+def test_byte_delta_decode_matches_reference(seed, shape, stride):
+    stream = np.random.default_rng(seed).integers(0, 256, size=int(np.prod(shape)), dtype=np.uint8)
+    decoded = byte_delta_decode(stream, shape, stride)
+    assert decoded.dtype == np.uint8
+    assert np.array_equal(decoded, ref_byte_delta_decode(stream, shape, stride))
+    assert np.array_equal(byte_delta_encode(decoded, stride), stream)
 
 
 # -- lossless containers --------------------------------------------------------------
@@ -392,10 +421,10 @@ def test_lossless_roundtrip_signed(values, lid):
 
 
 @settings(max_examples=30, deadline=None)
-@given(values=st.lists(st.integers(0, 255), max_size=128))
-def test_lossless_roundtrip_raw(values):
+@given(values=st.lists(st.integers(0, 255), max_size=128), lid=st.sampled_from([LOSSLESS_RAW, LOSSLESS_BYTE_DEFLATE]))
+def test_lossless_roundtrip_bytes(values, lid):
     arr = np.array(values, dtype=np.int64)
-    assert list(lossless_decode(lossless_encode(arr, LOSSLESS_RAW), LOSSLESS_RAW)) == values
+    assert list(lossless_decode(lossless_encode(arr, lid), lid)) == values
 
 
 def test_raw_rejects_signed():
@@ -403,12 +432,13 @@ def test_raw_rejects_signed():
         lossless_encode(np.array([-1]), LOSSLESS_RAW)
 
 
-def test_deflate_decode_rejects_garbage():
+@pytest.mark.parametrize("lid", [LOSSLESS_VARINT_DEFLATE, LOSSLESS_BYTE_DEFLATE])
+def test_deflate_decode_rejects_garbage(lid):
     with pytest.raises(DecodeError):
-        lossless_decode(b"not deflate", LOSSLESS_VARINT_DEFLATE)
-    truncated = lossless_encode(np.arange(100), LOSSLESS_VARINT_DEFLATE)[:-5]
+        lossless_decode(b"not deflate", lid)
+    truncated = lossless_encode(np.arange(100), lid)[:-5]
     with pytest.raises(DecodeError):
-        lossless_decode(truncated, LOSSLESS_VARINT_DEFLATE)
+        lossless_decode(truncated, lid)
 
 
 def test_deflate_cap_is_two_bytes_per_value():
@@ -417,6 +447,13 @@ def test_deflate_cap_is_two_bytes_per_value():
     assert lossless_decode(data, LOSSLESS_VARINT_DEFLATE, 100).tolist() == vals.tolist()
     with pytest.raises(DecodeError):
         lossless_decode(data, LOSSLESS_VARINT_DEFLATE, 99)
+
+
+def test_byte_deflate_cap_is_one_byte_per_value():
+    data = lossless_encode(np.arange(100), LOSSLESS_BYTE_DEFLATE)
+    assert lossless_decode(data, LOSSLESS_BYTE_DEFLATE, 100).tolist() == list(range(100))
+    with pytest.raises(DecodeError):
+        lossless_decode(data, LOSSLESS_BYTE_DEFLATE, 99)
 
 
 # -- full pipeline -------------------------------------------------------------------
@@ -432,6 +469,49 @@ def test_decompress_equals_dequantized_quantize(name):
     assert np.array_equal(restored.k_pre, expected.k_pre)
     assert np.array_equal(restored.v, expected.v)
     assert restored.start_pos == cache.start_pos
+
+
+# SHA-256 of the blobs of fixtures.random_cache(n_tokens=8, seed=2): stored chunks of
+# the older containers must keep decoding, so their encoders must not drift either
+FROZEN_BLOB_DIGESTS = {
+    LOSSLESS_RAW: "4882471a7ed83515919d4340d8548cc0336a4460b10f32536857d86136e57ab7",
+    LOSSLESS_VARINT: "161b924cd49940db348511f1b17898176afc3245119e85b0ecef1e5291ab78ab",
+    LOSSLESS_VARINT_DEFLATE: "495b446ed02340dc6d494a68e887b7bdf02b2356ed6332fe5f2746ce703b3012",
+}
+
+
+@pytest.mark.parametrize("profile", [PROFILES["8bit-raw"], PROFILES["8bit-varint"],
+                                     CodecProfile(lossless_id=LOSSLESS_VARINT_DEFLATE)])
+def test_older_container_blobs_are_frozen(profile):
+    blob = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), profile).to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == FROZEN_BLOB_DIGESTS[profile.lossless_id]
+
+
+def test_default_container_is_byte_deflate():
+    assert CodecProfile().lossless_id == LOSSLESS_BYTE_DEFLATE
+    assert PROFILES["8bit-deflate"].lossless_id == PROFILES["4bit-deflate"].lossless_id == LOSSLESS_BYTE_DEFLATE
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    bits=st.sampled_from([4, 8]),
+    t=st.integers(0, 130),
+    stride_over=st.integers(0, 135),
+    group_size=st.sampled_from([1, 3, 16, 64]),
+)
+def test_byte_deflate_decodes_as_varint_deflate(seed, bits, t, stride_over, group_size):
+    stride = 1 + stride_over % (t + 5)  # 1 .. T + 5
+    cache = fixtures.random_cache(n_tokens=t, seed=seed)
+    cache.start_pos = seed
+    decoded = []
+    for lid in (LOSSLESS_VARINT_DEFLATE, LOSSLESS_BYTE_DEFLATE):
+        profile = CodecProfile(quant_bits=bits, group_size=group_size, anchor_stride=stride, lossless_id=lid)
+        blob = compress_cache(cache, profile).to_bytes()
+        decoded.append(decompress_cache(CompressedChunk.from_bytes(blob)))
+    old, new = decoded
+    assert np.array_equal(old.k_pre, new.k_pre) and np.array_equal(old.v, new.v)
+    assert new.start_pos == cache.start_pos
 
 
 def test_chunk_wire_roundtrip():
@@ -479,9 +559,10 @@ def deflate_bomb():
     return b"".join(z.compress(mib) for _ in range(64)) + z.flush()
 
 
+@pytest.mark.parametrize("lid", [LOSSLESS_VARINT_DEFLATE, LOSSLESS_BYTE_DEFLATE])
 @pytest.mark.parametrize("section", ["params", "codes"])
-def test_inflation_is_bounded_by_geometry(deflate_bomb, section):
-    chunk = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), PROFILES["8bit-deflate"])
+def test_inflation_is_bounded_by_geometry(deflate_bomb, section, lid):
+    chunk = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), CodecProfile(lossless_id=lid))
     bomb = _with_sections(chunk, **{section: deflate_bomb})
     tracemalloc.start()
     try:
@@ -491,6 +572,45 @@ def test_inflation_is_bounded_by_geometry(deflate_bomb, section):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_byte_deflate_code_section_must_inflate_to_one_byte_per_value(extra):
+    cache = fixtures.random_cache(n_tokens=8, seed=2)
+    chunk = compress_cache(cache, PROFILES["8bit-deflate"])
+    n_values = 2 * 2 * 2 * 8 * 8  # 2 * L * H * T * D
+    codes = zlib.compress(bytes(n_values + extra))
+    bad = _with_sections(chunk, codes=codes)
+    if extra:
+        with pytest.raises(DecodeError):
+            decompress_cache(bad)
+    else:
+        # all-zero deltas: every code is 0, so every value is its group's zero point
+        restored = decompress_cache(bad)
+        q = quantize(cache, PROFILES["8bit-deflate"])
+        assert np.array_equal(restored.k_pre, np.repeat(q.k_zero, 8, axis=2))
+        assert np.array_equal(restored.v, np.repeat(q.v_zero, 8, axis=2))
+
+
+@pytest.mark.parametrize("extra", [-4, -1, 1, 4])
+def test_byte_deflate_params_section_of_the_wrong_length(extra):
+    chunk = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), PROFILES["8bit-deflate"])
+    params_len, _ = struct.unpack_from("<II", chunk.payload)
+    raw = zlib.decompress(chunk.payload[8 : 8 + params_len])
+    assert len(raw) == 16 * 2 * 2 * 1 * 8  # 4 arrays of f32 * L * H * groups * D
+    padded = raw + bytes(extra) if extra > 0 else raw[:extra]
+    with pytest.raises(DecodeError):
+        decompress_cache(_with_sections(chunk, params=zlib.compress(padded)))
+
+
+def test_byte_deflate_params_are_byte_planed():
+    cache = fixtures.random_cache(n_tokens=8, seed=2)
+    chunk = compress_cache(cache, PROFILES["8bit-deflate"])
+    params_len, _ = struct.unpack_from("<II", chunk.payload)
+    planes = np.frombuffer(zlib.decompress(chunk.payload[8 : 8 + params_len]), np.uint8).reshape(4, -1)
+    q = quantize(cache, PROFILES["8bit-deflate"])
+    floats = np.concatenate([a.reshape(-1) for a in (q.k_scale, q.k_zero, q.v_scale, q.v_zero)]).astype("<f4")
+    assert np.array_equal(planes.T.copy().view("<f4").reshape(-1), floats)
 
 
 def test_crc_corruption_detected():
@@ -531,10 +651,10 @@ def test_decode_totality_on_garbage(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pos=st.integers(0, 200), bit=st.integers(0, 7))
-def test_decode_totality_on_mutations(pos, bit):
+@given(pos=st.integers(0, 200), bit=st.integers(0, 7), lid=st.sampled_from([LOSSLESS_VARINT_DEFLATE, LOSSLESS_BYTE_DEFLATE]))
+def test_decode_totality_on_mutations(pos, bit, lid):
     cache = fixtures.random_cache(n_tokens=8, seed=5)
-    data = bytearray(compress_cache(cache, PROFILES["8bit-deflate"]).to_bytes())
+    data = bytearray(compress_cache(cache, CodecProfile(lossless_id=lid)).to_bytes())
     pos %= len(data)
     data[pos] ^= 1 << bit
     try:

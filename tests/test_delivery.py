@@ -155,6 +155,13 @@ def test_decode_rejects_oversize_and_unknown_type():
         encode_frame(Frame(42))
 
 
+
+@pytest.mark.parametrize("bad", [-1, 1 << 32, "7"])
+def test_token_request_rejects_ids_outside_u32(bad):
+    with pytest.raises(ProtocolError, match="u32"):
+        encode_token_request(1, MODE_CHAIN, [1, bad, 2])
+
+
 # -- request handling ----------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdn import codec
+from kdn import codec, delivery
 from kdn.model import ModelConfig, ModelError, build_model, concat_caches, prefill
 from kdn.store import (
     EDIT_TRANSFORMS,
@@ -670,6 +670,41 @@ def test_apply_edit_errors(tmp_path, model):
     with pytest.raises(StoreError):
         st.apply_edit(make_key(1, MODE_CHAIN, None, [8]), 1, {"factor": 2.0, "tokens": [0]})
     assert set(EDIT_TRANSFORMS) == {1}
+
+
+def test_a_store_of_the_older_container_reads_after_the_default_changed(tmp_path, model):
+    old = codec.CodecProfile(lossless_id=codec.LOSSLESS_VARINT_DEFLATE)
+    assert codec.CodecProfile() != old
+    tokens = [i % 32 for i in range(20)]
+    keys = _store(tmp_path).store_text(model, tokens, mode=MODE_CHAIN, profile=old)
+    st = _store(tmp_path)  # reopened: the manifest now meets today's default
+    assert {e.codec_profile for e in st.entries.values()} == {old}
+
+    hits, miss = st.retrieve_text(model.model_id, tokens)
+    assert [k for k, _ in hits] == keys and miss == []
+    full, _ = prefill(model, tokens)
+    expected = concat_caches([codec.dequantize(codec.quantize(full.slice_tokens(o, o + 8), old))
+                              for o in range(0, 20, 8)], start_pos=0)
+    restored = concat_caches([codec.decompress_cache(c) for _, c in hits], start_pos=0)
+    assert np.array_equal(restored.k_pre, expected.k_pre) and np.array_equal(restored.v, expected.v)
+
+    server = delivery.KdnServer(st, port=0)
+    server.serve_in_background()
+    try:
+        caches, miss = delivery.Client(*server.server_address, timeout=10.0).fetch(model.model_id, MODE_CHAIN, tokens)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert miss == [] and np.array_equal(concat_caches(caches, start_pos=0).k_pre, expected.k_pre)
+
+    st.apply_edit(keys[0], 1, {"factor": 2.0, "tokens": [0]})
+    reopened = _store(tmp_path)
+    assert reopened.entries[keys[0].digest].codec_profile == old
+    assert reopened.get_chunk(keys[0]).profile == old
+    edited = codec.decompress_cache(reopened.get_chunk(keys[0])).v
+    scale = np.abs(expected.v[:, :, :8]).max()
+    np.testing.assert_allclose(edited[:, :, 0], 2.0 * expected.v[:, :, 0], atol=0.05 * scale)
+    np.testing.assert_allclose(edited[:, :, 1:], expected.v[:, :, 1:8], atol=0.05 * scale)
 
 
 def test_store_config_validation(tmp_path):
