@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import KvCache, Model, ModelError, TILE, concat_caches, extend, prefill, _run_layers
+from .model import KvCache, Model, TILE, concat_caches, extend, prefill, _run_layers
 # bound here, though unused, because the benchmark self-test checks that
 # tracing rebinds ``blender.attend``; drop it together with that check
 from .model import attend  # noqa: F401
@@ -55,14 +55,17 @@ class BlendReport:
     kv_error: float = 0.0
 
 
+def _check_geometry(model: Model, caches: list, what: str) -> None:
+    """Each of ``caches`` (KvCache or CompressedChunk) has the model's (layer, head, dim) geometry."""
+    cfg = model.config
+    if any((c.n_layers, c.n_heads, c.d_head) != (cfg.n_layers, cfg.n_heads, cfg.d_head) for c in caches):
+        raise BlendError(f"{what} geometry does not match the model")
+
+
 def _check_segments(model: Model, segments: list[Segment]) -> None:
     if not segments:
         raise BlendError("need at least one segment")
-    cfg = model.config
-    for seg in segments:
-        c = seg.stale_cache
-        if (c.n_layers, c.n_heads, c.d_head) != (cfg.n_layers, cfg.n_heads, cfg.d_head):
-            raise BlendError("segment cache geometry does not match the model")
+    _check_geometry(model, [seg.stale_cache for seg in segments], "segment cache")
 
 
 def concat_stale(model: Model, segments: list[Segment]) -> tuple[KvCache, list[int]]:
@@ -128,14 +131,10 @@ def selective_blend(
     h1 = _run_layers(model, oracle_cache, model.embed[tokens], slice(None), range(1))
 
     # deviation score: how far the first layer's recomputation moves each
-    # token's next-layer value rows away from the stale cache
+    # token's next-layer value rows away from the stale cache, summed over
+    # channels, then over heads in head order
     if cfg.n_layers > 1:
-        scores = np.zeros(n)
-        for h in range(cfg.n_heads):
-            v2_fresh = h1 @ model.wv[1, h]
-            diff = v2_fresh - blended.v[1, h].astype(np.float64)
-            scores += (diff**2).sum(axis=1)
-        scores = np.sqrt(scores)
+        scores = np.sqrt(((h1 @ model.wv[1] - blended.v[1].astype(np.float64)) ** 2).sum(axis=2).sum(axis=0))
     else:
         scores = np.zeros(n)
 
@@ -180,15 +179,13 @@ def prefix_extend_path(
     ``store_hits`` is the (key, chunk) list from a chain-mode retrieval.
     Equals a prefill of the full text up to codec quantization error.  The
     returned hidden states cover the suffix rows only (prefix states are not
-    stored).
+    stored).  A hit whose geometry is not the model's raises BlendError
+    before any hit is decompressed.
     """
     if not store_hits:
         if not miss_suffix:
             raise BlendError("nothing to do: no hits and empty suffix")
         return prefill(model, list(miss_suffix))
-    caches = [codec.decompress_cache(chunk) for _, chunk in store_hits]
-    try:
-        prefix = concat_caches(caches, start_pos=0)
-    except ModelError as e:
-        raise BlendError(f"broken chain: {e}") from e
+    _check_geometry(model, [chunk for _, chunk in store_hits], "store hit")
+    prefix = concat_caches([codec.decompress_cache(chunk) for _, chunk in store_hits], start_pos=0)
     return extend(model, prefix, None, list(miss_suffix))

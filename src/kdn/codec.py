@@ -206,28 +206,21 @@ class QuantizedCache:
 
 
 def _quantize_tensor(x: np.ndarray, bits: int, group_size: int):
-    """Affine per-token-group quantization along the token axis."""
-    L, H, T, D = x.shape
-    n_groups = (T + group_size - 1) // group_size if T else 0
+    """Affine per-token-group quantization along the token axis: one min and
+    one max reduction give every grid, one broadcast rounds every token."""
+    T = x.shape[2]
     levels = (1 << bits) - 1
-    codes = np.zeros((L, H, T, D), dtype=np.uint8)
-    scale = np.ones((L, H, n_groups, D), dtype=np.float32)
-    zero = np.zeros((L, H, n_groups, D), dtype=np.float32)
-    for g in range(n_groups):
-        lo, hi = g * group_size, min((g + 1) * group_size, T)
-        block = x[:, :, lo:hi].astype(np.float64)
-        gmin = block.min(axis=2)
-        gmax = block.max(axis=2)
-        s = (gmax - gmin) / levels
-        s[s == 0.0] = 1.0  # constant group: every code is 0, zero-point carries the value
-        s32 = s.astype(np.float32)
-        z32 = gmin.astype(np.float32)
-        scale[:, :, g] = s32
-        zero[:, :, g] = z32
-        # round-half-to-even for cross-platform bit-exact codes
-        q = np.rint((block - z32[:, :, None].astype(np.float64)) / s32[:, :, None].astype(np.float64))
-        codes[:, :, lo:hi] = np.clip(q, 0, levels).astype(np.uint8)
-    return codes, scale, zero
+    group = np.arange(T) // group_size
+    starts = np.arange(0, T, group_size)
+    x = x.astype(np.float64)
+    gmin = np.minimum.reduceat(x, starts, axis=2)
+    s = (np.maximum.reduceat(x, starts, axis=2) - gmin) / levels
+    s[s == 0.0] = 1.0  # constant group: every code is 0, zero-point carries the value
+    scale = s.astype(np.float32)
+    zero = gmin.astype(np.float32)
+    # round-half-to-even for cross-platform bit-exact codes
+    q = np.rint((x - zero.astype(np.float64)[:, :, group]) / scale.astype(np.float64)[:, :, group])
+    return np.clip(q, 0, levels).astype(np.uint8), scale, zero
 
 
 def quantize(cache: KvCache, profile: CodecProfile) -> QuantizedCache:
@@ -239,15 +232,8 @@ def quantize(cache: KvCache, profile: CodecProfile) -> QuantizedCache:
 
 
 def _dequantize_tensor(codes, scale, zero, group_size) -> np.ndarray:
-    L, H, T, D = codes.shape
-    out = np.empty((L, H, T, D), dtype=np.float32)
-    n_groups = scale.shape[2]
-    for g in range(n_groups):
-        lo, hi = g * group_size, min((g + 1) * group_size, T)
-        out[:, :, lo:hi] = (
-            codes[:, :, lo:hi].astype(np.float32) * scale[:, :, g][:, :, None] + zero[:, :, g][:, :, None]
-        )
-    return out
+    group = np.arange(codes.shape[2]) // group_size
+    return codes * scale[:, :, group] + zero[:, :, group]
 
 
 def dequantize(q: QuantizedCache) -> KvCache:
@@ -402,11 +388,11 @@ def lossless_decode(data: bytes, lossless_id: int, n_values: int | None = None) 
     """Decode a code stream; ``n_values`` caps the DEFLATE output.
 
     The cap is 2 bytes a value for id 2, whose codes and deltas zigzag to at
-    most 510, two varint bytes, and 1 byte a value for id 3, whose values are
-    ``uint8``.  Ids 0-2 decode to ``int64``.
+    most 510, two varint bytes, and 1 byte a value for id 3.  Ids 0 and 3
+    decode to ``uint8``, ids 1-2 to ``int64``.
     """
     if lossless_id == LOSSLESS_RAW:
-        return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        return np.frombuffer(data, dtype=np.uint8)
     if lossless_id == LOSSLESS_VARINT:
         return _varint_decode(data)
     if lossless_id == LOSSLESS_VARINT_DEFLATE:
@@ -414,6 +400,28 @@ def lossless_decode(data: bytes, lossless_id: int, n_values: int | None = None) 
     if lossless_id == LOSSLESS_BYTE_DEFLATE:
         return np.frombuffer(_inflate(data, n_values, "DEFLATE stream"), np.uint8)
     raise DecodeError(f"unknown lossless_id {lossless_id}")
+
+
+def _unpack_header(data: bytes) -> tuple[CodecProfile, int, int, int, int, int, int, int]:
+    """The checked header fields of a chunk blob, reading no payload byte:
+    (profile, n_layers, n_heads, d_head, n_tokens, start_pos, uncompressed_len, payload_len)."""
+    if len(data) < _HEADER.size:
+        raise DecodeError("chunk shorter than header", len(data))
+    (magic, version, bits, gsize, stride, lid, L, H, D, T, start_pos, ulen, plen) = _HEADER.unpack_from(data)
+    if magic != CHUNK_MAGIC:
+        raise DecodeError("bad chunk magic", 0)
+    if version != CHUNK_VERSION:
+        raise DecodeError(f"unsupported chunk version {version}", 4)
+    if plen > len(data) - _HEADER.size - 4:
+        raise DecodeError("chunk payload truncated", _HEADER.size)
+    try:
+        profile = CodecProfile(bits, gsize, stride, lid)
+    except CodecError as e:
+        raise DecodeError(str(e), 5) from e
+    expected = 2 * 4 * L * H * T * D
+    if ulen != expected:
+        raise DecodeError(f"uncompressed_len {ulen} != geometry size {expected}")
+    return profile, L, H, D, T, start_pos, ulen, plen
 
 
 @dataclass
@@ -450,29 +458,11 @@ class CompressedChunk:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CompressedChunk":
-        if len(data) < _HEADER.size:
-            raise DecodeError("chunk shorter than header", len(data))
-        try:
-            (magic, version, bits, gsize, stride, lid, L, H, D, T, start_pos, ulen, plen) = _HEADER.unpack_from(data)
-        except struct.error as e:
-            raise DecodeError(f"bad chunk header: {e}") from e
-        if magic != CHUNK_MAGIC:
-            raise DecodeError("bad chunk magic", 0)
-        if version != CHUNK_VERSION:
-            raise DecodeError(f"unsupported chunk version {version}", 4)
-        if plen > len(data) - _HEADER.size - 4:
-            raise DecodeError("chunk payload truncated", _HEADER.size)
-        try:
-            profile = CodecProfile(bits, gsize, stride, lid)
-        except CodecError as e:
-            raise DecodeError(str(e), 5) from e
+        profile, L, H, D, T, start_pos, ulen, plen = _unpack_header(data)
         payload = data[_HEADER.size : _HEADER.size + plen]
         (crc,) = struct.unpack_from("<I", data, _HEADER.size + plen)
         if crc32c(payload) != crc:
             raise CrcMismatch("chunk crc32c mismatch")
-        expected = 2 * 4 * L * H * T * D
-        if ulen != expected:
-            raise DecodeError(f"uncompressed_len {ulen} != geometry size {expected}")
         return cls(profile, L, H, D, T, start_pos, ulen, payload, crc)
 
 
@@ -544,9 +534,7 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
     if stream.size != n_values:
         raise DecodeError(f"code stream has {stream.size} values, expected {n_values}")
     if profile.lossless_id == LOSSLESS_RAW:
-        if stream.size and (stream.min() < 0 or stream.max() > 255):
-            raise DecodeError("raw codes out of byte range")
-        codes = stream.astype(np.uint8).reshape(both)
+        codes = stream.reshape(both)
     elif profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
         codes = byte_delta_decode(stream, both, profile.anchor_stride)
     else:

@@ -13,9 +13,10 @@ compose, and a chunk's payload followed by its stored payload crc has a fixed
 crc, so ``codec.chunk_crc32c`` derives the frame crc from the type byte and
 the chunk header.  The wire bytes are those of a crc over every byte whenever
 the stored crc is right.  Both ends derive it the same way, so the frame check
-catches a damaged header or length, and the client's chunk crc check (one
-pass over the payload) catches a damaged payload or trailer, in transit or at
-rest.
+catches a header or length damaged in transit, and the client's chunk crc
+check (one pass over the payload) catches a damaged payload or trailer, in
+transit or at rest.  A header that disagrees with its manifest entry at rest
+is refused by ``Store.read_blob``, and the server answers ERR.
 """
 
 from __future__ import annotations

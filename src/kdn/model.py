@@ -176,10 +176,11 @@ class Model:
         return self.config.model_id
 
 
-def _weight_matrix(tag: int, n_rows: int, n_cols: int, fan_in: int) -> np.ndarray:
+def _weight_matrix(tag: np.ndarray, n_rows: int, n_cols: int, fan_in: int) -> np.ndarray:
+    """(..., n_rows, n_cols) weights, one matrix per entry of the integer ``tag`` array."""
     i = np.arange(n_rows, dtype=np.float64)[:, None]
     j = np.arange(n_cols, dtype=np.float64)[None, :]
-    arg = _W_FREQ * (_W_TAG * tag + _W_ROW * i + _W_COL * j + 1.0)
+    arg = _W_FREQ * (_W_TAG * tag[..., None, None] + _W_ROW * i + _W_COL * j + 1.0)
     return 0.5 * np.sin(arg) / np.sqrt(float(fan_in))
 
 
@@ -190,17 +191,9 @@ def build_model(config: ModelConfig) -> Model:
     j = np.arange(d_model, dtype=np.float64)[None, :]
     embed = np.sin(_E_FREQ * (_E_TOK * v + j + 1.0))
 
-    wq = np.empty((config.n_layers, config.n_heads, d_model, d_head))
-    wk = np.empty_like(wq)
-    wv = np.empty_like(wq)
-    wo = np.empty((config.n_layers, config.n_heads, d_head, d_model))
-    for layer in range(config.n_layers):
-        for head in range(config.n_heads):
-            base_tag = layer * 64 + head * 4
-            wq[layer, head] = _weight_matrix(base_tag + ROLE_Q, d_model, d_head, d_model)
-            wk[layer, head] = _weight_matrix(base_tag + ROLE_K, d_model, d_head, d_model)
-            wv[layer, head] = _weight_matrix(base_tag + ROLE_V, d_model, d_head, d_model)
-            wo[layer, head] = _weight_matrix(base_tag + ROLE_O, d_head, d_model, d_head)
+    tag = 64 * np.arange(config.n_layers)[:, None] + 4 * np.arange(config.n_heads)  # (layer, head)
+    wq, wk, wv = (_weight_matrix(tag + role, d_model, d_head, d_model) for role in (ROLE_Q, ROLE_K, ROLE_V))
+    wo = _weight_matrix(tag + ROLE_O, d_head, d_model, d_head)
     return Model(config=config, embed=embed, wq=wq, wk=wk, wv=wv, wo=wo)
 
 
@@ -285,6 +278,8 @@ def attend(
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
         ctx[:, rows] = scores @ v[:, :m]
+    # one product per head: a batched (head, row, d_model) product and a sum
+    # over heads gave the same bits but a slower, larger `blend` op
     out = np.zeros((x_q.shape[0], cfg.d_model), dtype=np.float64)
     for h in range(cfg.n_heads):
         out += ctx[h] @ model.wo[layer, h]
@@ -292,14 +287,8 @@ def attend(
 
 
 def _project_kv(model: Model, layer: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-rotation K and V rows for all heads, rounded to cache precision."""
-    cfg = model.config
-    k = np.empty((cfg.n_heads, x.shape[0], cfg.d_head), dtype=np.float32)
-    v = np.empty_like(k)
-    for h in range(cfg.n_heads):
-        k[h] = (x @ model.wk[layer, h]).astype(np.float32)
-        v[h] = (x @ model.wv[layer, h]).astype(np.float32)
-    return k, v
+    """Pre-rotation (head, row, dim) K and V rows, rounded to cache precision."""
+    return (x @ model.wk[layer]).astype(np.float32), (x @ model.wv[layer]).astype(np.float32)
 
 
 def _check_tokens(model: Model, tokens: list[int]) -> None:

@@ -311,12 +311,21 @@ class Store:
             (self.blob_dir / fname).unlink(missing_ok=True)
 
     def read_blob(self, key: ChunkKey) -> bytes:
-        """The chunk's bytes as stored, unparsed; refreshes its LRU position."""
+        """The chunk's bytes as stored; refreshes its LRU position.  The chunk
+        crc covers only the payload, so the header, read here without the
+        payload, must parse and agree with the entry's token count and profile."""
         entry = self.entries.get(key.digest)
         if entry is None:
             raise StoreError(f"key {key.hex[:12]} not in store")
         self._touch(entry)
-        return (self.blob_dir / entry.file).read_bytes()
+        blob = (self.blob_dir / entry.file).read_bytes()
+        try:
+            profile, _, _, _, n_tokens, *_ = codec._unpack_header(blob)
+        except codec.CodecError as e:
+            raise StoreError(f"chunk {key.hex[:12]} header unreadable: {e}") from e
+        if n_tokens != len(entry.tokens) or profile != entry.codec_profile:
+            raise StoreError(f"chunk {key.hex[:12]} header does not match its manifest entry")
+        return blob
 
     def get_chunk(self, key: ChunkKey) -> codec.CompressedChunk:
         """The parsed, crc-checked chunk under ``key``."""

@@ -3,7 +3,10 @@
 The reference model and the codec's byte paths, deliberately written with
 explicit Python loops (and math.sin) so that they share no code path with the
 package; golden and property tests compare the two.  ``ref_attend`` is the
-untiled attention kernel the tiled one replaced.
+untiled attention kernel the tiled one replaced; ``ref_project_kv``,
+``ref_blend_scores`` and ``ref_quantize_tensor`` are the per-head and
+per-group loops that the package's single array operations must reproduce
+bit for bit.
 """
 
 import math
@@ -112,7 +115,57 @@ def ref_attend(model, layer, x_q, q_positions, k_pre, v, k_positions):
     return out
 
 
-# -- codec: per-byte and per-value loops -------------------------------------------
+def ref_project_kv(model, layer, x):
+    """Pre-rotation K and V rows, one product per head, rounded to float32."""
+    cfg = model.config
+    k = np.empty((cfg.n_heads, x.shape[0], cfg.d_head), dtype=np.float32)
+    v = np.empty_like(k)
+    for h in range(cfg.n_heads):
+        k[h] = (x @ model.wk[layer, h]).astype(np.float32)
+        v[h] = (x @ model.wv[layer, h]).astype(np.float32)
+    return k, v
+
+
+def ref_blend_scores(model, h1, stale_v1):
+    """selective_blend's deviation score, accumulated one head at a time."""
+    scores = np.zeros(len(h1))
+    for h in range(model.config.n_heads):
+        diff = h1 @ model.wv[1, h] - stale_v1[h].astype(np.float64)
+        scores += (diff**2).sum(axis=1)
+    return np.sqrt(scores)
+
+
+# -- codec: per-group, per-byte and per-value loops --------------------------------
+
+
+def ref_quantize_tensor(x, bits, group_size):
+    """Per-token-group affine quantization, one group at a time: (codes, scale, zero)."""
+    L, H, T, D = x.shape
+    n_groups = (T + group_size - 1) // group_size
+    levels = (1 << bits) - 1
+    codes = np.zeros((L, H, T, D), dtype=np.uint8)
+    scale = np.ones((L, H, n_groups, D), dtype=np.float32)
+    zero = np.zeros((L, H, n_groups, D), dtype=np.float32)
+    for g in range(n_groups):
+        lo, hi = g * group_size, min((g + 1) * group_size, T)
+        block = x[:, :, lo:hi].astype(np.float64)
+        gmin = block.min(axis=2)
+        s = (block.max(axis=2) - gmin) / levels
+        s[s == 0.0] = 1.0
+        scale[:, :, g] = s.astype(np.float32)
+        zero[:, :, g] = gmin.astype(np.float32)
+        z64 = zero[:, :, g][:, :, None].astype(np.float64)
+        s64 = scale[:, :, g][:, :, None].astype(np.float64)
+        codes[:, :, lo:hi] = np.clip(np.rint((block - z64) / s64), 0, levels).astype(np.uint8)
+    return codes, scale, zero
+
+
+def ref_dequantize_tensor(codes, scale, zero, group_size):
+    out = np.empty(codes.shape, dtype=np.float32)
+    for g in range(scale.shape[2]):
+        lo, hi = g * group_size, (g + 1) * group_size
+        out[:, :, lo:hi] = codes[:, :, lo:hi].astype(np.float32) * scale[:, :, g, None] + zero[:, :, g, None]
+    return out
 
 
 def _crc32c_table():

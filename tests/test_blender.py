@@ -1,3 +1,7 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +15,10 @@ from kdn.blender import (
     prefix_extend_path,
     selective_blend,
 )
-from kdn.model import ModelConfig, build_model, prefill
+from kdn.model import KvCache, ModelConfig, _run_layers, build_model, prefill
 from kdn.store import StoreConfig, open_store
+
+from reference import ref_blend_scores
 
 CFG = ModelConfig(2, 2, 4, 32)
 
@@ -210,6 +216,27 @@ def test_scores_concentrate_on_second_segment(model, segments):
     assert all(i >= 32 for i in interior)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(st.sampled_from([0, 1, 2, 1024]), st.integers(0, 1024)),
+    n_heads=st.integers(1, 4),
+)
+def test_scores_are_bit_equal_to_per_head_accumulation(data, n, n_heads):
+    # one batched product and two sums must repeat the head-by-head loop bit
+    # for bit, whichever BLAS numpy links against
+    m = build_model(ModelConfig(2, n_heads, 4, 32))
+    tokens = data.draw(st.lists(st.integers(0, 31), min_size=n, max_size=n))
+    cut = data.draw(st.integers(0, n))
+    segs = [Segment.from_tokens(m, tokens[:cut]), Segment.from_tokens(m, tokens[cut:])]
+    _, _, report = selective_blend(m, segs, 0.0)
+    # the fresh first-layer states of the concatenation, as the blend makes them
+    zero_cache = KvCache(np.zeros((2, n_heads, n, 4), np.float32), np.zeros((2, n_heads, n, 4), np.float32))
+    h1 = _run_layers(m, zero_cache, m.embed[tokens], slice(None), range(1))
+    stale_v1 = np.concatenate([seg.stale_cache.v[1] for seg in segs], axis=1)
+    assert np.array_equal(report.scores, ref_blend_scores(m, h1, stale_v1))
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     data=st.data(),
@@ -255,3 +282,29 @@ def test_prefix_extend_path_no_hits(model):
     np.testing.assert_allclose(states, oracle_states, atol=1e-12)
     with pytest.raises(BlendError):
         prefix_extend_path(model, [], [])
+
+
+def test_prefix_extend_path_checks_hit_geometry_before_decoding():
+    # a CRC-valid default-container chunk of zeros that claims 8 x 8 x 2048 x 8:
+    # about 3 KB, decoding to 16 MB of K/V
+    L, H, T, D = 8, 8, 2048, 8
+    params = zlib.compress(bytes(16 * L * H * (T // 16) * D), 9)
+    codes = zlib.compress(bytes(2 * L * H * T * D), 9)
+    payload = struct.pack("<II", len(params), len(codes)) + params + codes
+    blob = codec.CompressedChunk(codec.CodecProfile(), L, H, D, T, 0, 8 * L * H * T * D,
+                                 payload, codec.crc32c(payload)).to_bytes()
+    assert len(blob) == 3151
+    chunk = codec.CompressedChunk.from_bytes(blob)
+    m = build_model(ModelConfig(4, 4, 16, 256))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BlendError):
+            prefix_extend_path(m, [(None, chunk)], [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a hit of the model's geometry after it is refused too, before any decode
+    good = codec.compress_cache(prefill(m, [1, 2])[0], codec.CodecProfile())
+    with pytest.raises(BlendError):
+        prefix_extend_path(m, [(None, good), (None, chunk)], [3])

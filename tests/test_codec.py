@@ -41,7 +41,15 @@ from kdn.codec import (
     _varint_encode,
 )
 from kdn.model import KvCache, ModelConfig, build_model, prefill
-from reference import ref_byte_delta_decode, ref_crc32c, ref_delta_decode, ref_varint_decode, ref_varint_encode
+from reference import (
+    ref_byte_delta_decode,
+    ref_crc32c,
+    ref_delta_decode,
+    ref_dequantize_tensor,
+    ref_quantize_tensor,
+    ref_varint_decode,
+    ref_varint_encode,
+)
 
 
 def _bitwise_crc32c(data: bytes) -> int:
@@ -317,6 +325,31 @@ def test_quantize_error_bound(seed, bits):
         assert (err <= bound / 2 + 1e-6).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    bits=st.sampled_from([4, 8]),
+    t=st.integers(0, 130),
+    group_size=st.sampled_from([1, 3, 16, 64]),
+    n_const=st.integers(0, 40),
+)
+def test_quantize_matches_per_group_reference(seed, bits, t, group_size, n_const):
+    # the grids come from one min and one max reduction per tensor, the codes
+    # from one broadcast; the group-by-group loop must give the same bits,
+    # ragged last group, constant groups and T = 0 included
+    cache = fixtures.random_cache(n_tokens=t, seed=seed)
+    cache.k_pre[:, :, :n_const] = 0.75
+    profile = CodecProfile(quant_bits=bits, group_size=group_size)
+    q = quantize(cache, profile)
+    restored = dequantize(q)
+    for x, codes, scale, zero, out in ((cache.k_pre, q.k_codes, q.k_scale, q.k_zero, restored.k_pre),
+                                       (cache.v, q.v_codes, q.v_scale, q.v_zero, restored.v)):
+        want = ref_quantize_tensor(x, bits, group_size)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip((codes, scale, zero), want))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, ref_dequantize_tensor(*want, group_size))
+
+
 def test_quantize_rejects_nonfinite():
     x = np.zeros((1, 1, 2, 2), np.float32)
     x[0, 0, 0, 0] = np.nan
@@ -427,6 +460,12 @@ def test_lossless_roundtrip_bytes(values, lid):
     assert list(lossless_decode(lossless_encode(arr, lid), lid)) == values
 
 
+def test_byte_containers_decode_to_uint8():
+    # ids 0 and 3 carry one byte a value and hand back the bytes as decoded
+    for lid in (LOSSLESS_RAW, LOSSLESS_BYTE_DEFLATE):
+        assert lossless_decode(lossless_encode(np.arange(3), lid), lid).dtype == np.uint8
+
+
 def test_raw_rejects_signed():
     with pytest.raises(CodecError):
         lossless_encode(np.array([-1]), LOSSLESS_RAW)
@@ -485,6 +524,46 @@ FROZEN_BLOB_DIGESTS = {
 def test_older_container_blobs_are_frozen(profile):
     blob = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), profile).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == FROZEN_BLOB_DIGESTS[profile.lossless_id]
+
+
+# SHA-256 of default-container blobs of the same fixture, at 8 and 4 bits
+FROZEN_DEFAULT_BLOB_DIGESTS = {
+    "8bit-deflate": "41be37a4da15501295dc9c8d6b66ce4c9ebd171e93422276650b45037cb94a23",
+    "4bit-deflate": "a4043cf7ad948fef1562d51f5f67a271e8f2e7376d2510799fe8d075403706e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DEFAULT_BLOB_DIGESTS))
+def test_default_container_blobs_are_frozen(name):
+    blob = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), PROFILES[name]).to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == FROZEN_DEFAULT_BLOB_DIGESTS[name]
+
+
+# SHA-256 of the 8-bit blobs of fixtures.random_cache(n_tokens=40, seed=2) by
+# (group_size, lossless_id): at group size 16 the groups are 16/16/8 tokens, so
+# these pin multi-group and ragged grids in every container.  The codec calls
+# no BLAS, so the bytes are the same on every platform.
+FROZEN_MULTI_GROUP_BLOB_DIGESTS = {
+    (1, LOSSLESS_RAW): "8b18e0b5ddcc9ecd23062ca76956b7767d397030264c56a725407f70285558a3",
+    (1, LOSSLESS_VARINT): "0e434b0419bd803dce5814506e6a3f3029b91b8117d8b1297519081090017a3c",
+    (1, LOSSLESS_VARINT_DEFLATE): "4b5227f0b413e72e9e11e26c8b04811bcf47ebf34ddcac54123a53c1f81d388d",
+    (1, LOSSLESS_BYTE_DEFLATE): "4dc5f129b4416c1f0d8baac97acd21edd2053353dfa0325e671e5ddda839d32b",
+    (3, LOSSLESS_RAW): "987f7cbe7d738ad5f6aca3f6bdc34ab4e19149c11f4cc7d88a76767c33721ec9",
+    (3, LOSSLESS_VARINT): "f84f476ae09b29f8171b8f1e75253820ea10dcce1bcd437840b8e0c115e46d40",
+    (3, LOSSLESS_VARINT_DEFLATE): "b1654af55895db32b51664de430aa35750d2cb3e143fd796dab6161b35a8f536",
+    (3, LOSSLESS_BYTE_DEFLATE): "0fc30c26b2320e3782c94da92955fa060c3f91be72034387944d3db3325e35a2",
+    (16, LOSSLESS_RAW): "61277f651594465de22e03f9b2415b4ad511dbb5bf487a6652033969e4290e77",
+    (16, LOSSLESS_VARINT): "49c66e3f91e712fe494cd10fdfa1c0efd8b40b6c3a67c3665374f7a08448b7fd",
+    (16, LOSSLESS_VARINT_DEFLATE): "493f0e74a414916536320d5201fc0b9bbf5fcff0f138b47a1bd34a3dbc82e7ef",
+    (16, LOSSLESS_BYTE_DEFLATE): "5f5ac99cf4bee9258cb7cc9bd3cf681544fa2f0bc72abb4bbcc09e3cb919cade",
+}
+
+
+@pytest.mark.parametrize("group_size, lid", sorted(FROZEN_MULTI_GROUP_BLOB_DIGESTS))
+def test_multi_group_blobs_are_frozen(group_size, lid):
+    profile = CodecProfile(group_size=group_size, lossless_id=lid)
+    blob = compress_cache(fixtures.random_cache(n_tokens=40, seed=2), profile).to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == FROZEN_MULTI_GROUP_BLOB_DIGESTS[group_size, lid]
 
 
 def test_default_container_is_byte_deflate():

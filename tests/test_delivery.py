@@ -374,8 +374,11 @@ def test_tcp_magic_split_across_reads_is_answered(store, model):
         server.server_close()
 
 
-@pytest.mark.parametrize("offset", [0, -10], ids=["chunk-magic", "payload-byte"])
-def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, monkeypatch, offset):
+# the server refuses a blob whose header is damaged at rest, and the client
+# does not retry its ERR; a damaged payload is served, fails the client's chunk
+# crc check and is retried once
+@pytest.mark.parametrize("offset, tries", [(0, 1), (-10, 2)], ids=["chunk-magic", "payload-byte"])
+def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, monkeypatch, offset, tries):
     tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     keys, _ = store.lookup(model.model_id, tokens)
     path = store.blob_dir / store.entries[keys[1].digest].file
@@ -391,12 +394,36 @@ def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, mon
         monkeypatch.setattr(client, "_roundtrip", lambda req: requests.append(req) or roundtrip(req))
         with pytest.raises(FetchError):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
-        assert len(requests) == 2  # the first try and its one retry
+        assert len(requests) == tries
         with pytest.raises(FetchError):
             client.fetch_keys(keys[1:])
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens[:8])
         assert [c.n_tokens for c in caches] == [8] and miss == []
         assert len(client.fetch_keys(keys[:1])) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_fetch_refuses_a_header_rewritten_at_rest(store, model):
+    # anchor_stride 16 -> 8: the chunk crc covers only the payload, so the blob
+    # is still a valid chunk and would decode to wrong K/V; the server checks
+    # the header against the manifest entry and answers ERR instead
+    tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    keys, _ = store.lookup(model.model_id, tokens)
+    path = store.blob_dir / store.entries[keys[1].digest].file
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, 8, 8)
+    path.write_bytes(bytes(blob))
+    assert codec.CompressedChunk.from_bytes(bytes(blob)).profile.anchor_stride == 8
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        with pytest.raises(FetchError, match="server error"):
+            client.fetch(model.model_id, MODE_CHAIN, tokens)
+        with pytest.raises(FetchError, match="server error"):
+            client.fetch_keys(keys[1:])
     finally:
         server.shutdown()
         server.server_close()

@@ -17,9 +17,10 @@ from kdn.model import (
     prefill,
     rebase,
     save_fixture,
+    _project_kv,
 )
 
-from reference import ref_attend, ref_embed, ref_prefill, ref_weight
+from reference import ref_attend, ref_embed, ref_prefill, ref_project_kv, ref_weight
 
 CFG = ModelConfig(n_layers=2, n_heads=2, d_head=4, vocab_size=32)
 
@@ -127,6 +128,24 @@ def test_single_token_kv_is_plain_projection(model):
             for h in range(CFG.n_heads):
                 expected = (model.embed[5] @ model.wk[0, h]).astype(np.float32)
                 assert np.array_equal(cache.k_pre[0, h, 0], expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.one_of(st.sampled_from([0, 1, 2, 1024]), st.integers(0, 1024)),
+    n_heads=st.integers(1, 4),
+    seed=st.integers(0, 1000),
+)
+def test_project_kv_is_bit_equal_to_per_head_products(rows, n_heads, seed):
+    # one batched product per role must round as the per-head products do,
+    # the one-row (gemv) case included, whichever BLAS numpy links against
+    m = build_model(ModelConfig(2, n_heads, 16, 32))
+    x = np.random.default_rng(seed).standard_normal((rows, m.config.d_model))
+    for layer in range(2):
+        k, v = _project_kv(m, layer, x)
+        ref_k, ref_v = ref_project_kv(m, layer, x)
+        assert k.dtype == v.dtype == np.float32
+        assert np.array_equal(k, ref_k) and np.array_equal(v, ref_v)
 
 
 def test_empty_prefill(model):

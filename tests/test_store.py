@@ -197,6 +197,32 @@ def test_blob_is_canonical_chunk_bytes(tmp_path, model, profile):
         assert blob == codec.CompressedChunk.from_bytes(blob).to_bytes()
 
 
+# (offset, struct format, value) rewrites of a stored chunk header: anchor_stride
+# is at byte 8, n_tokens at 17 and uncompressed_len at 29.  The chunk crc covers
+# only the payload, so the first two still parse as chunks.
+@pytest.mark.parametrize("rewrite", [
+    [(8, "<H", 8)],  # anchor_stride 16 -> 8: the wrong profile
+    [(17, "<I", 4), (29, "<Q", 8 * 4 * CFG.d_model * CFG.n_layers)],  # 4 of the entry's 8 tokens
+    [(0, "<4s", b"XXXX")],  # no chunk header at all
+], ids=["anchor-stride", "token-count", "magic"])
+def test_a_header_that_disagrees_with_its_entry_is_a_store_error(tmp_path, model, rewrite):
+    st = _store(tmp_path)
+    tokens = list(range(16))
+    keys = st.store_text(model, tokens)
+    path = st.blob_dir / st.entries[keys[1].digest].file
+    blob = bytearray(path.read_bytes())
+    for offset, fmt, value in rewrite:
+        struct.pack_into(fmt, blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(StoreError):
+        st.get_chunk(keys[1])
+    with pytest.raises(StoreError):
+        st.retrieve_text(model.model_id, tokens)
+    with pytest.raises(StoreError):
+        st.apply_edit(keys[1], 1, {"factor": 2.0, "tokens": [0]})
+    assert st.get_chunk(keys[0]).n_tokens == 8
+
+
 @pytest.mark.parametrize("n_layers", [1, 3])
 @pytest.mark.parametrize("mode", [MODE_CHAIN, MODE_STANDALONE])
 def test_store_text_blobs_are_compressed_prefill_slices(tmp_path, n_layers, mode):
