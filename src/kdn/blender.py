@@ -127,7 +127,7 @@ def selective_blend(
     # the oracle is a full prefill.  Its layer 0 runs first: K/V for every
     # token are plain projections of the embeddings, so a full causal pass
     # here is cheap and seeds the fresh states
-    oracle_cache = KvCache(np.zeros_like(blended.k_pre), np.zeros_like(blended.v))
+    oracle_cache = KvCache(np.zeros_like(blended.kv))
     h1 = _run_layers(model, oracle_cache, model.embed[tokens], slice(None), range(1))
 
     # deviation score: how far the first layer's recomputation moves each
@@ -142,8 +142,7 @@ def selective_blend(
 
     if selected:
         sel = np.array(selected, dtype=int)
-        blended.k_pre[0][:, sel] = oracle_cache.k_pre[0][:, sel]
-        blended.v[0][:, sel] = oracle_cache.v[0][:, sel]
+        blended.kv[:, 0][:, :, sel] = oracle_cache.kv[:, 0][:, :, sel]
         out_states[sel] = _run_layers(model, blended, h1[sel], sel, range(1, cfg.n_layers))
 
     # only the oracle's last row's final state is read, so its final layer
@@ -153,9 +152,10 @@ def selective_blend(
     oracle_states = _run_layers(model, oracle_cache, h1, slice(None), range(1, cfg.n_layers), last_group)
     kv_error = 0.0
     if n:
+        # K, then V: one half's float64 temporaries at a time
         kv_error = max(
-            float(np.abs(blended.k_pre.astype(np.float64) - oracle_cache.k_pre.astype(np.float64)).max()),
-            float(np.abs(blended.v.astype(np.float64) - oracle_cache.v.astype(np.float64)).max()),
+            float(np.abs(got.astype(np.float64) - want.astype(np.float64)).max())
+            for got, want in zip(blended.kv, oracle_cache.kv)
         )
     final_state_error = float(np.linalg.norm(out_states[-1] - oracle_states[-1])) if n else 0.0
 

@@ -116,6 +116,7 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
     return 0
 
 
@@ -204,10 +205,7 @@ def cmd_bench_codec(args) -> int:
             encode_s.append(t1 - t0)
             decode_s.append(time.perf_counter() - t1)
         ratio = chunk.uncompressed_len / len(chunk.to_bytes())
-        err = max(
-            float(np.abs(restored.k_pre - cache.k_pre).max()),
-            float(np.abs(restored.v - cache.v).max()),
-        )
+        err = float(np.abs(restored.kv - cache.kv).max())
         rows.append([name, f"{ratio:.2f}", f"{err:.3e}", chunk.uncompressed_len, len(chunk.to_bytes()),
                      f"{1e3 * statistics.median(encode_s):.3f}", f"{1e3 * statistics.median(decode_s):.3f}"])
     _emit_table(["fixture", "ratio", "max_err", "raw_bytes", "compressed_bytes", "encode_ms", "decode_ms"],

@@ -16,6 +16,7 @@ reproduces the dequantized values exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -193,14 +194,11 @@ PROFILES = {
 
 @dataclass
 class QuantizedCache:
-    """Integer codes plus per-(layer, head, group, channel) affine grids."""
+    """Integer codes plus per-(layer, head, group, channel) affine grids, each laid out like ``KvCache.kv``."""
 
-    k_codes: np.ndarray  # (L, H, T, D) uint8
-    v_codes: np.ndarray
-    k_scale: np.ndarray  # (L, H, G, D) f32
-    k_zero: np.ndarray
-    v_scale: np.ndarray
-    v_zero: np.ndarray
+    codes: np.ndarray  # (K or V, L, H, T, D) uint8
+    scale: np.ndarray  # (K or V, L, H, G, D) f32
+    zero: np.ndarray
     start_pos: int
     profile: CodecProfile
 
@@ -208,68 +206,62 @@ class QuantizedCache:
 def _quantize_tensor(x: np.ndarray, bits: int, group_size: int):
     """Affine per-token-group quantization along the token axis: one min and
     one max reduction give every grid, one broadcast rounds every token."""
-    T = x.shape[2]
+    T = x.shape[-2]
     levels = (1 << bits) - 1
     group = np.arange(T) // group_size
     starts = np.arange(0, T, group_size)
     x = x.astype(np.float64)
-    gmin = np.minimum.reduceat(x, starts, axis=2)
-    s = (np.maximum.reduceat(x, starts, axis=2) - gmin) / levels
+    gmin = np.minimum.reduceat(x, starts, axis=-2)
+    s = (np.maximum.reduceat(x, starts, axis=-2) - gmin) / levels
     s[s == 0.0] = 1.0  # constant group: every code is 0, zero-point carries the value
     scale = s.astype(np.float32)
     zero = gmin.astype(np.float32)
     # round-half-to-even for cross-platform bit-exact codes
-    q = np.rint((x - zero.astype(np.float64)[:, :, group]) / scale.astype(np.float64)[:, :, group])
+    q = np.rint((x - zero.astype(np.float64)[..., group, :]) / scale.astype(np.float64)[..., group, :])
     return np.clip(q, 0, levels).astype(np.uint8), scale, zero
 
 
 def quantize(cache: KvCache, profile: CodecProfile) -> QuantizedCache:
-    if not (np.isfinite(cache.k_pre).all() and np.isfinite(cache.v).all()):
+    if not np.isfinite(cache.kv).all():
         raise CodecError("cache contains non-finite values")
-    k_codes, k_scale, k_zero = _quantize_tensor(cache.k_pre, profile.quant_bits, profile.group_size)
-    v_codes, v_scale, v_zero = _quantize_tensor(cache.v, profile.quant_bits, profile.group_size)
-    return QuantizedCache(k_codes, v_codes, k_scale, k_zero, v_scale, v_zero, cache.start_pos, profile)
+    codes, scale, zero = _quantize_tensor(cache.kv, profile.quant_bits, profile.group_size)
+    return QuantizedCache(codes, scale, zero, cache.start_pos, profile)
 
 
 def _dequantize_tensor(codes, scale, zero, group_size) -> np.ndarray:
-    group = np.arange(codes.shape[2]) // group_size
-    return codes * scale[:, :, group] + zero[:, :, group]
+    group = np.arange(codes.shape[-2]) // group_size
+    return codes * scale[..., group, :] + zero[..., group, :]
 
 
 def dequantize(q: QuantizedCache) -> KvCache:
-    gs = q.profile.group_size
-    return KvCache(
-        _dequantize_tensor(q.k_codes, q.k_scale, q.k_zero, gs),
-        _dequantize_tensor(q.v_codes, q.v_scale, q.v_zero, gs),
-        start_pos=q.start_pos,
-    )
+    return KvCache(_dequantize_tensor(q.codes, q.scale, q.zero, q.profile.group_size), start_pos=q.start_pos)
 
 
 def _anchor_deltas(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
-    """Anchor/delta coding along tokens in the dtype of ``codes``, stream order (layer, head, channel, token)."""
-    ch_major = codes.transpose(0, 1, 3, 2)  # (L, H, D, T)
+    """Anchor/delta coding along tokens in the dtype of ``codes``, stream order (..., channel, token)."""
+    ch_major = codes.swapaxes(-1, -2)  # (..., D, T)
     out = ch_major.copy()
     out[..., 1:] -= ch_major[..., :-1]
     out[..., ::anchor_stride] = ch_major[..., ::anchor_stride]
     return out.reshape(-1)
 
 
-def _anchor_sums(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_stride: int, dtype) -> np.ndarray:
-    """Inverse of ``_anchor_deltas`` in ``dtype``, channel-major (L, H, D, T)."""
-    L, H, T, D = shape
-    if stream.size != L * H * T * D:
-        raise DecodeError(f"delta stream has {stream.size} values, expected {L * H * T * D}")
+def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int, dtype) -> np.ndarray:
+    """Inverse of ``_anchor_deltas`` in ``dtype``, channel-major (..., D, T) for a (..., T, D) ``shape``."""
+    *lead, T, D = shape
+    if stream.size != math.prod(shape):
+        raise DecodeError(f"delta stream has {stream.size} values, expected {math.prod(shape)}")
     # a running sum that restarts at each anchor: cumsum over whole windows,
     # no longer than T so that a huge stride from a header cannot inflate the padding
     w = max(1, min(anchor_stride, T))
     padded = -(-T // w) * w
-    vals = np.zeros((L, H, D, padded), dtype)
-    vals[..., :T] = stream.reshape(L, H, D, T)
-    return vals.reshape(L, H, D, padded // w, w).cumsum(axis=-1, dtype=dtype).reshape(L, H, D, padded)[..., :T]
+    vals = np.zeros((*lead, D, padded), dtype)
+    vals[..., :T] = stream.reshape(*lead, D, T)
+    return vals.reshape(*lead, D, padded // w, w).cumsum(axis=-1, dtype=dtype).reshape(*lead, D, padded)[..., :T]
 
 
 def delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
-    """Anchor/delta coding along tokens, stream order (layer, head, channel, token).
+    """Anchor/delta coding along tokens of (..., token, channel) codes, stream order (..., channel, token).
 
     Token 0 of each anchor window is stored raw; later tokens store the
     signed difference from the previous token in the same channel.
@@ -277,11 +269,11 @@ def delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
     return _anchor_deltas(codes.astype(np.int64), anchor_stride)
 
 
-def delta_decode(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_stride: int) -> np.ndarray:
+def delta_decode(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
     vals = _anchor_sums(stream, shape, anchor_stride, np.int64)
     if vals.size and (vals.min() < 0 or vals.max() > 255):
         raise DecodeError("decoded codes out of byte range")
-    return vals.transpose(0, 1, 3, 2).astype(np.uint8)
+    return vals.swapaxes(-1, -2).astype(np.uint8)
 
 
 def byte_delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
@@ -289,9 +281,9 @@ def byte_delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
     return _anchor_deltas(codes, anchor_stride)
 
 
-def byte_delta_decode(stream: np.ndarray, shape: tuple[int, int, int, int], anchor_stride: int) -> np.ndarray:
+def byte_delta_decode(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
     """Inverse of ``byte_delta_encode``: the running sums wrap mod 256 as the differences did."""
-    return _anchor_sums(stream, shape, anchor_stride, np.uint8).transpose(0, 1, 3, 2)
+    return _anchor_sums(stream, shape, anchor_stride, np.uint8).swapaxes(-1, -2)
 
 
 def zigzag(n):
@@ -354,14 +346,14 @@ def _varint_decode(data: bytes) -> np.ndarray:
     return unzigzag(z)
 
 
-def _inflate(data: bytes, limit: int | None, section: str) -> bytes:
+def _inflate(data: bytes, limit: int, section: str) -> bytes:
     """DEFLATE-decode ``data``; more than ``limit`` output bytes is a DecodeError."""
     d = zlib.decompressobj()
     try:
-        raw = d.decompress(data, 0 if limit is None else limit + 1)
+        raw = d.decompress(data, limit + 1)
     except zlib.error as e:
         raise DecodeError(f"{section} invalid: {e}") from e
-    if limit is not None and len(raw) > limit:
+    if len(raw) > limit:
         raise DecodeError(f"{section} inflates past {limit} bytes")
     if not d.eof:
         raise DecodeError(f"{section} truncated")
@@ -384,7 +376,7 @@ def lossless_encode(ints: np.ndarray, lossless_id: int) -> bytes:
     raise CodecError(f"unknown lossless_id {lossless_id}")
 
 
-def lossless_decode(data: bytes, lossless_id: int, n_values: int | None = None) -> np.ndarray:
+def lossless_decode(data: bytes, lossless_id: int, n_values: int) -> np.ndarray:
     """Decode a code stream; ``n_values`` caps the DEFLATE output.
 
     The cap is 2 bytes a value for id 2, whose codes and deltas zigzag to at
@@ -396,7 +388,7 @@ def lossless_decode(data: bytes, lossless_id: int, n_values: int | None = None) 
     if lossless_id == LOSSLESS_VARINT:
         return _varint_decode(data)
     if lossless_id == LOSSLESS_VARINT_DEFLATE:
-        return _varint_decode(_inflate(data, None if n_values is None else 2 * n_values, "DEFLATE stream"))
+        return _varint_decode(_inflate(data, 2 * n_values, "DEFLATE stream"))
     if lossless_id == LOSSLESS_BYTE_DEFLATE:
         return np.frombuffer(_inflate(data, n_values, "DEFLATE stream"), np.uint8)
     raise DecodeError(f"unknown lossless_id {lossless_id}")
@@ -467,8 +459,8 @@ class CompressedChunk:
 
 
 def _pack_params(q: QuantizedCache) -> bytes:
-    raw = np.concatenate([a.astype("<f4").reshape(-1) for a in (q.k_scale, q.k_zero, q.v_scale, q.v_zero)])
-    raw = raw.view(np.uint8)
+    # (K or V, scale or zero, L, H, G, D): K's scale, K's zero, V's scale, V's zero
+    raw = np.stack([q.scale, q.zero], axis=1).astype("<f4").reshape(-1).view(np.uint8)
     if q.profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
         # byte planes: an f32's sign and exponent byte repeats where its low bytes do not
         raw = raw.reshape(-1, 4).T
@@ -476,33 +468,34 @@ def _pack_params(q: QuantizedCache) -> bytes:
     return zlib.compress(raw.tobytes(), 9)
 
 
-def _unpack_params(blob: bytes, shape: tuple[int, int, int, int], profile: CodecProfile):
-    L, H, T, D = shape
-    n_groups = (T + profile.group_size - 1) // profile.group_size if T else 0
-    count = L * H * n_groups * D
-    raw = _inflate(blob, 16 * count, "parameter section")
-    if len(raw) != 4 * 4 * count:
-        raise DecodeError(f"parameter section has {len(raw)} bytes, expected {16 * count}")
+def _unpack_params(blob: bytes, shape: tuple[int, int, int, int, int], profile: CodecProfile):
+    """The (scale, zero) grids of a (K or V, L, H, T, D) cache: two views of one array."""
+    _, L, H, T, D = shape
+    pshape = (2, 2, L, H, -(-T // profile.group_size), D)  # as ``_pack_params`` stacks them
+    n_bytes = 4 * math.prod(pshape)
+    raw = _inflate(blob, n_bytes, "parameter section")
+    if len(raw) != n_bytes:
+        raise DecodeError(f"parameter section has {len(raw)} bytes, expected {n_bytes}")
     b = np.frombuffer(raw, np.uint8)
     b = b.reshape(4, -1).T if profile.lossless_id == LOSSLESS_BYTE_DEFLATE else b.reshape(-1, 4)
-    return list(b.copy().view("<f4").reshape(4, L, H, n_groups, D))
+    params = b.copy().view("<f4").reshape(pshape)
+    return params[:, 0], params[:, 1]
 
 
 def compress_cache(cache: KvCache, profile: CodecProfile) -> CompressedChunk:
     """quantize -> delta -> lossless, wrapped with header and crc32c."""
-    q = quantize(cache, profile)
-    codes = np.concatenate([q.k_codes, q.v_codes])  # (2L, H, T, D): K's layers, then V's
+    q = quantize(cache, profile)  # codes (2, L, H, T, D): K's layers, then V's
     if profile.lossless_id == LOSSLESS_RAW:
         # raw container stores the quantized codes directly, one byte each
-        stream = codes.reshape(-1)
+        stream = q.codes.reshape(-1)
     elif profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
-        stream = byte_delta_encode(codes, profile.anchor_stride)
+        stream = byte_delta_encode(q.codes, profile.anchor_stride)
     else:
-        stream = delta_encode(codes, profile.anchor_stride)
+        stream = delta_encode(q.codes, profile.anchor_stride)
     codes_blob = lossless_encode(stream, profile.lossless_id)
     params_blob = _pack_params(q)
     payload = struct.pack("<II", len(params_blob), len(codes_blob)) + params_blob + codes_blob
-    L, H, T, D = cache.k_pre.shape
+    _, L, H, T, D = cache.kv.shape
     return CompressedChunk(
         profile=profile,
         n_layers=L,
@@ -517,9 +510,7 @@ def compress_cache(cache: KvCache, profile: CodecProfile) -> CompressedChunk:
 
 
 def decompress_cache(chunk: CompressedChunk) -> KvCache:
-    L = chunk.n_layers
-    shape = (L, chunk.n_heads, chunk.n_tokens, chunk.d_head)
-    both = (2 * L, *shape[1:])  # K's layers, then V's
+    shape = (2, chunk.n_layers, chunk.n_heads, chunk.n_tokens, chunk.d_head)
     profile = chunk.profile
     if len(chunk.payload) < 8:
         raise DecodeError("payload shorter than section lengths", len(chunk.payload))
@@ -528,16 +519,15 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
         raise DecodeError("payload section lengths inconsistent", 0)
     params_blob = chunk.payload[8 : 8 + params_len]
     codes_blob = chunk.payload[8 + params_len :]
-    k_scale, k_zero, v_scale, v_zero = _unpack_params(params_blob, shape, profile)
-    n_values = 2 * int(np.prod(shape, dtype=np.int64))
+    scale, zero = _unpack_params(params_blob, shape, profile)
+    n_values = int(np.prod(shape, dtype=np.int64))
     stream = lossless_decode(codes_blob, profile.lossless_id, n_values)
     if stream.size != n_values:
         raise DecodeError(f"code stream has {stream.size} values, expected {n_values}")
     if profile.lossless_id == LOSSLESS_RAW:
-        codes = stream.reshape(both)
+        codes = stream.reshape(shape)
     elif profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
-        codes = byte_delta_decode(stream, both, profile.anchor_stride)
+        codes = byte_delta_decode(stream, shape, profile.anchor_stride)
     else:
-        codes = delta_decode(stream, both, profile.anchor_stride)
-    q = QuantizedCache(codes[:L], codes[L:], k_scale, k_zero, v_scale, v_zero, chunk.start_pos, profile)
-    return dequantize(q)
+        codes = delta_decode(stream, shape, profile.anchor_stride)
+    return dequantize(QuantizedCache(codes, scale, zero, chunk.start_pos, profile))

@@ -16,11 +16,9 @@ def smooth_cache(
     """Token-smooth synthetic cache: values drift slowly along the token
     axis, so quantized deltas are near zero and grids repeat across channels.
     """
-    t = np.arange(n_tokens, dtype=np.float64)
-    vals = np.sin(0.01 * (t + 1.0)).astype(np.float32)
-    k = np.broadcast_to(vals[None, None, :, None], (n_layers, n_heads, n_tokens, d_head)).copy()
-    v = np.broadcast_to(np.cos(0.01 * (t + 1.0)).astype(np.float32)[None, None, :, None], k.shape).copy()
-    return KvCache(k, v, start_pos=0)
+    t = 0.01 * (np.arange(n_tokens, dtype=np.float64) + 1.0)
+    kv = np.stack([np.sin(t), np.cos(t)]).astype(np.float32)[:, None, None, :, None]
+    return KvCache(np.broadcast_to(kv, (2, n_layers, n_heads, n_tokens, d_head)).copy(), start_pos=0)
 
 
 def random_cache(
@@ -32,9 +30,6 @@ def random_cache(
     scale: float = 1.0,
 ) -> KvCache:
     rng = np.random.default_rng(seed)
-    shape = (n_layers, n_heads, n_tokens, d_head)
-    return KvCache(
-        (rng.standard_normal(shape) * scale).astype(np.float32),
-        (rng.standard_normal(shape) * scale).astype(np.float32),
-        start_pos=0,
-    )
+    # one draw: K's values, then V's
+    kv = rng.standard_normal((2, n_layers, n_heads, n_tokens, d_head)) * scale
+    return KvCache(kv.astype(np.float32), start_pos=0)

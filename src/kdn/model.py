@@ -97,47 +97,48 @@ class ModelConfig:
 
 @dataclass
 class KvCache:
-    """Per-layer, per-head K/V tensors for a token range.
-
-    ``k_pre`` holds keys before rotary rotation; both tensors have layout
-    (layer, head, token, dim) and float32 storage.
+    """A token range's K/V as one float32 array ``kv`` of layout (K or V,
+    layer, head, token, dim).  ``k_pre`` (keys before rotary rotation) and
+    ``v`` are the views ``kv[0]`` and ``kv[1]``; writes through them reach ``kv``.
     """
 
-    k_pre: np.ndarray
-    v: np.ndarray
+    kv: np.ndarray
     start_pos: int = 0
 
     def __post_init__(self) -> None:
-        self.k_pre = np.asarray(self.k_pre, dtype=np.float32)
-        self.v = np.asarray(self.v, dtype=np.float32)
-        if self.k_pre.shape != self.v.shape or self.k_pre.ndim != 4:
-            raise ModelError("k_pre and v must share a (layer, head, token, dim) shape")
+        self.kv = np.asarray(self.kv, dtype=np.float32)
+        if self.kv.ndim != 5 or self.kv.shape[0] != 2:
+            raise ModelError("kv must have a (2, layer, head, token, dim) shape")
+
+    @property
+    def k_pre(self) -> np.ndarray:
+        return self.kv[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.kv[1]
 
     @property
     def n_layers(self) -> int:
-        return self.k_pre.shape[0]
+        return self.kv.shape[1]
 
     @property
     def n_heads(self) -> int:
-        return self.k_pre.shape[1]
+        return self.kv.shape[2]
 
     @property
     def n_tokens(self) -> int:
-        return self.k_pre.shape[2]
+        return self.kv.shape[3]
 
     @property
     def d_head(self) -> int:
-        return self.k_pre.shape[3]
+        return self.kv.shape[4]
 
     def slice_tokens(self, start: int, stop: int) -> "KvCache":
-        return KvCache(
-            self.k_pre[:, :, start:stop].copy(),
-            self.v[:, :, start:stop].copy(),
-            start_pos=self.start_pos + start,
-        )
+        return KvCache(self.kv[..., start:stop, :].copy(), start_pos=self.start_pos + start)
 
     def copy(self) -> "KvCache":
-        return KvCache(self.k_pre.copy(), self.v.copy(), self.start_pos)
+        return KvCache(self.kv.copy(), self.start_pos)
 
 
 def rebase(cache: KvCache, new_start: int) -> KvCache:
@@ -146,7 +147,7 @@ def rebase(cache: KvCache, new_start: int) -> KvCache:
     K is stored pre-rotation, so only the start position changes; positions
     materialize at attention time.
     """
-    return KvCache(cache.k_pre, cache.v, start_pos=int(new_start))
+    return KvCache(cache.kv, start_pos=int(new_start))
 
 
 def concat_caches(caches: list[KvCache], start_pos: int = 0) -> KvCache:
@@ -155,11 +156,7 @@ def concat_caches(caches: list[KvCache], start_pos: int = 0) -> KvCache:
     shapes = {(c.n_layers, c.n_heads, c.d_head) for c in caches}
     if len(shapes) != 1:
         raise ModelError("cache geometries do not match")
-    return KvCache(
-        np.concatenate([c.k_pre for c in caches], axis=2),
-        np.concatenate([c.v for c in caches], axis=2),
-        start_pos=start_pos,
-    )
+    return KvCache(np.concatenate([c.kv for c in caches], axis=3), start_pos=start_pos)
 
 
 @dataclass
@@ -286,9 +283,9 @@ def attend(
     return out[:n_rows]
 
 
-def _project_kv(model: Model, layer: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-rotation (head, row, dim) K and V rows, rounded to cache precision."""
-    return (x @ model.wk[layer]).astype(np.float32), (x @ model.wv[layer]).astype(np.float32)
+def _project_kv(model: Model, layer: int, x: np.ndarray) -> np.ndarray:
+    """Pre-rotation K and V rows as one (K or V, head, row, dim) array, rounded to cache precision."""
+    return np.stack([x @ model.wk[layer], x @ model.wv[layer]], dtype=np.float32)
 
 
 def _check_tokens(model: Model, tokens: list[int]) -> None:
@@ -309,8 +306,7 @@ def prefill(
     """
     _check_tokens(model, tokens)
     cfg = model.config
-    k_pre = np.zeros((cfg.n_layers, cfg.n_heads, len(tokens), cfg.d_head), dtype=np.float32)
-    cache = KvCache(k_pre, np.zeros_like(k_pre), start_pos=start_pos)
+    cache = KvCache(np.zeros((2, cfg.n_layers, cfg.n_heads, len(tokens), cfg.d_head), np.float32), start_pos)
     return cache, _run_layers(model, cache, model.embed[tokens], slice(None), range(cfg.n_layers), rows)
 
 
@@ -331,7 +327,7 @@ def _run_layers(
     q_pos = positions[rows]
     last = model.config.n_layers - 1
     for layer in layers:
-        cache.k_pre[layer][:, rows], cache.v[layer][:, rows] = _project_kv(model, layer, x)
+        cache.kv[:, layer][:, :, rows] = _project_kv(model, layer, x)
         q = read if layer == last else slice(None)
         x = x[q] + attend(model, layer, x[q], q_pos[q], cache.k_pre[layer], cache.v[layer], positions)
     return x
@@ -356,8 +352,8 @@ def extend(
     cfg = model.config
     if cache.n_layers != cfg.n_layers or cache.n_heads != cfg.n_heads or cache.d_head != cfg.d_head:
         raise ModelError("cache geometry does not match the model")
-    pad = np.zeros((cfg.n_layers, cfg.n_heads, len(new_tokens), cfg.d_head), np.float32)
-    out = concat_caches([cache, KvCache(pad, pad)], start_pos=cache.start_pos)
+    pad = KvCache(np.zeros((2, cfg.n_layers, cfg.n_heads, len(new_tokens), cfg.d_head), np.float32))
+    out = concat_caches([cache, pad], start_pos=cache.start_pos)
     x = _run_layers(model, out, model.embed[new_tokens], slice(cache.n_tokens, None), range(cfg.n_layers))
     if prior_states is not None:
         return out, np.concatenate([prior_states, x], axis=0)
@@ -365,16 +361,16 @@ def extend(
 
 
 def save_fixture(path, config: ModelConfig, cache: KvCache, states: np.ndarray) -> None:
-    """Golden-fixture file: "KDNF" header, u16 config fields, f32 tensors."""
+    """Golden-fixture file: "KDNF" header, u16 config fields, then as f32 the
+    cache's ``kv`` (K or V, layer, head, token, dim) and the (token, d_model) states."""
     fields = (config.n_layers, config.n_heads, config.d_head, config.vocab_size, cache.n_tokens, int(cache.start_pos))
     if not all(0 <= f <= 0xFFFF for f in fields):
         raise ModelError(f"fixture header fields {fields} do not all fit in u16")
     header = FIXTURE_MAGIC + struct.pack("<6H", *fields)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(cache.k_pre.astype("<f4").tobytes())
-        f.write(cache.v.astype("<f4").tobytes())
-        f.write(states.astype("<f4").tobytes())
+        f.write(np.ascontiguousarray(cache.kv, "<f4"))
+        f.write(np.ascontiguousarray(states, "<f4"))
 
 
 def load_fixture(path) -> tuple[dict, KvCache, np.ndarray]:
@@ -383,18 +379,13 @@ def load_fixture(path) -> tuple[dict, KvCache, np.ndarray]:
     if data[:4] != FIXTURE_MAGIC:
         raise ModelError("bad fixture magic")
     n_layers, n_heads, d_head, vocab, n_tokens, start_pos = struct.unpack("<6H", data[4:16])
-    kv_count = n_layers * n_heads * n_tokens * d_head
+    kv = np.frombuffer(data, "<f4", 2 * n_layers * n_heads * n_tokens * d_head, 16)
     d_model = n_heads * d_head
-    off = 16
-    k = np.frombuffer(data, "<f4", kv_count, off).reshape(n_layers, n_heads, n_tokens, d_head)
-    off += kv_count * 4
-    v = np.frombuffer(data, "<f4", kv_count, off).reshape(n_layers, n_heads, n_tokens, d_head)
-    off += kv_count * 4
-    states = np.frombuffer(data, "<f4", n_tokens * d_model, off).reshape(n_tokens, d_model)
+    states = np.frombuffer(data, "<f4", n_tokens * d_model, 16 + kv.nbytes).reshape(n_tokens, d_model)
     meta = {
         "n_layers": n_layers,
         "n_heads": n_heads,
         "d_head": d_head,
         "vocab_size": vocab,
     }
-    return meta, KvCache(k.copy(), v.copy(), start_pos=start_pos), states.copy()
+    return meta, KvCache(kv.reshape(2, n_layers, n_heads, n_tokens, d_head).copy(), start_pos), states.copy()

@@ -369,8 +369,10 @@ class Store:
         Chain mode prefills the whole sequence once, at its first missing
         key, and slices the cache per chunk; standalone mode prefills every
         missing chunk independently at position 0.  Re-storing existing keys
-        is a no-op and prefills nothing.  A token outside the model's
-        vocabulary raises ``ModelError`` before any key is made.
+        is a no-op and prefills nothing.  A key whose blob ``get_chunk``
+        refuses counts as missing: its entry is dropped and the chunk
+        recomputed and rewritten, keeping its pin.  A token outside the
+        model's vocabulary raises ``ModelError`` before any key is made.
 
         The document is one group commit: its ``put`` records and the
         ``del`` records of the evictions that made room reach the manifest in
@@ -389,9 +391,10 @@ class Store:
             offset = 0
             for chunk_tokens in self._split_chunks(tokens):
                 key = make_key(model.model_id, mode, parent, chunk_tokens)
-                if key.digest in self.entries:
-                    self._touch(self.entries[key.digest])
-                else:
+                entry = self.entries.get(key.digest)
+                if entry is not None and not self._accepts(key):
+                    self._drop([entry])
+                if key.digest not in self.entries:
                     # the store reads K/V only, so no prefill here computes final states
                     if mode == MODE_STANDALONE:
                         cache = prefill(model, chunk_tokens, rows=[])[0]
@@ -402,11 +405,21 @@ class Store:
                     blob = codec.compress_cache(cache, profile).to_bytes()
                     if self.total_size + len(blob) > self.config.capacity:
                         self.evict_to(self.config.capacity - len(blob))
-                    self._put(key, chunk_tokens, parent, blob, profile, pinned=False, created=time.time())
+                    pinned = entry is not None and entry.pinned
+                    self._put(key, chunk_tokens, parent, blob, profile, pinned=pinned, created=time.time())
                 keys.append(key)
                 parent = key if mode == MODE_CHAIN else None
                 offset += len(chunk_tokens)
         return keys
+
+    def _accepts(self, key: ChunkKey) -> bool:
+        """Whether ``get_chunk`` accepts the blob of the indexed ``key``."""
+        try:
+            self.get_chunk(key)
+        except (StoreError, codec.CodecError, FileNotFoundError) as e:
+            log.warning("chunk %s is damaged and will be rewritten: %s", key.hex[:12], e)
+            return False
+        return True
 
     def lookup(
         self, model_id: int, tokens: list[int], mode: str = MODE_CHAIN
@@ -483,12 +496,17 @@ class Store:
                 break
             victims.append(entry)
             size -= entry.size
+        self._drop(victims)
+        return [e.key for e in victims]
+
+    def _drop(self, entries: list[StoreEntry]) -> None:
+        """Unindex ``entries`` with one ``del`` record each, in the enclosing
+        group commit if there is one; a blob file goes once no entry uses it."""
         with self._group_commit() as (recs, dead):
-            for entry in victims:
+            for entry in entries:
                 recs.append({"op": "del", "key": entry.key.hex})
                 dead.append(entry.file)
                 self._unindex(entry.key.digest)
-        return [e.key for e in victims]
 
     def pin(self, key: ChunkKey, pinned: bool = True) -> None:
         entry = self.entries.get(key.digest)

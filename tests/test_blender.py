@@ -231,7 +231,7 @@ def test_scores_are_bit_equal_to_per_head_accumulation(data, n, n_heads):
     segs = [Segment.from_tokens(m, tokens[:cut]), Segment.from_tokens(m, tokens[cut:])]
     _, _, report = selective_blend(m, segs, 0.0)
     # the fresh first-layer states of the concatenation, as the blend makes them
-    zero_cache = KvCache(np.zeros((2, n_heads, n, 4), np.float32), np.zeros((2, n_heads, n, 4), np.float32))
+    zero_cache = KvCache(np.zeros((2, 2, n_heads, n, 4), np.float32))
     h1 = _run_layers(m, zero_cache, m.embed[tokens], slice(None), range(1))
     stale_v1 = np.concatenate([seg.stale_cache.v[1] for seg in segs], axis=1)
     assert np.array_equal(report.scores, ref_blend_scores(m, h1, stale_v1))

@@ -1,8 +1,15 @@
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdn
 from kdn import blender
 from kdn.cli import main
 from kdn.model import ModelConfig, build_model, load_fixture, prefill, rebase
@@ -49,6 +56,44 @@ def test_token_ids_outside_u32_exit_1(workspace, capsys, command, bad):
     where = ["--host", "127.0.0.1", "--port", "9"] if command == "get" else ["--root", str(workspace / "store")]
     code, _, err = _run(capsys, [command, *where, "--model", MODEL_JSON, "--tokens", str(workspace / "bad.txt")])
     assert code == 1 and err.startswith(f"kdn: token id {bad} out of range") and err.count("\n") == 1
+
+
+def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
+    root = str(workspace / "store")
+    (workspace / "doc.txt").write_text(" ".join(str(i % 32) for i in range(150)))  # chunks of 64, 64, 22
+    (workspace / "query.txt").write_text(" ".join(str(i % 32) for i in range(140)) + " 31 31 31")
+    assert _run(capsys, ["put", "--root", root, "--model", MODEL_JSON, "--tokens", str(workspace / "doc.txt")])[0] == 0
+    get = ["--output", "json", "get", "--model", MODEL_JSON, "--tokens", str(workspace / "query.txt")]
+    code, local, _ = _run(capsys, [*get, "--root", root])
+    assert code == 0
+
+    env = dict(os.environ, PYTHONPATH=str(Path(kdn.__file__).parents[1]))
+    # -X dev: a socket left open at exit prints a ResourceWarning
+    server = subprocess.Popen([sys.executable, "-X", "dev", "-u", "-m", "kdn.cli", "serve", "--root", root, "--port", "0"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 60)
+        line = server.stdout.readline() if ready else ""
+        assert "listening on" in line, line
+        host, port = line.rsplit(" ", 1)[1].strip().rsplit(":", 1)
+        code, remote, _ = _run(capsys, [*get, "--host", host, "--port", port])
+        assert code == 0
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=30) == 0
+        assert "ResourceWarning" not in server.stderr.read()
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=30)
+        server.stdout.close()
+        server.stderr.close()
+
+    def chunks_and_miss(out):
+        rows = json.loads(out[: out.rindex("]") + 1])
+        return len(rows), out[out.index("miss_suffix") :]
+
+    miss = " ".join(str(i % 32) for i in range(128, 140)) + " 31 31 31"
+    assert chunks_and_miss(remote) == chunks_and_miss(local) == (2, f"miss_suffix: 15 tokens -> {miss}\n")
 
 
 def test_serve_missing_root_exits_1(tmp_path, capsys):

@@ -265,7 +265,7 @@ def test_varint_decode_memory_is_linear_in_its_bytes():
     cfg = ModelConfig(n_layers=4, n_heads=4, d_head=16, vocab_size=256)
     tokens = np.random.default_rng(7).integers(0, 256, 1024).tolist()
     q = quantize(prefill(build_model(cfg), tokens)[0], PROFILES["8bit-varint"])
-    data = _varint_encode(np.concatenate([delta_encode(q.k_codes, 16), delta_encode(q.v_codes, 16)]))
+    data = _varint_encode(delta_encode(q.codes, 16))
     tracemalloc.start()
     try:
         values = _varint_decode(data)
@@ -287,13 +287,13 @@ def test_varint_roundtrip(values):
 
 
 def _cache_from(k, v, start_pos=0):
-    return KvCache(np.asarray(k, np.float32), np.asarray(v, np.float32), start_pos)
+    return KvCache(np.asarray([k, v], np.float32), start_pos)
 
 
 def test_quantize_constant_group_is_exact():
     x = np.full((1, 1, 16, 2), 3.25, np.float32)
     q = quantize(_cache_from(x, x), CodecProfile())
-    assert (q.k_codes == 0).all()
+    assert (q.codes == 0).all()
     restored = dequantize(q)
     assert np.array_equal(restored.k_pre, x)
 
@@ -303,9 +303,9 @@ def test_quantize_endpoints_hit_extreme_codes():
     x[0, 0, 0, 0] = 0.0
     x[0, 0, 15, 0] = 1.0
     q8 = quantize(_cache_from(x, x), CodecProfile(quant_bits=8))
-    assert q8.k_codes[0, 0, 0, 0] == 0 and q8.k_codes[0, 0, 15, 0] == 255
+    assert q8.codes[0, 0, 0, 0, 0] == 0 and q8.codes[0, 0, 0, 15, 0] == 255
     q4 = quantize(_cache_from(x, x), CodecProfile(quant_bits=4))
-    assert q4.k_codes[0, 0, 15, 0] == 15
+    assert q4.codes[0, 0, 0, 15, 0] == 15
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,8 +316,8 @@ def test_quantize_error_bound(seed, bits):
     q = quantize(cache, profile)
     restored = dequantize(q)
     for orig, rest, scale in (
-        (cache.k_pre, restored.k_pre, q.k_scale),
-        (cache.v, restored.v, q.v_scale),
+        (cache.k_pre, restored.k_pre, q.scale[0]),
+        (cache.v, restored.v, q.scale[1]),
     ):
         err = np.abs(orig.astype(np.float64) - rest.astype(np.float64))
         # per-group bound: |err| <= scale/2 (+ f32 grid rounding slack)
@@ -342,8 +342,7 @@ def test_quantize_matches_per_group_reference(seed, bits, t, group_size, n_const
     profile = CodecProfile(quant_bits=bits, group_size=group_size)
     q = quantize(cache, profile)
     restored = dequantize(q)
-    for x, codes, scale, zero, out in ((cache.k_pre, q.k_codes, q.k_scale, q.k_zero, restored.k_pre),
-                                       (cache.v, q.v_codes, q.v_scale, q.v_zero, restored.v)):
+    for x, codes, scale, zero, out in zip(cache.kv, q.codes, q.scale, q.zero, restored.kv):
         want = ref_quantize_tensor(x, bits, group_size)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip((codes, scale, zero), want))
         assert out.dtype == np.float32
@@ -450,20 +449,20 @@ def test_byte_delta_decode_matches_reference(seed, shape, stride):
 )
 def test_lossless_roundtrip_signed(values, lid):
     arr = np.array(values, dtype=np.int64)
-    assert list(lossless_decode(lossless_encode(arr, lid), lid)) == values
+    assert list(lossless_decode(lossless_encode(arr, lid), lid, len(values))) == values
 
 
 @settings(max_examples=30, deadline=None)
 @given(values=st.lists(st.integers(0, 255), max_size=128), lid=st.sampled_from([LOSSLESS_RAW, LOSSLESS_BYTE_DEFLATE]))
 def test_lossless_roundtrip_bytes(values, lid):
     arr = np.array(values, dtype=np.int64)
-    assert list(lossless_decode(lossless_encode(arr, lid), lid)) == values
+    assert list(lossless_decode(lossless_encode(arr, lid), lid, len(values))) == values
 
 
 def test_byte_containers_decode_to_uint8():
     # ids 0 and 3 carry one byte a value and hand back the bytes as decoded
     for lid in (LOSSLESS_RAW, LOSSLESS_BYTE_DEFLATE):
-        assert lossless_decode(lossless_encode(np.arange(3), lid), lid).dtype == np.uint8
+        assert lossless_decode(lossless_encode(np.arange(3), lid), lid, 3).dtype == np.uint8
 
 
 def test_raw_rejects_signed():
@@ -474,10 +473,10 @@ def test_raw_rejects_signed():
 @pytest.mark.parametrize("lid", [LOSSLESS_VARINT_DEFLATE, LOSSLESS_BYTE_DEFLATE])
 def test_deflate_decode_rejects_garbage(lid):
     with pytest.raises(DecodeError):
-        lossless_decode(b"not deflate", lid)
+        lossless_decode(b"not deflate", lid, 100)
     truncated = lossless_encode(np.arange(100), lid)[:-5]
     with pytest.raises(DecodeError):
-        lossless_decode(truncated, lid)
+        lossless_decode(truncated, lid, 100)
 
 
 def test_deflate_cap_is_two_bytes_per_value():
@@ -624,6 +623,24 @@ def _with_sections(chunk, params=None, codes=None):
     return CompressedChunk.from_bytes(replaced.to_bytes())
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("short", "payload shorter than section lengths"),
+    ("params+1", "payload section lengths inconsistent"),
+    ("codes-1", "payload section lengths inconsistent"),
+])
+def test_section_lengths_must_frame_the_payload(damage, message):
+    chunk = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), PROFILES["8bit-deflate"])
+    params_len, codes_len = struct.unpack_from("<II", chunk.payload)
+    payload = {
+        "short": chunk.payload[:7],
+        "params+1": struct.pack("<II", params_len + 1, codes_len) + chunk.payload[8:],
+        "codes-1": struct.pack("<II", params_len, codes_len - 1) + chunk.payload[8:],
+    }[damage]
+    bad = CompressedChunk.from_bytes(dataclasses.replace(chunk, payload=payload, crc=crc32c(payload)).to_bytes())
+    with pytest.raises(DecodeError, match=message):
+        decompress_cache(bad)
+
+
 def test_overlong_varint_in_crc_valid_chunk():
     chunk = compress_cache(fixtures.random_cache(n_tokens=4, seed=2), PROFILES["8bit-varint"])
     with pytest.raises(DecodeError):
@@ -667,8 +684,7 @@ def test_byte_deflate_code_section_must_inflate_to_one_byte_per_value(extra):
         # all-zero deltas: every code is 0, so every value is its group's zero point
         restored = decompress_cache(bad)
         q = quantize(cache, PROFILES["8bit-deflate"])
-        assert np.array_equal(restored.k_pre, np.repeat(q.k_zero, 8, axis=2))
-        assert np.array_equal(restored.v, np.repeat(q.v_zero, 8, axis=2))
+        assert np.array_equal(restored.kv, np.repeat(q.zero, 8, axis=-2))
 
 
 @pytest.mark.parametrize("extra", [-4, -1, 1, 4])
@@ -688,7 +704,7 @@ def test_byte_deflate_params_are_byte_planed():
     params_len, _ = struct.unpack_from("<II", chunk.payload)
     planes = np.frombuffer(zlib.decompress(chunk.payload[8 : 8 + params_len]), np.uint8).reshape(4, -1)
     q = quantize(cache, PROFILES["8bit-deflate"])
-    floats = np.concatenate([a.reshape(-1) for a in (q.k_scale, q.k_zero, q.v_scale, q.v_zero)]).astype("<f4")
+    floats = np.concatenate([a.reshape(-1) for a in (q.scale[0], q.zero[0], q.scale[1], q.zero[1])]).astype("<f4")
     assert np.array_equal(planes.T.copy().view("<f4").reshape(-1), floats)
 
 

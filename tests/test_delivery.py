@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 import struct
 import time
@@ -423,6 +424,33 @@ def test_tcp_fetch_refuses_a_header_rewritten_at_rest(store, model):
         with pytest.raises(FetchError, match="server error"):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
         with pytest.raises(FetchError, match="server error"):
+            client.fetch_keys(keys[1:])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("damage", ["short", "inconsistent"])
+def test_tcp_fetch_refuses_a_chunk_whose_sections_do_not_frame_its_payload(store, model, damage):
+    # crc-valid, and its header agrees with the manifest, so the server serves
+    # it; the client's decode refuses it, and again on the retry
+    tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    keys, _ = store.lookup(model.model_id, tokens)
+    path = store.blob_dir / store.entries[keys[1].digest].file
+    chunk = codec.CompressedChunk.from_bytes(path.read_bytes())
+    params_len, codes_len = struct.unpack_from("<II", chunk.payload)
+    if damage == "short":
+        payload = chunk.payload[:7]
+    else:
+        payload = struct.pack("<II", params_len, codes_len + 1) + chunk.payload[8:]
+    path.write_bytes(dataclasses.replace(chunk, payload=payload, crc=codec.crc32c(payload)).to_bytes())
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        with pytest.raises(FetchError, match="section lengths"):
+            client.fetch(model.model_id, MODE_CHAIN, tokens)
+        with pytest.raises(FetchError, match="section lengths"):
             client.fetch_keys(keys[1:])
     finally:
         server.shutdown()

@@ -375,7 +375,17 @@ def test_slice_and_concat_roundtrip(model):
 
 def test_cache_shape_validation():
     with pytest.raises(ModelError):
-        KvCache(np.zeros((2, 2, 3, 4), np.float32), np.zeros((2, 2, 4, 4), np.float32))
+        KvCache(np.zeros((2, 2, 3, 4), np.float32))
+    with pytest.raises(ModelError):
+        KvCache(np.zeros((3, 2, 2, 3, 4), np.float32))
+
+
+def test_k_pre_and_v_are_writable_views_of_kv():
+    cache = KvCache(np.zeros((2, 2, 2, 3, 4), np.float32))
+    cache.v[0, 0, 1] += 1.0
+    cache.k_pre[1, 1, 2, 0] = 5.0
+    assert cache.kv[1, 0, 0, 1].tolist() == [1.0] * 4 and cache.kv[0, 1, 1, 2, 0] == 5.0
+    assert cache.kv.sum() == 9.0
 
 
 def test_fixture_roundtrip(tmp_path, model):
@@ -388,6 +398,9 @@ def test_fixture_roundtrip(tmp_path, model):
     assert np.array_equal(cache2.k_pre, cache.k_pre)
     assert np.array_equal(cache2.v, cache.v)
     np.testing.assert_allclose(states2, states, atol=1e-6)  # f32 storage
+    # after the 16-byte header: K, then V, then the states, little-endian f32
+    body = cache.k_pre.astype("<f4").tobytes() + cache.v.astype("<f4").tobytes() + states.astype("<f4").tobytes()
+    assert path.read_bytes()[16:] == body
 
 
 def test_fixture_header_overflow_is_model_error(tmp_path, model):

@@ -223,6 +223,33 @@ def test_a_header_that_disagrees_with_its_entry_is_a_store_error(tmp_path, model
     assert st.get_chunk(keys[0]).n_tokens == 8
 
 
+@pytest.mark.parametrize("damage", ["anchor-stride", "payload-byte", "missing"])
+@pytest.mark.parametrize("mode", [MODE_CHAIN, MODE_STANDALONE])
+def test_a_re_put_rewrites_a_damaged_blob(tmp_path, model, damage, mode):
+    st = _store(tmp_path)
+    tokens = list(range(24))
+    keys = st.store_text(model, tokens, mode=mode)
+    want = [codec.decompress_cache(st.get_chunk(k)) for k in keys]
+    st.pin(keys[1])
+    path = st.blob_dir / st.entries[keys[1].digest].file
+    blob = bytearray(path.read_bytes())
+    if damage == "anchor-stride":
+        struct.pack_into("<H", blob, 8, 8)  # 16 -> 8, outside the crc
+    elif damage == "payload-byte":
+        blob[50] ^= 0xFF  # the header is 45 bytes
+    path.write_bytes(bytes(blob))
+    if damage == "missing":
+        path.unlink()
+    with pytest.raises((StoreError, codec.CodecError, FileNotFoundError)):
+        st.get_chunk(keys[1])
+    assert st.store_text(model, tokens, mode=mode) == keys
+    for reopened in (st, _store(tmp_path)):
+        got = [codec.decompress_cache(reopened.get_chunk(k)) for k in keys]
+        assert all(np.array_equal(g.k_pre, w.k_pre) and np.array_equal(g.v, w.v) for g, w in zip(got, want))
+        assert reopened.entries[keys[1].digest].pinned
+        assert sorted(p.name for p in reopened.blob_dir.iterdir()) == sorted(e.file for e in reopened.entries.values())
+
+
 @pytest.mark.parametrize("n_layers", [1, 3])
 @pytest.mark.parametrize("mode", [MODE_CHAIN, MODE_STANDALONE])
 def test_store_text_blobs_are_compressed_prefill_slices(tmp_path, n_layers, mode):
@@ -650,8 +677,8 @@ def test_apply_edit_scales_v_rows(tmp_path, model):
     after = codec.decompress_cache(st.get_chunk(key))
     # K untouched; edited V rows doubled (up to requantization), others kept
     assert np.array_equal(
-        codec.quantize(before, codec.CodecProfile()).k_codes,
-        codec.quantize(after, codec.CodecProfile()).k_codes,
+        codec.quantize(before, codec.CodecProfile()).codes[0],
+        codec.quantize(after, codec.CodecProfile()).codes[0],
     )
     scale = np.abs(before.v[:, :, [1, 3]]).max()
     np.testing.assert_allclose(
