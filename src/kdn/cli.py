@@ -213,12 +213,27 @@ def cmd_bench_codec(args) -> int:
     return 0
 
 
-def _load_params(path: str) -> tuple[costmodel.CostParams, dict]:
+def _load_doc(path: str, read):
+    """``read(doc)`` of the JSON params file at ``path``; any failure is one ``bad params file`` error."""
     try:
-        doc = json.loads(Path(path).read_text())
-        return costmodel.CostParams.from_dict(doc), doc
-    except (OSError, json.JSONDecodeError, KeyError, costmodel.CostModelError) as e:
+        return read(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise CliError(f"bad params file: {e}") from e
+
+
+def _load_params(path: str) -> tuple[costmodel.CostParams, dict]:
+    return _load_doc(path, lambda doc: (costmodel.CostParams.from_dict(doc), doc))
+
+
+def _measured_rows(doc: dict) -> dict[str, costmodel.SystemMeasurement]:
+    """The params file's ``measured`` rows, if it has them, else the published ones."""
+    given = doc.get("measured")
+    if given is None:
+        return costmodel.PUBLISHED_MEASUREMENTS
+    return {
+        name: costmodel.SystemMeasurement(float(m["inject_time"]), float(m["cost"]), float(m["delay"]))
+        for name, m in given.items()
+    }
 
 
 def _conventions(args) -> costmodel.Conventions:
@@ -226,16 +241,7 @@ def _conventions(args) -> costmodel.Conventions:
 
 
 def cmd_cost_report(args) -> int:
-    measured = costmodel.PUBLISHED_MEASUREMENTS
-    if args.params:
-        _, doc = _load_params(args.params)
-        if "measured" in doc:
-            measured = {
-                name: costmodel.SystemMeasurement(
-                    inject_time=float(m["inject_time"]), cost=float(m["cost"]), delay=float(m["delay"])
-                )
-                for name, m in doc["measured"].items()
-            }
+    measured = _load_doc(args.params, _measured_rows) if args.params else costmodel.PUBLISHED_MEASUREMENTS
     report = costmodel.comparison_report(measured)
     rows = [
         [name, m.inject_time, m.cost, m.delay]
@@ -370,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         pc = cost_sub.add_parser(name)
         pc.add_argument("--params", required=(name != "report"))
-        pc.add_argument("--no-tq", action="store_true", help="drop T_Q from gpu and delay")
-        pc.add_argument("--paper-delay", action="store_true", help="use the published KV delay row")
+        if name != "report":
+            pc.add_argument("--no-tq", action="store_true", help="drop T_Q from gpu and delay")
+            pc.add_argument("--paper-delay", action="store_true", help="use the published KV delay row")
         if name == "sweep":
             pc.add_argument("--sweep", default="r1=0:1:0.01")
             pc.add_argument("--objective", choices=["money", "delay"], default="money")

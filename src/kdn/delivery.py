@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import codec
-from .model import KvCache, rebase
+from .model import KvCache
 from .store import MODE_CHAIN, MODE_STANDALONE, ChunkKey, Store
 
 log = logging.getLogger(__name__)
@@ -311,12 +311,13 @@ class Client:
             raise FetchError("connection closed before END")
 
     def fetch(self, model_id: int, mode: str, tokens: list[int]) -> tuple[list[KvCache], list[int]]:
-        """Retrieve-by-text: decode, crc-check, decompress and re-base.
+        """Retrieve-by-text: decode, crc-check and decompress.
 
         Each CHUNK frame's crc is checked against the one derived from its
         chunk header; then the chunk crc check reads the payload once, and
-        vouches for the frame crc too.  Chain chunks are re-based to
-        consecutive positions.
+        vouches for the frame crc too.  The chunk crc does not cover the
+        header's ``start_pos``, so a chain chunk not at its running offset is
+        refused as corrupt.
         """
         return self._fetch(encode_token_request(model_id, mode, tokens), mode)
 
@@ -342,11 +343,10 @@ def _assemble(frames: list[Frame], mode: str) -> tuple[list[KvCache], list[int]]
     for frame in frames:
         if frame.frame_type == CHUNK:
             chunk = codec.CompressedChunk.from_bytes(frame.payload)
-            cache = codec.decompress_cache(chunk)
-            if mode == MODE_CHAIN:
-                cache = rebase(cache, offset)
-                offset += cache.n_tokens
-            caches.append(cache)
+            if mode == MODE_CHAIN and chunk.start_pos != offset:
+                raise codec.DecodeError(f"chain chunk at position {chunk.start_pos}, expected {offset}")
+            offset += chunk.n_tokens
+            caches.append(codec.decompress_cache(chunk))
         elif frame.frame_type == END:
             miss = _decode_token_list(frame.payload, 0)
         elif frame.frame_type == ERR:

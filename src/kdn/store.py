@@ -13,9 +13,10 @@ import hashlib
 import json
 import logging
 import os
+import re
 import struct
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,7 +99,6 @@ class StoreEntry:
     codec_profile: codec.CodecProfile
     pinned: bool = False
     created: float = 0.0
-    last_access: int = 0
 
 
 @dataclass
@@ -145,11 +145,10 @@ class Store:
         self.root = Path(config.root)
         self.blob_dir = self.root / "blobs"
         self.manifest_path = self.root / "manifest.jsonl"
-        self.entries: dict[bytes, StoreEntry] = {}
+        self.entries: OrderedDict[bytes, StoreEntry] = OrderedDict()  # LRU first; reads reorder it, so iterate a list() copy
         self._total_size = 0  # sum of entry sizes, kept by _index/_unindex
         self._file_refs: Counter[str] = Counter()  # live entries per blob file
-        self._clock = 0
-        self._group: tuple[list[dict], list[str]] | None = None  # the open group commit's records and dead files
+        self._group: tuple[list[dict], list[str]] | None = None  # the open group commit's records and the blob files they freed
         self._crash_hook = None  # test hook at each crash point: after a blob write, after a commit's append
         self._recover()
 
@@ -166,7 +165,8 @@ class Store:
                         continue
                     try:
                         self._replay(json.loads(line))
-                    except (ValueError, KeyError, StoreError) as e:
+                    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                            RecursionError, StoreError) as e:
                         log.warning("manifest line %d skipped: %s", lineno, e)
         # entries whose blob vanished are dropped; blobs without entries are orphans
         for digest, entry in list(self.entries.items()):
@@ -180,6 +180,8 @@ class Store:
                 blob.unlink()
 
     def _replay(self, rec: dict) -> None:
+        """Apply one manifest record to the index: reopening replays every
+        line, and ``_record`` each new one."""
         op = rec.get("op", "put")
         if op == "del":
             self._unindex(bytes.fromhex(rec["key"]))
@@ -189,11 +191,12 @@ class Store:
             if digest in self.entries:
                 self.entries[digest].pinned = bool(rec["pinned"])
             return
+        if not re.fullmatch("[0-9a-f]{64}", rec["file"]):
+            raise StoreError(f"blob name {rec['file']!r} is not a digest")
         key = ChunkKey(bytes.fromhex(rec["key"]), rec["mode"])
         parent = None
         if rec.get("parent"):
             parent = ChunkKey(bytes.fromhex(rec["parent"]), rec["mode"])
-        self._clock += 1
         entry = StoreEntry(
             key=key,
             tokens=[int(t) for t in rec["tokens"]],
@@ -203,7 +206,6 @@ class Store:
             codec_profile=codec.CodecProfile.from_dict(rec["codec"]),
             pinned=bool(rec.get("pinned", False)),
             created=float(rec.get("created", 0.0)),
-            last_access=self._clock,
         )
         self._index(entry)
 
@@ -214,55 +216,49 @@ class Store:
         return self._total_size
 
     def _index(self, entry: StoreEntry) -> None:
-        """Put ``entry`` under its key, replacing any entry there."""
+        """Put ``entry`` under its key, replacing any entry there, as the most
+        recently used."""
         self._unindex(entry.key.digest)
         self.entries[entry.key.digest] = entry
         self._total_size += entry.size
         self._file_refs[entry.file] += 1
 
     def _unindex(self, digest: bytes) -> None:
-        """Drop the entry under ``digest``, if any; its blob file stays on disk."""
+        """Drop the entry under ``digest``, if any.  Its blob file stays on
+        disk; an open group commit unlinks it if this was its last entry."""
         entry = self.entries.pop(digest, None)
         if entry is not None:
             self._total_size -= entry.size
             self._file_refs[entry.file] -= 1
             if not self._file_refs[entry.file]:
                 del self._file_refs[entry.file]
+                if self._group is not None:
+                    self._group[1].append(entry.file)
 
-    def _touch(self, entry: StoreEntry) -> None:
-        self._clock += 1
-        entry.last_access = self._clock
-
-    def _append_manifest(self, *recs: dict) -> None:
-        """Append one JSON line per record, in one write with one fsync.
-
-        The append that creates the manifest fsyncs the root directory too.
-        """
-        created = not self.manifest_path.exists()
-        with open(self.manifest_path, "a", encoding="utf-8") as f:
-            f.write("".join(json.dumps(rec) + "\n" for rec in recs))
-            f.flush()
-            os.fsync(f.fileno())
-        if created:
-            _fsync_dir(self.root)
+    def _record(self, rec: dict) -> None:
+        """Apply ``rec`` to the index with ``_replay`` and commit it with the
+        enclosing group commit, or with one of its own."""
+        with self._group_commit():
+            self._replay(rec)
+            self._group[0].append(rec)
 
     @contextmanager
     def _group_commit(self):
-        """Collect the manifest records of the puts and evictions in the block,
-        and the blob files they free, for one ``_commit`` at its end.
+        """Collect the manifest records made in the block, and the blob files
+        they free, for one ``_commit`` at its end.
 
         A block inside another joins the outer one.  A ``CapacityError``
         commits the records made before it, then propagates; any other error
-        commits nothing and restores the index, and the blobs written become
-        orphans.
+        commits nothing and restores the index, recency included, and the
+        blobs written become orphans.
         """
         if self._group is not None:
-            yield self._group
+            yield
             return
         recs, dead = self._group = ([], [])
-        saved = dict(self.entries), self._total_size, self._file_refs.copy()
+        saved = self.entries.copy(), self._total_size, self._file_refs.copy()
         try:
-            yield recs, dead
+            yield
         except CapacityError:
             self._commit(recs, dead)
             raise
@@ -274,21 +270,29 @@ class Store:
         self._commit(recs, dead)
 
     def _commit(self, recs: list[dict], dead: list[str]) -> None:
-        """Append ``recs`` with one manifest fsync, then unlink the ``dead``
-        blob files that no live entry uses any more.
+        """Append one JSON line per record in one write with one fsync, then
+        unlink the ``dead`` blob files that no live entry uses any more.
 
         When a record puts a blob, ``blobs/`` is fsynced first, so a durable
         manifest line never names a blob whose rename a power loss could undo.
+        The append that creates the manifest fsyncs the root directory too.
         """
         if not recs:
             return
         if any("file" in rec for rec in recs):
             _fsync_dir(self.blob_dir)
-        self._append_manifest(*recs)
+        created = not self.manifest_path.exists()
+        with open(self.manifest_path, "a", encoding="utf-8") as f:
+            f.write("".join(json.dumps(rec) + "\n" for rec in recs))
+            f.flush()
+            os.fsync(f.fileno())
+        if created:
+            _fsync_dir(self.root)
         if self._crash_hook is not None:
             self._crash_hook()
         for fname in dead:
-            self._maybe_delete_blob(fname)
+            if fname not in self._file_refs:
+                (self.blob_dir / fname).unlink(missing_ok=True)
 
     # -- blob IO -----------------------------------------------------------
 
@@ -306,10 +310,6 @@ class Store:
             self._crash_hook()
         return name
 
-    def _maybe_delete_blob(self, fname: str) -> None:
-        if fname not in self._file_refs:
-            (self.blob_dir / fname).unlink(missing_ok=True)
-
     def read_blob(self, key: ChunkKey) -> bytes:
         """The chunk's bytes as stored; refreshes its LRU position.  The chunk
         crc covers only the payload, so the header, read here without the
@@ -317,7 +317,7 @@ class Store:
         entry = self.entries.get(key.digest)
         if entry is None:
             raise StoreError(f"key {key.hex[:12]} not in store")
-        self._touch(entry)
+        self.entries.move_to_end(key.digest)
         blob = (self.blob_dir / entry.file).read_bytes()
         try:
             profile, _, _, _, n_tokens, *_ = codec._unpack_header(blob)
@@ -341,21 +341,17 @@ class Store:
              blob: bytes, profile: codec.CodecProfile, pinned: bool, created: float) -> None:
         """Write ``blob`` and index ``key`` on it, committing the put record
         with the enclosing group commit, if any."""
-        fname = self._write_blob(blob)
-        rec = {
+        self._record({
             "key": key.hex,
             "mode": key.mode,
-            "file": fname,
+            "file": self._write_blob(blob),
             "tokens": tokens,
             "parent": parent.hex if parent else None,
             "codec": profile.to_dict(),
             "size": len(blob),
             "pinned": pinned,
             "created": created,
-        }
-        with self._group_commit() as (recs, _):
-            recs.append(rec)
-            self._replay(rec)
+        })
 
     def store_text(
         self,
@@ -393,7 +389,7 @@ class Store:
                 key = make_key(model.model_id, mode, parent, chunk_tokens)
                 entry = self.entries.get(key.digest)
                 if entry is not None and not self._accepts(key):
-                    self._drop([entry])
+                    self._record({"op": "del", "key": key.hex})
                 if key.digest not in self.entries:
                     # the store reads K/V only, so no prefill here computes final states
                     if mode == MODE_STANDALONE:
@@ -413,9 +409,9 @@ class Store:
         return keys
 
     def _accepts(self, key: ChunkKey) -> bool:
-        """Whether ``get_chunk`` accepts the blob of the indexed ``key``."""
+        """Whether the blob of the indexed ``key`` is read and decoded whole."""
         try:
-            self.get_chunk(key)
+            codec.decompress_cache(self.get_chunk(key))
         except (StoreError, codec.CodecError, FileNotFoundError) as e:
             log.warning("chunk %s is damaged and will be rewritten: %s", key.hex[:12], e)
             return False
@@ -486,34 +482,28 @@ class Store:
         """
         if self.total_size <= capacity:
             return []
-        pinned_bytes = sum(e.size for e in self.entries.values() if e.pinned)
+        # one call copies the order, so no concurrent read moves an entry mid-walk
+        snapshot = list(self.entries.values())
+        pinned_bytes = sum(e.size for e in snapshot if e.pinned)
         if pinned_bytes > capacity:
             raise CapacityError(f"cannot reach {capacity} bytes: {pinned_bytes} bytes pinned")
-        victims: list[StoreEntry] = []
+        victims: list[ChunkKey] = []
         size = self.total_size
-        for entry in sorted((e for e in self.entries.values() if not e.pinned), key=lambda e: e.last_access):
+        for entry in snapshot:
             if size <= capacity:
                 break
-            victims.append(entry)
-            size -= entry.size
-        self._drop(victims)
-        return [e.key for e in victims]
-
-    def _drop(self, entries: list[StoreEntry]) -> None:
-        """Unindex ``entries`` with one ``del`` record each, in the enclosing
-        group commit if there is one; a blob file goes once no entry uses it."""
-        with self._group_commit() as (recs, dead):
-            for entry in entries:
-                recs.append({"op": "del", "key": entry.key.hex})
-                dead.append(entry.file)
-                self._unindex(entry.key.digest)
+            if not entry.pinned:
+                victims.append(entry.key)
+                size -= entry.size
+        with self._group_commit():
+            for key in victims:
+                self._record({"op": "del", "key": key.hex})
+        return victims
 
     def pin(self, key: ChunkKey, pinned: bool = True) -> None:
-        entry = self.entries.get(key.digest)
-        if entry is None:
+        if key.digest not in self.entries:
             raise StoreError(f"key {key.hex[:12]} not in store")
-        entry.pinned = pinned
-        self._append_manifest({"op": "pin", "key": key.hex, "pinned": pinned})
+        self._record({"op": "pin", "key": key.hex, "pinned": pinned})
 
     # -- offline editing -----------------------------------------------------
 
@@ -532,10 +522,8 @@ class Store:
         cache = codec.decompress_cache(chunk)
         edited = transform(cache, params)
         blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
-        with self._group_commit() as (_, dead):
-            self._put(key, entry.tokens, entry.parent, blob, entry.codec_profile,
-                      pinned=entry.pinned, created=entry.created)
-            dead.append(entry.file)
+        self._put(key, entry.tokens, entry.parent, blob, entry.codec_profile,
+                  pinned=entry.pinned, created=entry.created)
 
 
 def open_store(config: StoreConfig) -> Store:

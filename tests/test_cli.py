@@ -12,6 +12,7 @@ import pytest
 import kdn
 from kdn import blender
 from kdn.cli import main
+from kdn.costmodel import PUBLISHED_MEASUREMENTS
 from kdn.model import ModelConfig, build_model, load_fixture, prefill, rebase
 
 MODEL_JSON = json.dumps({"n_layers": 2, "n_heads": 2, "d_head": 4, "vocab_size": 32})
@@ -258,6 +259,52 @@ def _params_doc():
         "S_model": 5e9, "S_kv": 2e9, "S_text": 4e4,
         "T_prefill": 8, "T_Q": 0.4, "T_finetune": 900, "B": 1e10,
     }
+
+
+def _measured_doc(**kdn_row):
+    rows = {name: vars(m) for name, m in PUBLISHED_MEASUREMENTS.items()}
+    return {"measured": {**rows, "KDN": {**rows["KDN"], **kdn_row}}}
+
+
+def test_cost_report_reads_only_measured_rows(workspace, capsys):
+    p = workspace / "params.json"
+    p.write_text(json.dumps(_measured_doc(cost=0.0149 / 2)))
+    code, out, _ = _run(capsys, ["cost", "report", "--params", str(p)])
+    assert code == 0
+    assert "cost ratio   (IC/KDN): 2.00x" in out
+    assert "delay ratio  (IC/KDN): 3.67x" in out
+
+
+@pytest.mark.parametrize("doc", [
+    # beside every CostParams field, which the report does not read
+    {**_params_doc(), "measured": {"FT": {"inject_time": 1, "cost": 1}}},
+    {**_params_doc(), "measured": [1, 2]},
+    {**_params_doc(), "measured": {"FT": [1, 2, 3]}},
+    {**_params_doc(), **_measured_doc(cost="cheap")},
+    [1, 2],
+], ids=["row-missing-a-key", "measured-list", "row-list", "row-not-a-number", "doc-list"])
+def test_cost_report_bad_measured_is_one_line_exit_1(workspace, capsys, doc):
+    p = workspace / "params.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["cost", "report", "--params", str(p)])
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: bad params file:") and err.count("\n") == 1
+
+
+def test_cost_sweep_params_file_not_an_object_is_one_line_exit_1(workspace, capsys):
+    # sweep and report share one params loader, so they fail the same way
+    p = workspace / "params.json"
+    p.write_text("[1, 2]")
+    code, out, err = _run(capsys, ["cost", "sweep", "--params", str(p)])
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: bad params file:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--no-tq", "--paper-delay"])
+def test_cost_report_takes_no_convention_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "report", flag])
+    assert exc.value.code == 2
 
 
 def test_cost_sweep(workspace, capsys):

@@ -57,7 +57,7 @@ def store(tmp_path, model):
 @pytest.fixture(scope="module")
 def fuzz_store(tmp_path_factory, model):
     # module-scoped so hypothesis can reuse it across generated examples;
-    # request handling only touches LRU clocks, never the stored data
+    # request handling only reorders the LRU index, never the stored data
     st = open_store(StoreConfig(root=tmp_path_factory.mktemp("fuzz") / "store", chunk_size=8))
     st.store_text(model, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], mode=MODE_CHAIN)
     return st
@@ -425,6 +425,29 @@ def test_tcp_fetch_refuses_a_header_rewritten_at_rest(store, model):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
         with pytest.raises(FetchError, match="server error"):
             client.fetch_keys(keys[1:])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_fetch_refuses_a_chain_chunk_whose_start_pos_was_rewritten_at_rest(store, model):
+    # start_pos is outside the chunk crc and the manifest entry does not
+    # record it, so the server serves the chunk; the client checks it against
+    # the chain's running offset, refuses it as corrupt, and again on the retry
+    tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    keys, _ = store.lookup(model.model_id, tokens)
+    path = store.blob_dir / store.entries[keys[1].digest].file
+    chunk = codec.CompressedChunk.from_bytes(path.read_bytes())
+    assert chunk.start_pos == 8
+    path.write_bytes(dataclasses.replace(chunk, start_pos=100).to_bytes())
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        with pytest.raises(FetchError, match="chain chunk at position 100, expected 8"):
+            client.fetch(model.model_id, MODE_CHAIN, tokens)
+        caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens[:8])
+        assert [c.start_pos for c in caches] == [0] and miss == []
     finally:
         server.shutdown()
         server.server_close()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -223,7 +224,7 @@ def test_a_header_that_disagrees_with_its_entry_is_a_store_error(tmp_path, model
     assert st.get_chunk(keys[0]).n_tokens == 8
 
 
-@pytest.mark.parametrize("damage", ["anchor-stride", "payload-byte", "missing"])
+@pytest.mark.parametrize("damage", ["anchor-stride", "payload-byte", "codes-len", "missing"])
 @pytest.mark.parametrize("mode", [MODE_CHAIN, MODE_STANDALONE])
 def test_a_re_put_rewrites_a_damaged_blob(tmp_path, model, damage, mode):
     st = _store(tmp_path)
@@ -237,11 +238,16 @@ def test_a_re_put_rewrites_a_damaged_blob(tmp_path, model, damage, mode):
         struct.pack_into("<H", blob, 8, 8)  # 16 -> 8, outside the crc
     elif damage == "payload-byte":
         blob[50] ^= 0xFF  # the header is 45 bytes
+    elif damage == "codes-len":  # crc-valid, and get_chunk accepts it, but it does not decode
+        chunk = codec.CompressedChunk.from_bytes(bytes(blob))
+        params_len, codes_len = struct.unpack_from("<II", chunk.payload)
+        payload = struct.pack("<II", params_len, codes_len + 1) + chunk.payload[8:]
+        blob = dataclasses.replace(chunk, payload=payload, crc=codec.crc32c(payload)).to_bytes()
     path.write_bytes(bytes(blob))
     if damage == "missing":
         path.unlink()
     with pytest.raises((StoreError, codec.CodecError, FileNotFoundError)):
-        st.get_chunk(keys[1])
+        codec.decompress_cache(st.get_chunk(keys[1]))
     assert st.store_text(model, tokens, mode=mode) == keys
     for reopened in (st, _store(tmp_path)):
         got = [codec.decompress_cache(reopened.get_chunk(k)) for k in keys]
@@ -529,6 +535,7 @@ def _check_accounting(store):
 _DOCS = [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 9], [7, 8, 9, 10], [5, 6]]
 _STORE_OPS = st.one_of(
     st.tuples(st.just("put"), st.sampled_from([MODE_CHAIN, MODE_STANDALONE]), st.integers(0, len(_DOCS) - 1)),
+    st.tuples(st.just("get"), st.integers(0, 20)),
     st.tuples(st.just("pin"), st.integers(0, 20), st.booleans()),
     st.tuples(st.just("edit"), st.integers(0, 20), st.sampled_from([0.5, 1.0, 2.0])),
     st.tuples(st.just("evict"), st.integers(0, 4)),
@@ -536,40 +543,116 @@ _STORE_OPS = st.one_of(
 )
 
 
+class _LruModel:
+    """The index a store should hold, least recently used first: a put or a
+    read moves a key to the end, and a del removes it.  Reopening forgets the
+    reads, so the order falls back to that of the last puts."""
+
+    def __init__(self, capacity, fresh_sizes):
+        self.capacity, self.fresh_sizes = capacity, fresh_sizes
+        self.order: list[ChunkKey] = []
+        self.size, self.pinned, self.put_at = {}, {}, {}
+        self.puts = 0
+
+    def read(self, key):
+        self.order.remove(key)
+        self.order.append(key)
+
+    def put(self, key, size):
+        if key in self.order:
+            self.order.remove(key)
+        self.order.append(key)
+        self.size[key] = size
+        self.puts += 1
+        self.put_at[key] = self.puts
+
+    def evict_to(self, capacity):
+        total = sum(self.size[k] for k in self.order)
+        if total <= capacity:
+            return []
+        if sum(self.size[k] for k in self.order if self.pinned[k]) > capacity:
+            raise CapacityError
+        victims = []
+        for key in self.order:
+            if total <= capacity:
+                break
+            if not self.pinned[key]:
+                victims.append(key)
+                total -= self.size[key]
+        self.order = [k for k in self.order if k not in victims]
+        return victims
+
+    def store_text(self, keys):
+        for key in keys:
+            if key in self.order:
+                self.read(key)
+                continue
+            size = self.fresh_sizes[key]
+            if sum(self.size[k] for k in self.order) + size > self.capacity:
+                self.evict_to(self.capacity - size)
+            self.pinned[key] = False
+            self.put(key, size)
+        return keys
+
+    def reopen(self):
+        self.order.sort(key=self.put_at.get)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapacityError:
+        return CapacityError
+
+
+def _entry_fields(store):
+    return {d: (e.file, e.size, e.pinned, e.tokens, e.parent, e.codec_profile, e.created)
+            for d, e in store.entries.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(ops=st.lists(_STORE_OPS, max_size=12))
 def test_running_totals_match_entries(model, ops):
     one = _blob_size(model, [1, 2, 3, 4])
     with tempfile.TemporaryDirectory() as tmp:
-        config = StoreConfig(root=Path(tmp), capacity=5 * one, chunk_size=4)
+        # the keys of each document, and the size a fresh put of each key writes
+        fresh = open_store(StoreConfig(root=Path(tmp) / "fresh", chunk_size=4))
+        doc_keys = {(i, mode): fresh.store_text(model, doc, mode=mode)
+                    for i, doc in enumerate(_DOCS) for mode in (MODE_CHAIN, MODE_STANDALONE)}
+        ref = _LruModel(5 * one, {e.key: e.size for e in fresh.entries.values()})
+        config = StoreConfig(root=Path(tmp) / "store", capacity=5 * one, chunk_size=4)
         store = open_store(config)
         # the chain's first chunk and the standalone chunk of the same tokens
         # are the same bytes, so two keys start out sharing one blob file
-        store.store_text(model, _DOCS[0], mode=MODE_CHAIN)
-        store.store_text(model, _DOCS[0], mode=MODE_STANDALONE)
+        for mode in (MODE_CHAIN, MODE_STANDALONE):
+            store.store_text(model, _DOCS[0], mode=mode)
+            ref.store_text(doc_keys[0, mode])
         assert len({e.file for e in store.entries.values()}) < len(store.entries)
         for op in ops:
             keys = sorted(store.entries)
             if op[0] == "put":
-                try:
-                    store.store_text(model, _DOCS[op[2]], mode=op[1])
-                except CapacityError:
-                    pass
-            elif op[0] in ("pin", "edit") and keys:
+                got = _outcome(store.store_text, model, _DOCS[op[2]], op[1])
+                assert got == _outcome(ref.store_text, doc_keys[op[2], op[1]])
+            elif op[0] in ("get", "pin", "edit") and keys:
                 key = store.entries[keys[op[1] % len(keys)]].key
-                if op[0] == "pin":
+                if op[0] == "get":
+                    store.get_chunk(key)
+                    ref.read(key)
+                elif op[0] == "pin":
                     store.pin(key, op[2])
+                    ref.pinned[key] = op[2]
                 else:
                     store.apply_edit(key, 1, {"factor": op[2], "tokens": [0]})
+                    ref.put(key, store.entries[key.digest].size)
             elif op[0] == "evict":
-                try:
-                    store.evict_to(op[1] * one)
-                except CapacityError:
-                    pass
+                assert _outcome(store.evict_to, op[1] * one) == _outcome(ref.evict_to, op[1] * one)
             elif op[0] == "reopen":
-                before = set(store.entries)
+                before = _entry_fields(store)
                 store = open_store(config)
-                assert set(store.entries) == before
+                ref.reopen()
+                assert _entry_fields(store) == before
+            assert [e.key for e in store.entries.values()] == ref.order
+            assert all(e.size == ref.size[e.key] and e.pinned == ref.pinned[e.key] for e in store.entries.values())
             _check_accounting(store)
 
 
@@ -587,14 +670,46 @@ def test_reopen_preserves_entries(tmp_path, model):
     assert miss == []
 
 
-def test_corrupt_manifest_line_skipped(tmp_path, model):
+# each line replaces fields of a valid put record under a fresh key, or is the whole line
+@pytest.mark.parametrize("line", [
+    "{not json",
+    json.dumps({"op": "put", "key": "zz"}),
+    "[1, 2]",
+    '"str"',
+    json.dumps({"op": "pin", "key": 7, "pinned": True}),
+    {"size": None},
+    {"size": float("inf")},
+    {"codec": []},
+    {"codec": {"foo": 1}},
+    {"file": 7},
+    "[" * 100_000,
+], ids=["not-json", "bad-key", "list", "string", "pin-key-int", "size-null", "size-inf",
+        "codec-list", "codec-unknown-field", "file-int", "deep-nesting"])
+def test_corrupt_manifest_line_skipped(tmp_path, model, line):
     st = _store(tmp_path)
     keys = st.store_text(model, [1, 2, 3])
+    if isinstance(line, dict):
+        rec = json.loads(st.manifest_path.read_text().splitlines()[0])
+        line = json.dumps({**rec, "key": "ab" * 32, **line})
     with open(st.manifest_path, "a") as f:
-        f.write("{not json\n")
-        f.write(json.dumps({"op": "put", "key": "zz"}) + "\n")
+        f.write(line + "\n")
     st2 = _store(tmp_path)
     assert set(st2.entries) == {k.digest for k in keys}
+
+
+def test_a_put_record_naming_a_file_outside_the_blobs_is_skipped(tmp_path, model):
+    st = _store(tmp_path)
+    keys = st.store_text(model, [1, 2, 3])
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"not a blob")
+    rec = json.loads(st.manifest_path.read_text().splitlines()[0])
+    rec.update(key="ab" * 32, file="../../victim.txt", size=victim.stat().st_size)
+    with open(st.manifest_path, "a") as f:
+        f.write(json.dumps(rec) + "\n")
+    st2 = _store(tmp_path)
+    assert set(st2.entries) == {k.digest for k in keys}
+    assert st2.evict_to(0) == keys
+    assert victim.read_bytes() == b"not a blob"
 
 
 def test_orphan_blob_collected(tmp_path, model):
