@@ -13,6 +13,7 @@ position an O(1) metadata change.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -194,12 +195,19 @@ def build_model(config: ModelConfig) -> Model:
     return Model(config=config, embed=embed, wq=wq, wk=wk, wv=wv, wo=wo)
 
 
-def apply_rope(x: np.ndarray, positions: np.ndarray, rope_base: float) -> np.ndarray:
-    """Rotate (..., token, dim) rows pairwise by their absolute positions."""
-    d = x.shape[-1]
-    theta = rope_base ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
-    ang = positions[:, None].astype(np.float64) * theta[None, :]
+@functools.lru_cache(maxsize=1)
+def _rope_table(k0: int, n_keys: int, d_head: int, rope_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (position, d_head // 2) cos and sin of the rotary angles at
+    positions ``k0 ... k0 + n_keys - 1``: one table per layer stack."""
+    theta = rope_base ** (-2.0 * np.arange(d_head // 2, dtype=np.float64) / d_head)
+    ang = np.arange(k0, k0 + n_keys, dtype=np.float64)[:, None] * theta[None, :]
     cos, sin = np.cos(ang), np.sin(ang)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate (..., token, dim) rows pairwise by (token, dim // 2) angles."""
     out = np.empty_like(x, dtype=np.float64)
     even, odd = x[..., 0::2], x[..., 1::2]
     out[..., 0::2] = even * cos - odd * sin
@@ -221,7 +229,8 @@ def attend(
     ``k_pre``/``v`` are (head, token, dim) and may mix freshly computed rows
     with cache rows; accumulation is float64 throughout.  Keys must sit at
     contiguous ascending positions ``k0, k0 + 1, ...`` and every query at a
-    position ``p >= k0``; anything else raises ModelError.
+    position ``k0 <= p < k0 + n_keys``, inside the keys; anything else raises
+    ModelError, so the rotary table is sized by the keys alone.
 
     Scores are computed in causal tiles: the row at ``p`` attends only
     ``keys[:min(n_keys, roundup(p - k0 + 1, TILE))]``, and rows with the same
@@ -233,9 +242,13 @@ def attend(
     its row count: at 1024 keys of 4 heads x 16 dims, the last row alone, or
     rows 1000-1023, were off by up to 7e-17 of the output's scale.
 
-    Each call allocates one float64 score workspace, sized for its largest
-    group across all heads, and every group's scores and softmax live in a
-    view of it.
+    The 1/sqrt(d_head) scale multiplies the rotated Q rows and the softmax
+    is normalized after the P.V product, so no pass over the scores scales
+    or divides them.  Queries and keys take their rotary angles from one
+    cos/sin table over the key positions, shared by the layers of one
+    ``_run_layers`` call.  Each call allocates one float64 score workspace,
+    sized for its largest group across all heads, and every group's scores
+    and softmax live in a view of it.
     """
     cfg = model.config
     n_keys = len(k_positions)
@@ -243,8 +256,8 @@ def attend(
     if not np.array_equal(k_positions, np.arange(k0, k0 + n_keys)):
         raise ModelError("key positions must be contiguous and ascending")
     n_rows = len(x_q)
-    if n_rows and (n_keys == 0 or np.min(q_positions) < k0):
-        raise ModelError(f"query positions must not precede the first key at {k0}")
+    if n_rows and (np.min(q_positions) < k0 or np.max(q_positions) >= k0 + n_keys):
+        raise ModelError(f"query positions must lie among the keys' [{k0}, {k0 + n_keys})")
     if not n_rows:
         return np.zeros((0, cfg.d_model))
 
@@ -253,28 +266,27 @@ def attend(
         # from gemm; a repeated row keeps every product on gemm
         x_q, q_positions = np.repeat(x_q, 2, axis=0), np.repeat(q_positions, 2)
     offsets = q_positions - k0
-    q = apply_rope(x_q @ model.wq[layer], q_positions, cfg.rope_base)  # (head, row, dim)
-    k = apply_rope(k_pre.astype(np.float64), k_positions, cfg.rope_base)
+    cos, sin = _rope_table(k0, n_keys, cfg.d_head, cfg.rope_base)
+    q = _rotate(x_q @ model.wq[layer], cos[offsets], sin[offsets])  # (head, row, dim)
+    q *= 1.0 / np.sqrt(float(cfg.d_head))
+    k = _rotate(k_pre.astype(np.float64), cos, sin)
     v = v.astype(np.float64)
     ctx = np.empty_like(q)
     spans = np.minimum(n_keys, (offsets // TILE + 1) * TILE)
     groups, counts = np.unique(spans, return_counts=True)
     # a lone row runs twice (gemm, as above)
     work = np.empty(cfg.n_heads * int(np.max(groups * np.maximum(counts, 2))))
-    inv_sqrt_d = 1.0 / np.sqrt(float(cfg.d_head))
     for m in groups:
         rows = np.flatnonzero(spans == m)
         if len(rows) == 1:
             rows = np.repeat(rows, 2)
         scores = work[: cfg.n_heads * len(rows) * m].reshape(cfg.n_heads, len(rows), m)
         np.matmul(q[:, rows], k[:, :m].transpose(0, 2, 1), out=scores)
-        scores *= inv_sqrt_d
         lo = (m - 1) // TILE * TILE
         np.copyto(scores[..., lo:], -np.inf, where=np.arange(lo, m) > offsets[rows, None])
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        ctx[:, rows] = scores @ v[:, :m]
+        ctx[:, rows] = (scores @ v[:, :m]) / scores.sum(axis=-1, keepdims=True)
     # one product per head: a batched (head, row, d_model) product and a sum
     # over heads gave the same bits but a slower, larger `blend` op
     out = np.zeros((x_q.shape[0], cfg.d_model), dtype=np.float64)
@@ -342,9 +354,10 @@ def extend(
     """Append ``new_tokens`` to a prefix cache, computing only the new rows.
 
     Matches a prefill of prefix-plus-new-tokens up to rounding: on the
-    4 x 4 x 16 model at 100-1024 tokens, K/V were bit-equal to the prefill's
-    and the states differed by up to 2.2e-16, because the new rows run in
-    smaller span groups than the prefill's (see ``attend``).  When
+    4 x 4 x 16 model at 100-1024 tokens (88 prefix/suffix splits), K/V were
+    bit-equal to the prefill's and the states differed by up to 2.2e-16,
+    because the new rows run in smaller span groups than the prefill's (see
+    ``attend``).  When
     ``prior_states`` is None (e.g. the prefix came from the store and its
     hidden states are unknown) the returned states cover only the new rows.
     """

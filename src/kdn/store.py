@@ -313,18 +313,23 @@ class Store:
     def read_blob(self, key: ChunkKey) -> bytes:
         """The chunk's bytes as stored; refreshes its LRU position.  The chunk
         crc covers only the payload, so the header, read here without the
-        payload, must parse and agree with the entry's token count and profile."""
+        payload, must parse and agree with the entry's token count and profile,
+        and a parentless entry's (a standalone chunk or a chain root) must
+        start at position 0.  A chain chunk's offset is not in its entry, so
+        ``retrieve_text`` checks that one."""
         entry = self.entries.get(key.digest)
         if entry is None:
             raise StoreError(f"key {key.hex[:12]} not in store")
         self.entries.move_to_end(key.digest)
         blob = (self.blob_dir / entry.file).read_bytes()
         try:
-            profile, _, _, _, n_tokens, *_ = codec._unpack_header(blob)
+            profile, _, _, _, n_tokens, start_pos, *_ = codec._unpack_header(blob)
         except codec.CodecError as e:
             raise StoreError(f"chunk {key.hex[:12]} header unreadable: {e}") from e
         if n_tokens != len(entry.tokens) or profile != entry.codec_profile:
             raise StoreError(f"chunk {key.hex[:12]} header does not match its manifest entry")
+        if entry.parent is None and start_pos != 0:
+            raise StoreError(f"parentless chunk {key.hex[:12]} at position {start_pos}, expected 0")
         return blob
 
     def get_chunk(self, key: ChunkKey) -> codec.CompressedChunk:
@@ -455,9 +460,18 @@ class Store:
     def retrieve_text(
         self, model_id: int, tokens: list[int], mode: str = MODE_CHAIN
     ) -> tuple[list[tuple[ChunkKey, codec.CompressedChunk]], list[int]]:
-        """``lookup`` plus the parsed, crc-checked chunk of every hit."""
+        """``lookup`` plus the parsed, crc-checked chunk of every hit.  In
+        chain mode each hit must start at its running offset in ``tokens``."""
         keys, miss = self.lookup(model_id, tokens, mode)
-        return [(key, self.get_chunk(key)) for key in keys], miss
+        hits = []
+        offset = 0
+        for key in keys:
+            chunk = self.get_chunk(key)
+            if mode == MODE_CHAIN and chunk.start_pos != offset:
+                raise StoreError(f"chain chunk {key.hex[:12]} at position {chunk.start_pos}, expected {offset}")
+            hits.append((key, chunk))
+            offset += chunk.n_tokens
+        return hits, miss
 
     def _best_chain_child(
         self, model_id: int, parent: ChunkKey | None, remaining: list[int]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from kdn.model import (
     rebase,
     save_fixture,
     _project_kv,
+    _rope_table,
 )
 
 from reference import ref_attend, ref_embed, ref_prefill, ref_project_kv, ref_weight
@@ -175,11 +177,11 @@ def test_token_out_of_range(model):
 ATTN_CFG = ModelConfig(1, 2, 4, 32)
 
 
-def _attend_inputs(n, start_pos, seed=0):
+def _attend_inputs(n, start_pos, seed=0, cfg=ATTN_CFG):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, ATTN_CFG.d_model))
-    k_pre = rng.standard_normal((ATTN_CFG.n_heads, n, ATTN_CFG.d_head)).astype(np.float32)
-    v = rng.standard_normal((ATTN_CFG.n_heads, n, ATTN_CFG.d_head)).astype(np.float32)
+    x = rng.standard_normal((n, cfg.d_model))
+    k_pre = rng.standard_normal((cfg.n_heads, n, cfg.d_head)).astype(np.float32)
+    v = rng.standard_normal((cfg.n_heads, n, cfg.d_head)).astype(np.float32)
     return x, start_pos + np.arange(n), k_pre, v
 
 
@@ -200,6 +202,36 @@ def test_attend_matches_untiled_reference(n, start_pos):
     for rows in (np.r_[np.repeat(np.arange(min(n, TILE)), 2), n - 1], np.r_[0, n - 1]):
         got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
         np.testing.assert_allclose(got, want[rows], rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(1, 4, 16, 32), ModelConfig(1, 3, 6, 32)], ids=["4x16", "d_head-6"])
+@pytest.mark.parametrize("start_pos", [0, 70])
+def test_attend_matches_untiled_reference_at_1024_keys(cfg, start_pos):
+    # the benchmark's geometry, whose 1/sqrt(d_head) scale is a power of two,
+    # and d_head 6, whose scale is not: a full call and an extend's 64-row tail
+    m = build_model(cfg)
+    n = 1024
+    x, pos, k_pre, v = _attend_inputs(n, start_pos, seed=n, cfg=cfg)
+    want = ref_attend(m, 0, x, pos, k_pre, v, pos)
+    for rows in (slice(None), slice(n - 64, n)):
+        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
+        np.testing.assert_allclose(got, want[rows], rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_attend_bits_do_not_depend_on_the_call_before():
+    # the rotary table of the last key span is kept: a call right after one
+    # over other keys builds it afresh, and the call after that reuses it
+    m = build_model(ATTN_CFG)
+    x, pos, k_pre, v = _attend_inputs(300, 70)
+    want = attend(m, 0, x, pos, k_pre, v, pos)
+    for other in (slice(0, 200), slice(100, 300)):  # a shorter span, a later start
+        attend(m, 0, x[other], pos[other], k_pre[:, other], v[:, other], pos[other])
+        before = _rope_table.cache_info()
+        miss = attend(m, 0, x, pos, k_pre, v, pos)
+        hit = attend(m, 0, x, pos, k_pre, v, pos)
+        after = _rope_table.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert np.array_equal(miss, want) and np.array_equal(hit, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,6 +292,23 @@ def test_attend_rejects_unordered_keys():
             attend(m, 0, x, pos, k_pre, v, k_pos)
     with pytest.raises(ModelError):  # a query before the first key sees nothing
         attend(m, 0, x[:1], np.array([9]), k_pre, v, pos)
+
+
+def test_attend_rejects_a_query_past_the_keys():
+    # the rotary table covers the keys' positions only, so a query at any
+    # position past them raises before anything is sized by it
+    m = build_model(ATTN_CFG)
+    x, pos, k_pre, v = _attend_inputs(6, 10)
+    with pytest.raises(ModelError):
+        attend(m, 0, x[:1], np.array([16]), k_pre, v, pos)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError):
+            attend(m, 0, x[:1], np.array([2**40]), k_pre, v, pos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- extend == prefill -----------------------------------------------------------

@@ -224,6 +224,48 @@ def test_a_header_that_disagrees_with_its_entry_is_a_store_error(tmp_path, model
     assert st.get_chunk(keys[0]).n_tokens == 8
 
 
+@pytest.mark.parametrize("mode, index, start_pos", [
+    (MODE_CHAIN, 0, 5),  # a chain root
+    (MODE_STANDALONE, 1, 8),  # a standalone chunk, at its offset in the text
+])
+def test_a_parentless_chunk_whose_start_pos_was_rewritten_at_rest_is_a_store_error(
+    tmp_path, model, mode, index, start_pos
+):
+    # start_pos is outside the chunk crc and not in the manifest entry, but
+    # a chunk with no parent starts at 0
+    st = _store(tmp_path)
+    tokens = list(range(16))
+    keys = st.store_text(model, tokens, mode=mode)
+    path = st.blob_dir / st.entries[keys[index].digest].file
+    chunk = codec.CompressedChunk.from_bytes(path.read_bytes())
+    assert chunk.start_pos == 0
+    path.write_bytes(dataclasses.replace(chunk, start_pos=start_pos).to_bytes())
+    with pytest.raises(StoreError, match=f"at position {start_pos}, expected 0"):
+        st.get_chunk(keys[index])
+    with pytest.raises(StoreError):
+        st.retrieve_text(model.model_id, tokens, mode)
+    assert st.get_chunk(keys[1 - index]).n_tokens == 8
+    # a re-put finds the chunk damaged and rewrites it
+    assert st.store_text(model, tokens, mode=mode) == keys
+    assert st.get_chunk(keys[index]).start_pos == 0
+
+
+def test_retrieve_text_refuses_a_chain_chunk_whose_start_pos_was_rewritten_at_rest(tmp_path, model):
+    # a chain entry does not record its offset; retrieve_text checks each hit
+    # against the chain's running offset, as the client's fetch does
+    st = _store(tmp_path)
+    tokens = list(range(16))
+    keys = st.store_text(model, tokens)
+    path = st.blob_dir / st.entries[keys[1].digest].file
+    chunk = codec.CompressedChunk.from_bytes(path.read_bytes())
+    assert chunk.start_pos == 8
+    path.write_bytes(dataclasses.replace(chunk, start_pos=100).to_bytes())
+    with pytest.raises(StoreError, match="at position 100, expected 8"):
+        st.retrieve_text(model.model_id, tokens)
+    hits, miss = st.retrieve_text(model.model_id, tokens[:8])
+    assert [c.start_pos for _, c in hits] == [0] and miss == []
+
+
 @pytest.mark.parametrize("damage", ["anchor-stride", "payload-byte", "codes-len", "missing"])
 @pytest.mark.parametrize("mode", [MODE_CHAIN, MODE_STANDALONE])
 def test_a_re_put_rewrites_a_damaged_blob(tmp_path, model, damage, mode):
