@@ -8,7 +8,6 @@ from .model import (
     build_model,
     extend,
     prefill,
-    rebase,
 )
 from .codec import CodecProfile, CompressedChunk, compress_cache, decompress_cache
 from .store import ChunkKey, Store, StoreConfig, make_key, open_store
@@ -38,7 +37,6 @@ __all__ = [
     "build_model",
     "extend",
     "prefill",
-    "rebase",
     "CodecProfile",
     "CompressedChunk",
     "compress_cache",

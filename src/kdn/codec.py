@@ -394,12 +394,19 @@ def lossless_decode(data: bytes, lossless_id: int, n_values: int) -> np.ndarray:
     raise DecodeError(f"unknown lossless_id {lossless_id}")
 
 
-def _unpack_header(data: bytes) -> tuple[CodecProfile, int, int, int, int, int, int, int]:
-    """The checked header fields of a chunk blob, reading no payload byte:
-    (profile, n_layers, n_heads, d_head, n_tokens, start_pos, uncompressed_len, payload_len)."""
+def read_header(data: bytes, *, start_pos: int | None = None, n_tokens: int | None = None,
+                max_tokens: int | None = None, profile: CodecProfile | None = None,
+                geometry: tuple[int, int, int] | None = None) -> tuple[CodecProfile, int, int, int, int, int, int, int]:
+    """The header fields of a chunk blob, reading no payload byte: (profile,
+    n_layers, n_heads, d_head, n_tokens, start_pos, uncompressed_len, payload_len).
+
+    The chunk crc covers only the payload, so each expectation a reader gives
+    must hold (``geometry`` is (n_layers, n_heads, d_head), ``max_tokens``
+    bounds ``n_tokens``), else DecodeError before anything is inflated.
+    """
     if len(data) < _HEADER.size:
         raise DecodeError("chunk shorter than header", len(data))
-    (magic, version, bits, gsize, stride, lid, L, H, D, T, start_pos, ulen, plen) = _HEADER.unpack_from(data)
+    (magic, version, bits, gsize, stride, lid, L, H, D, T, pos, ulen, plen) = _HEADER.unpack_from(data)
     if magic != CHUNK_MAGIC:
         raise DecodeError("bad chunk magic", 0)
     if version != CHUNK_VERSION:
@@ -407,13 +414,23 @@ def _unpack_header(data: bytes) -> tuple[CodecProfile, int, int, int, int, int, 
     if plen > len(data) - _HEADER.size - 4:
         raise DecodeError("chunk payload truncated", _HEADER.size)
     try:
-        profile = CodecProfile(bits, gsize, stride, lid)
+        have = CodecProfile(bits, gsize, stride, lid)
     except CodecError as e:
         raise DecodeError(str(e), 5) from e
     expected = 2 * 4 * L * H * T * D
     if ulen != expected:
         raise DecodeError(f"uncompressed_len {ulen} != geometry size {expected}")
-    return profile, L, H, D, T, start_pos, ulen, plen
+    if start_pos is not None and pos != start_pos:
+        raise DecodeError(f"chunk at position {pos}, expected {start_pos}", 21)
+    if n_tokens is not None and T != n_tokens:
+        raise DecodeError(f"chunk of {T} tokens, expected {n_tokens}", 17)
+    if max_tokens is not None and T > max_tokens:
+        raise DecodeError(f"chunk of {T} tokens, expected at most {max_tokens}", 17)
+    if profile is not None and have != profile:
+        raise DecodeError(f"chunk profile {have}, expected {profile}", 5)
+    if geometry is not None and (L, H, D) != geometry:
+        raise DecodeError(f"chunk geometry {(L, H, D)}, expected {geometry}", 11)
+    return have, L, H, D, T, pos, ulen, plen
 
 
 @dataclass
@@ -449,8 +466,10 @@ class CompressedChunk:
         return header + self.payload + struct.pack("<I", self.crc)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CompressedChunk":
-        profile, L, H, D, T, start_pos, ulen, plen = _unpack_header(data)
+    def from_bytes(cls, data: bytes, **expect) -> "CompressedChunk":
+        """The chunk in ``data``: its header checked by ``read_header(data,
+        **expect)``, then its payload crc."""
+        profile, L, H, D, T, start_pos, ulen, plen = read_header(data, **expect)
         payload = data[_HEADER.size : _HEADER.size + plen]
         (crc,) = struct.unpack_from("<I", data, _HEADER.size + plen)
         if crc32c(payload) != crc:

@@ -16,7 +16,9 @@ the stored crc is right.  Both ends derive it the same way, so the frame check
 catches a header or length damaged in transit, and the client's chunk crc
 check (one pass over the payload) catches a damaged payload or trailer, in
 transit or at rest.  A header that disagrees with its manifest entry at rest
-is refused by ``Store.read_blob``, and the server answers ERR.
+(position, token count or profile) is refused by ``Store.read_blob``, and the
+server answers ERR.  The client checks each header against its request, with
+``codec.read_header``, before it inflates the chunk.
 """
 
 from __future__ import annotations
@@ -297,62 +299,55 @@ class Client:
         self.port = port
         self.timeout = timeout
 
-    def _roundtrip(self, request: Frame) -> list[Frame]:
-        with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
-            sock.sendall(encode_frame(request))
-            reader = FrameReader()
-            frames: list[Frame] = []
-            for chunk in iter(lambda: sock.recv(65536), b""):
-                reader.feed(chunk)
-                while (frame := reader.next()) is not None:
-                    frames.append(frame)
-                    if frame.frame_type in (END, ERR):
-                        return frames
-            raise FetchError("connection closed before END")
-
     def fetch(self, model_id: int, mode: str, tokens: list[int]) -> tuple[list[KvCache], list[int]]:
-        """Retrieve-by-text: decode, crc-check and decompress.
-
-        Each CHUNK frame's crc is checked against the one derived from its
-        chunk header; then the chunk crc check reads the payload once, and
-        vouches for the frame crc too.  The chunk crc does not cover the
-        header's ``start_pos``, so a chain chunk not at its running offset is
-        refused as corrupt.
-        """
-        return self._fetch(encode_token_request(model_id, mode, tokens), mode)
+        """Retrieve-by-text: decode, crc-check and decompress.  The reply may
+        hold at most one chunk per token, each within the tokens left, at its
+        running offset in a chain reply and at 0 in a standalone one."""
+        return self._fetch(encode_token_request(model_id, mode, tokens), len(tokens), len(tokens), mode)
 
     def fetch_keys(self, keys: list[ChunkKey]) -> list[KvCache]:
-        caches, _ = self._fetch(encode_key_request(keys), MODE_STANDALONE)
+        """At most one chunk per key; the server checks each one's position."""
+        caches, _ = self._fetch(encode_key_request(keys), len(keys))
         return caches
 
-    def _fetch(self, request: Frame, mode: str) -> tuple[list[KvCache], list[int]]:
+    def _fetch(self, request: Frame, n_chunks: int, n_tokens: int | None = None,
+               mode: str | None = None) -> tuple[list[KvCache], list[int]]:
         """A corrupt frame or chunk (crc or decode failure) is retried once before giving up."""
         last_err: Exception | None = None
         for _ in range(2):
             try:
-                return _assemble(self._roundtrip(request), mode)
+                return self._receive(request, n_chunks, n_tokens, mode)
             except (codec.CodecError, FrameDecodeError) as e:
                 last_err = e
         raise FetchError(f"fetch failed after retry: {last_err}")
 
-
-def _assemble(frames: list[Frame], mode: str) -> tuple[list[KvCache], list[int]]:
-    caches: list[KvCache] = []
-    miss: list[int] = []
-    offset = 0
-    for frame in frames:
-        if frame.frame_type == CHUNK:
-            chunk = codec.CompressedChunk.from_bytes(frame.payload)
-            if mode == MODE_CHAIN and chunk.start_pos != offset:
-                raise codec.DecodeError(f"chain chunk at position {chunk.start_pos}, expected {offset}")
-            offset += chunk.n_tokens
-            caches.append(codec.decompress_cache(chunk))
-        elif frame.frame_type == END:
-            miss = _decode_token_list(frame.payload, 0)
-        elif frame.frame_type == ERR:
-            code, message = decode_err(frame)
-            raise FetchError(f"server error {code}: {message}")
-    return caches, miss
+    def _receive(self, request: Frame, n_chunks: int, n_tokens: int | None,
+                 mode: str | None) -> tuple[list[KvCache], list[int]]:
+        """Send ``request`` and decode its reply a frame at a time.  A CHUNK
+        frame's crc is derived from its chunk header; the header must hold
+        what the request expects, and the first chunk's geometry, before the
+        chunk crc check reads the payload once and the chunk is inflated."""
+        caches: list[KvCache] = []
+        served, geometry = 0, None  # tokens received, (layer, head, dim) of the first chunk
+        with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
+            sock.sendall(encode_frame(request))
+            reader = FrameReader()
+            for data in iter(lambda: sock.recv(65536), b""):
+                reader.feed(data)
+                while (frame := reader.next()) is not None:
+                    if frame.frame_type == ERR:
+                        raise FetchError("server error {}: {}".format(*decode_err(frame)))
+                    if frame.frame_type == END:
+                        return caches, _decode_token_list(frame.payload, 0)
+                    if len(caches) == n_chunks:  # any other frame is read as a CHUNK
+                        raise codec.DecodeError(f"reply holds more than {n_chunks} chunks")
+                    chunk = codec.CompressedChunk.from_bytes(
+                        frame.payload, start_pos={MODE_CHAIN: served, MODE_STANDALONE: 0}.get(mode),
+                        max_tokens=None if n_tokens is None else n_tokens - served, geometry=geometry)
+                    geometry = (chunk.n_layers, chunk.n_heads, chunk.d_head)
+                    caches.append(codec.decompress_cache(chunk))
+                    served += chunk.n_tokens
+        raise FetchError("connection closed before END")
 
 
 def simulate_transfer(link: LinkModel, nbytes: int) -> float:

@@ -142,15 +142,6 @@ class KvCache:
         return KvCache(self.kv.copy(), self.start_pos)
 
 
-def rebase(cache: KvCache, new_start: int) -> KvCache:
-    """Move a cache to a new absolute start position.
-
-    K is stored pre-rotation, so only the start position changes; positions
-    materialize at attention time.
-    """
-    return KvCache(cache.kv, start_pos=int(new_start))
-
-
 def concat_caches(caches: list[KvCache], start_pos: int = 0) -> KvCache:
     if not caches:
         raise ModelError("need at least one cache to concatenate")

@@ -94,6 +94,7 @@ class StoreEntry:
     key: ChunkKey
     tokens: list[int]
     parent: ChunkKey | None
+    pos: int  # the position of its first token
     file: str
     size: int
     codec_profile: codec.CodecProfile
@@ -197,10 +198,17 @@ class Store:
         parent = None
         if rec.get("parent"):
             parent = ChunkKey(bytes.fromhex(rec["parent"]), rec["mode"])
+        pos = rec.get("pos")
+        if pos is None and parent is not None:  # a record from before put records held "pos"
+            up = self.entries.get(parent.digest)
+            if up is None:
+                raise StoreError(f"put of {key.hex[:12]} has no position and its parent is not indexed")
+            pos = up.pos + len(up.tokens)
         entry = StoreEntry(
             key=key,
             tokens=[int(t) for t in rec["tokens"]],
             parent=parent,
+            pos=int(pos or 0),
             file=rec["file"],
             size=int(rec["size"]),
             codec_profile=codec.CodecProfile.from_dict(rec["codec"]),
@@ -313,23 +321,17 @@ class Store:
     def read_blob(self, key: ChunkKey) -> bytes:
         """The chunk's bytes as stored; refreshes its LRU position.  The chunk
         crc covers only the payload, so the header, read here without the
-        payload, must parse and agree with the entry's token count and profile,
-        and a parentless entry's (a standalone chunk or a chain root) must
-        start at position 0.  A chain chunk's offset is not in its entry, so
-        ``retrieve_text`` checks that one."""
+        payload, must parse and agree with the entry's position, token count
+        and profile (``codec.read_header``), else StoreError."""
         entry = self.entries.get(key.digest)
         if entry is None:
             raise StoreError(f"key {key.hex[:12]} not in store")
         self.entries.move_to_end(key.digest)
         blob = (self.blob_dir / entry.file).read_bytes()
         try:
-            profile, _, _, _, n_tokens, start_pos, *_ = codec._unpack_header(blob)
+            codec.read_header(blob, start_pos=entry.pos, n_tokens=len(entry.tokens), profile=entry.codec_profile)
         except codec.CodecError as e:
-            raise StoreError(f"chunk {key.hex[:12]} header unreadable: {e}") from e
-        if n_tokens != len(entry.tokens) or profile != entry.codec_profile:
-            raise StoreError(f"chunk {key.hex[:12]} header does not match its manifest entry")
-        if entry.parent is None and start_pos != 0:
-            raise StoreError(f"parentless chunk {key.hex[:12]} at position {start_pos}, expected 0")
+            raise StoreError(f"chunk {key.hex[:12]} does not match its manifest entry: {e}") from e
         return blob
 
     def get_chunk(self, key: ChunkKey) -> codec.CompressedChunk:
@@ -342,7 +344,7 @@ class Store:
         cs = self.config.chunk_size
         return [tokens[i : i + cs] for i in range(0, len(tokens), cs)]
 
-    def _put(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None,
+    def _put(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None, pos: int,
              blob: bytes, profile: codec.CodecProfile, pinned: bool, created: float) -> None:
         """Write ``blob`` and index ``key`` on it, committing the put record
         with the enclosing group commit, if any."""
@@ -352,6 +354,7 @@ class Store:
             "file": self._write_blob(blob),
             "tokens": tokens,
             "parent": parent.hex if parent else None,
+            "pos": pos,
             "codec": profile.to_dict(),
             "size": len(blob),
             "pinned": pinned,
@@ -371,9 +374,10 @@ class Store:
         key, and slices the cache per chunk; standalone mode prefills every
         missing chunk independently at position 0.  Re-storing existing keys
         is a no-op and prefills nothing.  A key whose blob ``get_chunk``
-        refuses counts as missing: its entry is dropped and the chunk
-        recomputed and rewritten, keeping its pin.  A token outside the
-        model's vocabulary raises ``ModelError`` before any key is made.
+        refuses, or that does not decode whole at the model's geometry, counts
+        as missing: its entry is dropped and the chunk recomputed and
+        rewritten, keeping its pin.  A token outside the model's vocabulary
+        raises ``ModelError`` before any key is made.
 
         The document is one group commit: its ``put`` records and the
         ``del`` records of the evictions that made room reach the manifest in
@@ -393,7 +397,7 @@ class Store:
             for chunk_tokens in self._split_chunks(tokens):
                 key = make_key(model.model_id, mode, parent, chunk_tokens)
                 entry = self.entries.get(key.digest)
-                if entry is not None and not self._accepts(key):
+                if entry is not None and not self._accepts(key, model):
                     self._record({"op": "del", "key": key.hex})
                 if key.digest not in self.entries:
                     # the store reads K/V only, so no prefill here computes final states
@@ -407,16 +411,17 @@ class Store:
                     if self.total_size + len(blob) > self.config.capacity:
                         self.evict_to(self.config.capacity - len(blob))
                     pinned = entry is not None and entry.pinned
-                    self._put(key, chunk_tokens, parent, blob, profile, pinned=pinned, created=time.time())
+                    self._put(key, chunk_tokens, parent, cache.start_pos, blob, profile, pinned=pinned, created=time.time())
                 keys.append(key)
                 parent = key if mode == MODE_CHAIN else None
                 offset += len(chunk_tokens)
         return keys
 
-    def _accepts(self, key: ChunkKey) -> bool:
-        """Whether the blob of the indexed ``key`` is read and decoded whole."""
+    def _accepts(self, key: ChunkKey, model: Model) -> bool:
+        """Whether the blob of the indexed ``key`` is read and decoded whole at ``model``'s geometry."""
+        geometry = (model.config.n_layers, model.config.n_heads, model.config.d_head)
         try:
-            codec.decompress_cache(self.get_chunk(key))
+            codec.decompress_cache(codec.CompressedChunk.from_bytes(self.read_blob(key), geometry=geometry))
         except (StoreError, codec.CodecError, FileNotFoundError) as e:
             log.warning("chunk %s is damaged and will be rewritten: %s", key.hex[:12], e)
             return False
@@ -460,18 +465,9 @@ class Store:
     def retrieve_text(
         self, model_id: int, tokens: list[int], mode: str = MODE_CHAIN
     ) -> tuple[list[tuple[ChunkKey, codec.CompressedChunk]], list[int]]:
-        """``lookup`` plus the parsed, crc-checked chunk of every hit.  In
-        chain mode each hit must start at its running offset in ``tokens``."""
+        """``lookup`` plus the ``get_chunk`` of every hit."""
         keys, miss = self.lookup(model_id, tokens, mode)
-        hits = []
-        offset = 0
-        for key in keys:
-            chunk = self.get_chunk(key)
-            if mode == MODE_CHAIN and chunk.start_pos != offset:
-                raise StoreError(f"chain chunk {key.hex[:12]} at position {chunk.start_pos}, expected {offset}")
-            hits.append((key, chunk))
-            offset += chunk.n_tokens
-        return hits, miss
+        return [(key, self.get_chunk(key)) for key in keys], miss
 
     def _best_chain_child(
         self, model_id: int, parent: ChunkKey | None, remaining: list[int]
@@ -536,7 +532,7 @@ class Store:
         cache = codec.decompress_cache(chunk)
         edited = transform(cache, params)
         blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
-        self._put(key, entry.tokens, entry.parent, blob, entry.codec_profile,
+        self._put(key, entry.tokens, entry.parent, entry.pos, blob, entry.codec_profile,
                   pinned=entry.pinned, created=entry.created)
 
 

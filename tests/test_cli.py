@@ -13,7 +13,7 @@ import kdn
 from kdn import blender
 from kdn.cli import main
 from kdn.costmodel import PUBLISHED_MEASUREMENTS
-from kdn.model import ModelConfig, build_model, load_fixture, prefill, rebase
+from kdn.model import KvCache, ModelConfig, build_model, load_fixture, prefill
 
 MODEL_JSON = json.dumps({"n_layers": 2, "n_heads": 2, "d_head": 4, "vocab_size": 32})
 
@@ -201,7 +201,7 @@ def test_blend_unwritable_fixture_is_operational_error(workspace, capsys, monkey
 
     def far_blend(*args, **kwargs):
         blended, states, report = real_blend(*args, **kwargs)
-        return rebase(blended, 70_000), states, report  # start_pos past the fixture's u16
+        return KvCache(blended.kv, 70_000), states, report  # start_pos past the fixture's u16
 
     monkeypatch.setattr(blender, "selective_blend", far_blend)
     req = workspace / "blend.json"

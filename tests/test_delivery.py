@@ -2,6 +2,8 @@ import dataclasses
 import socket
 import struct
 import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from kdn.delivery import (
     simulate_transfer,
 )
 from kdn.model import ModelConfig, build_model, prefill
-from kdn.store import MODE_CHAIN, MODE_STANDALONE, StoreConfig, open_store
+from kdn.store import MODE_CHAIN, MODE_STANDALONE, ChunkKey, StoreConfig, open_store
 
 CFG = ModelConfig(2, 2, 4, 32)
 
@@ -391,8 +393,8 @@ def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, mon
     try:
         client = Client(*server.server_address, timeout=10.0)
         requests = []
-        roundtrip = client._roundtrip
-        monkeypatch.setattr(client, "_roundtrip", lambda req: requests.append(req) or roundtrip(req))
+        receive = client._receive
+        monkeypatch.setattr(client, "_receive", lambda req, *expect: requests.append(req) or receive(req, *expect))
         with pytest.raises(FetchError):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
         assert len(requests) == tries
@@ -431,9 +433,9 @@ def test_tcp_fetch_refuses_a_header_rewritten_at_rest(store, model):
 
 
 def test_tcp_fetch_refuses_a_chain_chunk_whose_start_pos_was_rewritten_at_rest(store, model):
-    # start_pos is outside the chunk crc and the manifest entry does not
-    # record it, so the server serves the chunk; the client checks it against
-    # the chain's running offset, refuses it as corrupt, and again on the retry
+    # start_pos is outside the chunk crc; the server checks it against the
+    # position in the chunk's manifest entry and answers ERR, to a token
+    # request and to a key request alike
     tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     keys, _ = store.lookup(model.model_id, tokens)
     path = store.blob_dir / store.entries[keys[1].digest].file
@@ -444,8 +446,10 @@ def test_tcp_fetch_refuses_a_chain_chunk_whose_start_pos_was_rewritten_at_rest(s
     server.serve_in_background()
     try:
         client = Client(*server.server_address, timeout=10.0)
-        with pytest.raises(FetchError, match="chain chunk at position 100, expected 8"):
+        with pytest.raises(FetchError, match="server error .* at position 100, expected 8"):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
+        with pytest.raises(FetchError, match="server error .* at position 100, expected 8"):
+            client.fetch_keys(keys[1:])
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens[:8])
         assert [c.start_pos for c in caches] == [0] and miss == []
     finally:
@@ -498,11 +502,73 @@ def test_tcp_chunk_flipped_in_transit_fails_fetch(store, model, monkeypatch, off
     try:
         client = Client(*server.server_address, timeout=10.0)
         requests = []
-        roundtrip = client._roundtrip
-        monkeypatch.setattr(client, "_roundtrip", lambda req: requests.append(req) or roundtrip(req))
+        receive = client._receive
+        monkeypatch.setattr(client, "_receive", lambda req, *expect: requests.append(req) or receive(req, *expect))
         with pytest.raises(FetchError):
             client.fetch(model.model_id, MODE_CHAIN, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
         assert len(requests) == 2  # the first try and its one retry
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _zero_chunk(L, H, D, T, start_pos=0) -> bytes:
+    """A crc-valid default-container chunk of zeros: a few KB, whatever geometry it claims."""
+    params = zlib.compress(bytes(16 * L * H * -(-T // 16) * D), 9)
+    codes = zlib.compress(bytes(2 * L * H * T * D), 9)
+    payload = struct.pack("<II", len(params), len(codes)) + params + codes
+    return codec.CompressedChunk(codec.CodecProfile(), L, H, D, T, start_pos, 8 * L * H * T * D,
+                                 payload, codec.crc32c(payload)).to_bytes()
+
+
+@pytest.fixture(scope="module")
+def reply_chunks(model):
+    full, _ = prefill(model, list(range(16)))
+    return {
+        "at 0": codec.compress_cache(full.slice_tokens(0, 8), codec.CodecProfile()).to_bytes(),
+        "at 8": codec.compress_cache(full.slice_tokens(8, 16), codec.CodecProfile()).to_bytes(),
+        # would decode to 8 MB of K/V
+        "65536 tokens": _zero_chunk(CFG.n_layers, CFG.n_heads, CFG.d_head, 65536),
+        # would decode to 4 MB of K/V
+        "32x32x64 at 8": _zero_chunk(32, 32, 64, 8, start_pos=8),
+    }
+
+
+# (mode and token count of a token request, or None for a one-key request;
+# the chunks of the reply; the refusal)
+@pytest.mark.parametrize("request_, reply, match", [
+    ((MODE_CHAIN, 16), ["at 0", "at 0"], "at position 0, expected 8"),
+    ((MODE_STANDALONE, 8), ["at 8"], "at position 8, expected 0"),
+    ((MODE_CHAIN, 10), ["at 0", "at 8"], "chunk of 8 tokens, expected at most 2"),
+    ((MODE_CHAIN, 10), ["65536 tokens"], "chunk of 65536 tokens, expected at most 10"),
+    ((MODE_CHAIN, 16), ["at 0", "32x32x64 at 8"], r"geometry \(32, 32, 64\), expected \(2, 2, 4\)"),
+    (None, ["at 0", "at 8"], "more than 1 chunks"),
+], ids=["chain-off-position", "standalone-off-position", "past-the-tokens-left", "claims-65536-tokens",
+        "geometry-of-another-model", "more-chunks-than-keys"])
+def test_fetch_refuses_a_reply_it_did_not_ask_for_before_inflating_it(
+    model, reply_chunks, monkeypatch, request_, reply, match
+):
+    frames = [Frame(CHUNK, reply_chunks[name]) for name in reply] + [encode_end([])]
+    monkeypatch.setattr(delivery, "handle_request", lambda store, frame: frames)
+    server = KdnServer(None, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        requests = []
+        receive = client._receive
+        monkeypatch.setattr(client, "_receive", lambda req, *expect: requests.append(req) or receive(req, *expect))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FetchError, match=match):
+                if request_ is None:
+                    client.fetch_keys([ChunkKey(bytes(32), MODE_STANDALONE)])
+                else:
+                    client.fetch(model.model_id, request_[0], list(range(request_[1])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(requests) == 2  # the first try and its one retry
+        assert peak < 1 << 20
     finally:
         server.shutdown()
         server.server_close()

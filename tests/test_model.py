@@ -16,7 +16,6 @@ from kdn.model import (
     extend,
     load_fixture,
     prefill,
-    rebase,
     save_fixture,
     _project_kv,
     _rope_table,
@@ -392,22 +391,20 @@ def test_prefix_reuse_property(data, n_layers, n_heads, d_head):
 # -- cache plumbing ----------------------------------------------------------------
 
 
-def test_rebase_is_metadata_only(model):
-    cache, _ = prefill(model, [1, 2, 3])
-    moved = rebase(cache, 40)
-    assert moved.start_pos == 40
-    assert np.array_equal(moved.k_pre, cache.k_pre)
-
-
-def test_rebased_prefix_matches_offset_prefill(model):
-    # pre-rotation storage: a standalone cache re-based to offset p equals
-    # a prefill started at p (keys rotate at attention time)
+def test_a_cache_moved_to_a_new_start_matches_an_offset_prefill(model):
+    # pre-rotation storage: moving a standalone cache to offset p is a new
+    # start_pos over the same K/V, and it then extends as a prefill started at
+    # p does (keys rotate at attention time, by relative position)
     cache, _ = prefill(model, [4, 5, 6], start_pos=0)
     shifted, _ = prefill(model, [4, 5, 6], start_pos=7)
     assert np.array_equal(cache.k_pre[0], shifted.k_pre[0])  # layer 0 position-free
-    moved = rebase(cache, 7)
-    _, states_a = extend(model, moved, None, [])
-    assert moved.start_pos == shifted.start_pos
+    moved = KvCache(cache.kv, 7)
+    assert moved.start_pos == shifted.start_pos and np.array_equal(moved.kv, cache.kv)
+    got, got_states = extend(model, moved, None, [8, 9])
+    want, want_states = extend(model, shifted, None, [8, 9])
+    assert got.start_pos == 7
+    np.testing.assert_allclose(got.kv, want.kv, atol=1e-12)
+    np.testing.assert_allclose(got_states, want_states, atol=1e-12)
 
 
 def test_slice_and_concat_roundtrip(model):
@@ -456,7 +453,7 @@ def test_fixture_header_overflow_is_model_error(tmp_path, model):
     cache, states = prefill(model, [7, 8, 9])
     path = tmp_path / "far.kdnf"
     with pytest.raises(ModelError):
-        save_fixture(path, CFG, rebase(cache, 70_000), states)
+        save_fixture(path, CFG, KvCache(cache.kv, 70_000), states)
     assert not path.exists()
 
 

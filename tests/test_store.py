@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdn import codec, delivery
+from kdn.blender import BlendError, prefix_extend_path
 from kdn.model import ModelConfig, ModelError, build_model, concat_caches, prefill
 from kdn.store import (
     EDIT_TRANSFORMS,
@@ -227,43 +228,66 @@ def test_a_header_that_disagrees_with_its_entry_is_a_store_error(tmp_path, model
 @pytest.mark.parametrize("mode, index, start_pos", [
     (MODE_CHAIN, 0, 5),  # a chain root
     (MODE_STANDALONE, 1, 8),  # a standalone chunk, at its offset in the text
+    (MODE_CHAIN, 1, 100),  # a chain chunk past its root
 ])
-def test_a_parentless_chunk_whose_start_pos_was_rewritten_at_rest_is_a_store_error(
-    tmp_path, model, mode, index, start_pos
-):
-    # start_pos is outside the chunk crc and not in the manifest entry, but
-    # a chunk with no parent starts at 0
+def test_a_chunk_whose_start_pos_was_rewritten_at_rest_is_a_store_error(tmp_path, model, mode, index, start_pos):
+    # start_pos is outside the chunk crc; the manifest entry records the
+    # position, so every read checks it
     st = _store(tmp_path)
     tokens = list(range(16))
     keys = st.store_text(model, tokens, mode=mode)
     path = st.blob_dir / st.entries[keys[index].digest].file
     chunk = codec.CompressedChunk.from_bytes(path.read_bytes())
-    assert chunk.start_pos == 0
+    expected = chunk.start_pos
+    assert expected == (8 * index if mode == MODE_CHAIN else 0)
     path.write_bytes(dataclasses.replace(chunk, start_pos=start_pos).to_bytes())
-    with pytest.raises(StoreError, match=f"at position {start_pos}, expected 0"):
-        st.get_chunk(keys[index])
+    for read in (st.read_blob, st.get_chunk):
+        with pytest.raises(StoreError, match=f"at position {start_pos}, expected {expected}"):
+            read(keys[index])
     with pytest.raises(StoreError):
         st.retrieve_text(model.model_id, tokens, mode)
     assert st.get_chunk(keys[1 - index]).n_tokens == 8
     # a re-put finds the chunk damaged and rewrites it
     assert st.store_text(model, tokens, mode=mode) == keys
-    assert st.get_chunk(keys[index]).start_pos == 0
+    assert st.get_chunk(keys[index]).start_pos == expected
 
 
-def test_retrieve_text_refuses_a_chain_chunk_whose_start_pos_was_rewritten_at_rest(tmp_path, model):
-    # a chain entry does not record its offset; retrieve_text checks each hit
-    # against the chain's running offset, as the client's fetch does
+def _strip_positions(st: Store, keep=lambda rec: True) -> None:
+    """Rewrite the manifest as written before put records held "pos"."""
+    recs = [json.loads(line) for line in st.manifest_path.read_text().splitlines()]
+    assert all("pos" in rec for rec in recs if "file" in rec)
+    st.manifest_path.write_text("".join(json.dumps({k: v for k, v in rec.items() if k != "pos"}) + "\n"
+                                        for rec in recs if keep(rec)))
+
+
+def test_a_manifest_without_positions_reopens_at_derived_positions(tmp_path, model):
     st = _store(tmp_path)
-    tokens = list(range(16))
+    tokens = list(range(20))
+    chain = st.store_text(model, tokens)
+    standalone = st.store_text(model, tokens, mode=MODE_STANDALONE)
+    st.apply_edit(chain[1], 1, {"factor": 2.0, "tokens": [0]})  # a re-put of a chain chunk
+    want = [st.get_chunk(k) for k in chain + standalone]
+    _strip_positions(st)
+    reopened = _store(tmp_path)
+    assert [reopened.entries[k.digest].pos for k in chain + standalone] == [0, 8, 16, 0, 0, 0]
+    assert [reopened.get_chunk(k) for k in chain + standalone] == want
+    hits, miss = reopened.retrieve_text(model.model_id, tokens)
+    assert [c.start_pos for _, c in hits] == [0, 8, 16] and miss == []
+    # a new put records its position
+    reopened.store_text(model, tokens + [1, 2, 3])
+    assert json.loads(reopened.manifest_path.read_text().splitlines()[-1])["pos"] == 16
+
+
+def test_a_put_record_without_a_position_or_an_indexed_parent_is_skipped(tmp_path, model):
+    st = _store(tmp_path)
+    tokens = list(range(24))
     keys = st.store_text(model, tokens)
-    path = st.blob_dir / st.entries[keys[1].digest].file
-    chunk = codec.CompressedChunk.from_bytes(path.read_bytes())
-    assert chunk.start_pos == 8
-    path.write_bytes(dataclasses.replace(chunk, start_pos=100).to_bytes())
-    with pytest.raises(StoreError, match="at position 100, expected 8"):
-        st.retrieve_text(model.model_id, tokens)
-    hits, miss = st.retrieve_text(model.model_id, tokens[:8])
-    assert [c.start_pos for _, c in hits] == [0] and miss == []
+    _strip_positions(st, keep=lambda rec: rec.get("key") != keys[0].hex)
+    reopened = _store(tmp_path)
+    # no root, so neither child can be positioned; their blobs are collected
+    assert reopened.entries == {} and list(reopened.blob_dir.iterdir()) == []
+    assert reopened.store_text(model, tokens) == keys
+    assert [reopened.get_chunk(k).start_pos for k in keys] == [0, 8, 16]
 
 
 @pytest.mark.parametrize("damage", ["anchor-stride", "payload-byte", "codes-len", "missing"])
@@ -296,6 +320,27 @@ def test_a_re_put_rewrites_a_damaged_blob(tmp_path, model, damage, mode):
         assert all(np.array_equal(g.k_pre, w.k_pre) and np.array_equal(g.v, w.v) for g, w in zip(got, want))
         assert reopened.entries[keys[1].digest].pinned
         assert sorted(p.name for p in reopened.blob_dir.iterdir()) == sorted(e.file for e in reopened.entries.values())
+
+
+def test_a_re_put_rewrites_a_blob_whose_geometry_was_rewritten_at_rest(tmp_path, model):
+    # n_heads and d_head swapped (2 x 4 -> 4 x 2): the token count, the
+    # uncompressed size and the payload still agree, so the chunk reads and
+    # decodes whole, at a geometry that is not the model's
+    st = _store(tmp_path)
+    tokens = list(range(16))
+    keys = st.store_text(model, tokens)
+    path = st.blob_dir / st.entries[keys[1].digest].file
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<HH", blob, 13, CFG.d_head, CFG.n_heads)
+    path.write_bytes(bytes(blob))
+    hits, miss = st.retrieve_text(model.model_id, tokens + [3])
+    assert codec.decompress_cache(hits[1][1]).kv.shape == (2, 2, 4, 8, 2)
+    with pytest.raises(BlendError):
+        prefix_extend_path(model, hits, miss)
+    assert st.store_text(model, tokens) == keys
+    hits, miss = st.retrieve_text(model.model_id, tokens + [3])
+    cache, _ = prefix_extend_path(model, hits, miss)
+    assert np.abs(cache.kv - prefill(model, tokens + [3])[0].kv).max() < 5e-3
 
 
 @pytest.mark.parametrize("n_layers", [1, 3])
