@@ -12,7 +12,7 @@ from .model import (
 from .codec import CodecProfile, CompressedChunk, compress_cache, decompress_cache
 from .store import ChunkKey, Store, StoreConfig, make_key, open_store
 from .blender import BlendReport, Segment, concat_stale, prefix_extend_path, selective_blend
-from .delivery import Client, Frame, KdnServer, LinkModel, serve, simulate_transfer
+from .delivery import Client, Frame, KdnServer, LinkModel, simulate_transfer
 from .costmodel import (
     Conventions,
     CostBreakdown,
@@ -55,7 +55,6 @@ __all__ = [
     "Frame",
     "KdnServer",
     "LinkModel",
-    "serve",
     "simulate_transfer",
     "Conventions",
     "CostBreakdown",

@@ -11,7 +11,6 @@ the result reproduces a full prefill of the concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -68,15 +67,13 @@ def _check_segments(model: Model, segments: list[Segment]) -> None:
     _check_geometry(model, [seg.stale_cache for seg in segments], "segment cache")
 
 
-def concat_stale(model: Model, segments: list[Segment]) -> tuple[KvCache, list[int]]:
+def concat_stale(model: Model, segments: list[Segment]) -> KvCache:
     """Naive composition: each segment's cache at its cumulative offset.
 
     No recomputation, so cross-attention between segments is ignored.
-    Returns the concatenated cache and the segment start offsets.
     """
     _check_segments(model, segments)
-    boundaries = list(accumulate((len(seg.tokens) for seg in segments[:-1]), initial=0))
-    return concat_caches([seg.stale_cache for seg in segments], start_pos=0), boundaries
+    return concat_caches([seg.stale_cache for seg in segments], start_pos=0)
 
 
 def _selection(scores: np.ndarray, ratio: float) -> list[int]:
@@ -106,11 +103,10 @@ def selective_blend(
     """Blend segments with a fresh recompute of a ``ratio`` fraction of tokens."""
     if not 0.0 <= ratio <= 1.0:
         raise BlendError(f"recompute ratio {ratio} out of [0, 1]")
-    _check_segments(model, segments)
     cfg = model.config
     # the blend writes into the concatenation's fresh arrays, never into a
     # segment's own cache or states
-    blended, _ = concat_stale(model, segments)
+    blended = concat_stale(model, segments)
     tokens = [t for seg in segments for t in seg.tokens]
     n = len(tokens)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -77,11 +78,11 @@ def _store_root(args) -> Path:
     return Path(root)
 
 
-def _open_store(args, must_exist: bool = False) -> store.Store:
+def _open_store(args, must_exist: bool = False, **config) -> store.Store:
     root = _store_root(args)
     if must_exist and not root.exists():
         raise CliError(f"store root {root} does not exist")
-    return store.open_store(store.StoreConfig(root=root, capacity=args.capacity))
+    return store.open_store(store.StoreConfig(root=root, **config))
 
 
 def _emit_table(headers: list[str], rows: list[list], fmt: str) -> None:
@@ -105,7 +106,7 @@ def _emit_table(headers: list[str], rows: list[list], fmt: str) -> None:
 def cmd_serve(args) -> int:
     st = _open_store(args, must_exist=True)
     try:
-        server = delivery.serve(st, host=args.host, port=args.port)
+        server = delivery.KdnServer(st, args.host, args.port)
     except OSError as e:
         raise CliError(f"cannot bind {args.host}:{args.port}: {e}") from e
     host, port = server.server_address
@@ -124,7 +125,7 @@ def cmd_put(args) -> int:
     cfg = _load_model_config(args.model)
     tokens = _load_tokens(args.tokens)
     mdl = model.build_model(cfg)
-    st = _open_store(args)
+    st = _open_store(args, capacity=args.capacity)
     before = set(st.entries)
     keys = st.store_text(mdl, tokens, mode=args.mode, profile=_resolve_profile(args.profile))
     fresh = sum(1 for k in keys if k.digest not in before)
@@ -170,18 +171,7 @@ def cmd_blend(args) -> int:
     cache_path = out_dir / "blended.kdnf"
     report_path = out_dir / "blend_report.json"
     model.save_fixture(cache_path, cfg, blended, states)
-    report_path.write_text(
-        json.dumps(
-            {
-                "recompute_ratio": report.recompute_ratio,
-                "selected": report.selected,
-                "scores": [float(s) for s in report.scores],
-                "final_state_error": report.final_state_error,
-                "kv_error": report.kv_error,
-            },
-            indent=2,
-        )
-    )
+    report_path.write_text(json.dumps(dataclasses.asdict(report), indent=2, default=np.ndarray.tolist))
     print(f"blended cache -> {cache_path}")
     print(f"report -> {report_path} (kv_error={report.kv_error:.3e}, "
           f"final_state_error={report.final_state_error:.3e})")
@@ -338,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", help="store root (or KDN_ROOT)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7311)
-    p.add_argument("--capacity", type=int, default=1 << 30)
     p.set_defaults(func=cmd_serve)
 
     for name, fn in (("put", cmd_put), ("get", cmd_get)):
@@ -347,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="model config JSON (file or inline)")
         p.add_argument("--tokens", required=True, help="whitespace-separated token id file")
         p.add_argument("--mode", choices=[store.MODE_CHAIN, store.MODE_STANDALONE], default=store.MODE_CHAIN)
-        p.add_argument("--capacity", type=int, default=1 << 30)
         if name == "put":
+            p.add_argument("--capacity", type=int, default=store.StoreConfig.capacity)
             p.add_argument("--profile", default="8bit-deflate")
         else:
             p.add_argument("--host", help="fetch from a server instead of a local store")

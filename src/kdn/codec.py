@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -171,12 +171,7 @@ class CodecProfile:
             raise CodecError(f"unknown lossless_id {self.lossless_id}")
 
     def to_dict(self) -> dict:
-        return {
-            "quant_bits": self.quant_bits,
-            "group_size": self.group_size,
-            "anchor_stride": self.anchor_stride,
-            "lossless_id": self.lossless_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodecProfile":

@@ -15,7 +15,7 @@ matches the compute and network rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 
@@ -49,21 +49,9 @@ class CostParams:
     bandwidth: float  # B, bytes/second storage <-> inference
 
     def __post_init__(self) -> None:
-        positive = {
-            "refresh_period": self.refresh_period,
-            "c_gpu": self.c_gpu,
-            "c_store": self.c_store,
-            "c_net": self.c_net,
-            "s_model": self.s_model,
-            "s_kv": self.s_kv,
-            "s_text": self.s_text,
-            "t_prefill": self.t_prefill,
-            "t_finetune": self.t_finetune,
-            "bandwidth": self.bandwidth,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise CostModelError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if f.name != "t_query" and not getattr(self, f.name) > 0:
+                raise CostModelError(f"{f.name} must be strictly positive")
         if self.t_query < 0:
             raise CostModelError("t_query must be >= 0")
 

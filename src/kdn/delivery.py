@@ -18,7 +18,8 @@ check (one pass over the payload) catches a damaged payload or trailer, in
 transit or at rest.  A header that disagrees with its manifest entry at rest
 (position, token count or profile) is refused by ``Store.read_blob``, and the
 server answers ERR.  The client checks each header against its request, with
-``codec.read_header``, before it inflates the chunk.
+``codec.read_header``, before it inflates the chunk, and the END frame's miss
+suffix against the tokens the reply left.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ _TYPE_CRC = {t: codec.crc32c(bytes([t])) for t in _FRAME_TYPES}
 ERR_BAD_FRAME = 1
 ERR_BAD_REQUEST = 2
 ERR_INTERNAL = 3
+
+IDLE_TIMEOUT_S = 60.0  # seconds a server connection may stay silent
 
 _MODE_BYTE = {MODE_CHAIN: 0, MODE_STANDALONE: 1}
 _BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
@@ -199,41 +202,35 @@ def decode_err(frame: Frame) -> tuple[int, str]:
     return code, frame.payload[2:].decode("utf-8", errors="replace")
 
 
+def _mode(byte: int) -> str:
+    if byte not in _BYTE_MODE:
+        raise ProtocolError(f"unknown mode byte {byte}")
+    return _BYTE_MODE[byte]
+
+
+def _parse_request(store: Store, frame: Frame) -> tuple[list[ChunkKey], list[int]]:
+    """The stored keys a request frame asks for, in reply order, and its miss suffix."""
+    payload = frame.payload
+    if frame.frame_type not in (REQ_TOKENS, REQ_KEYS):
+        raise ProtocolError(f"unexpected frame type {frame.frame_type}")
+    if len(payload) < (13 if frame.frame_type == REQ_TOKENS else 4):
+        raise ProtocolError("request payload too short")
+    if frame.frame_type == REQ_TOKENS:
+        (model_id,) = struct.unpack_from("<Q", payload)
+        mode = _mode(payload[8])
+        return store.lookup(model_id, _decode_token_list(payload, 9), mode)
+    (n,) = struct.unpack_from("<I", payload)
+    if len(payload) != 4 + 33 * n:
+        raise ProtocolError("key list length mismatch")
+    keys = [ChunkKey(payload[off + 1 : off + 33], _mode(payload[off])) for off in range(4, len(payload), 33)]
+    return [key for key in keys if key.digest in store.entries], []
+
+
 def handle_request(store: Store, frame: Frame) -> list[Frame]:
     """Answer one request frame with CHUNK* (blobs as stored) END, or a single ERR."""
     try:
-        if frame.frame_type == REQ_TOKENS:
-            payload = frame.payload
-            if len(payload) < 13:
-                return [encode_err(ERR_BAD_REQUEST, "request payload too short")]
-            (model_id,) = struct.unpack_from("<Q", payload)
-            mode_byte = payload[8]
-            if mode_byte not in _BYTE_MODE:
-                return [encode_err(ERR_BAD_REQUEST, f"unknown mode byte {mode_byte}")]
-            tokens = _decode_token_list(payload, 9)
-            keys, miss = store.lookup(model_id, tokens, _BYTE_MODE[mode_byte])
-            frames = [Frame(CHUNK, store.read_blob(key)) for key in keys]
-            frames.append(encode_end(miss))
-            return frames
-        if frame.frame_type == REQ_KEYS:
-            payload = frame.payload
-            if len(payload) < 4:
-                return [encode_err(ERR_BAD_REQUEST, "request payload too short")]
-            (n,) = struct.unpack_from("<I", payload)
-            if len(payload) != 4 + 33 * n:
-                return [encode_err(ERR_BAD_REQUEST, "key list length mismatch")]
-            frames = []
-            for i in range(n):
-                off = 4 + 33 * i
-                mode_byte = payload[off]
-                if mode_byte not in _BYTE_MODE:
-                    return [encode_err(ERR_BAD_REQUEST, f"unknown mode byte {mode_byte}")]
-                key = ChunkKey(payload[off + 1 : off + 33], _BYTE_MODE[mode_byte])
-                if key.digest in store.entries:
-                    frames.append(Frame(CHUNK, store.read_blob(key)))
-            frames.append(encode_end([]))
-            return frames
-        return [encode_err(ERR_BAD_REQUEST, f"unexpected frame type {frame.frame_type}")]
+        keys, miss = _parse_request(store, frame)
+        return [*(Frame(CHUNK, store.read_blob(key)) for key in keys), encode_end(miss)]
     except ProtocolError as e:
         return [encode_err(ERR_BAD_REQUEST, str(e))]
     except Exception as e:  # the server must survive arbitrary input
@@ -267,12 +264,13 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         reader = FrameReader()
         try:
+            self.request.settimeout(IDLE_TIMEOUT_S)
             for chunk in iter(lambda: self.request.recv(65536), b""):
                 reader.feed(chunk)
                 for reply in _replies(self.server.store, reader):
                     self.request.sendall(reply)
         except OSError:
-            pass  # the client went away
+            pass  # the client went away or stayed idle
 
 
 class KdnServer(socketserver.ThreadingTCPServer):
@@ -289,10 +287,6 @@ class KdnServer(socketserver.ThreadingTCPServer):
         return t
 
 
-def serve(store: Store, host: str = "127.0.0.1", port: int = 7311) -> KdnServer:
-    return KdnServer(store, host, port)
-
-
 class Client:
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self.host = host
@@ -302,31 +296,33 @@ class Client:
     def fetch(self, model_id: int, mode: str, tokens: list[int]) -> tuple[list[KvCache], list[int]]:
         """Retrieve-by-text: decode, crc-check and decompress.  The reply may
         hold at most one chunk per token, each within the tokens left, at its
-        running offset in a chain reply and at 0 in a standalone one."""
-        return self._fetch(encode_token_request(model_id, mode, tokens), len(tokens), len(tokens), mode)
+        running offset in a chain reply and at 0 in a standalone one, and its
+        miss suffix must be the tokens left (chain) or as many tokens (standalone)."""
+        return self._fetch(encode_token_request(model_id, mode, tokens), len(tokens), tokens, mode)
 
     def fetch_keys(self, keys: list[ChunkKey]) -> list[KvCache]:
-        """At most one chunk per key; the server checks each one's position."""
+        """At most one chunk per key and no miss suffix; the server checks each chunk's position."""
         caches, _ = self._fetch(encode_key_request(keys), len(keys))
         return caches
 
-    def _fetch(self, request: Frame, n_chunks: int, n_tokens: int | None = None,
+    def _fetch(self, request: Frame, n_chunks: int, tokens: list[int] | None = None,
                mode: str | None = None) -> tuple[list[KvCache], list[int]]:
         """A corrupt frame or chunk (crc or decode failure) is retried once before giving up."""
         last_err: Exception | None = None
         for _ in range(2):
             try:
-                return self._receive(request, n_chunks, n_tokens, mode)
+                return self._receive(request, n_chunks, tokens, mode)
             except (codec.CodecError, FrameDecodeError) as e:
                 last_err = e
         raise FetchError(f"fetch failed after retry: {last_err}")
 
-    def _receive(self, request: Frame, n_chunks: int, n_tokens: int | None,
+    def _receive(self, request: Frame, n_chunks: int, tokens: list[int] | None,
                  mode: str | None) -> tuple[list[KvCache], list[int]]:
         """Send ``request`` and decode its reply a frame at a time.  A CHUNK
         frame's crc is derived from its chunk header; the header must hold
         what the request expects, and the first chunk's geometry, before the
-        chunk crc check reads the payload once and the chunk is inflated."""
+        chunk crc check reads the payload once and the chunk is inflated.
+        ``tokens`` is None for a key request."""
         caches: list[KvCache] = []
         served, geometry = 0, None  # tokens received, (layer, head, dim) of the first chunk
         with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
@@ -338,12 +334,17 @@ class Client:
                     if frame.frame_type == ERR:
                         raise FetchError("server error {}: {}".format(*decode_err(frame)))
                     if frame.frame_type == END:
-                        return caches, _decode_token_list(frame.payload, 0)
+                        miss = _decode_token_list(frame.payload, 0)
+                        rest = [] if tokens is None else tokens[served:]
+                        if len(miss) != len(rest) or (mode == MODE_CHAIN and miss != rest):
+                            raise codec.DecodeError(f"miss suffix of {len(miss)} tokens does not match "
+                                                    f"the {len(rest)} tokens left")
+                        return caches, miss
                     if len(caches) == n_chunks:  # any other frame is read as a CHUNK
                         raise codec.DecodeError(f"reply holds more than {n_chunks} chunks")
                     chunk = codec.CompressedChunk.from_bytes(
                         frame.payload, start_pos={MODE_CHAIN: served, MODE_STANDALONE: 0}.get(mode),
-                        max_tokens=None if n_tokens is None else n_tokens - served, geometry=geometry)
+                        max_tokens=None if tokens is None else len(tokens) - served, geometry=geometry)
                     geometry = (chunk.n_layers, chunk.n_heads, chunk.d_head)
                     caches.append(codec.decompress_cache(chunk))
                     served += chunk.n_tokens
@@ -361,7 +362,4 @@ def simulate_fetch(link: LinkModel, chunk_sizes: list[int]) -> float:
     Deterministic accounting: each chunk frame pays one latency plus its
     framed bytes over the bandwidth.
     """
-    clock = 0.0
-    for size in chunk_sizes:
-        clock += link.latency + (size + _FRAME_OVERHEAD) / link.bandwidth
-    return clock
+    return sum((simulate_transfer(link, size + _FRAME_OVERHEAD) for size in chunk_sizes), 0.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,13 +77,7 @@ class ModelConfig:
         return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_head": self.d_head,
-            "vocab_size": self.vocab_size,
-            "rope_base": self.rope_base,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -50,8 +50,7 @@ def test_segment_validation(model):
 
 
 def test_concat_stale_layout(model, segments):
-    cache, boundaries = concat_stale(model, segments)
-    assert boundaries == [0, 32]
+    cache = concat_stale(model, segments)
     assert cache.n_tokens == 64 and cache.start_pos == 0
     # each region is the untouched standalone cache
     assert np.array_equal(cache.k_pre[:, :, :32], segments[0].stale_cache.k_pre)
@@ -159,7 +158,7 @@ def test_empty_segment_blends(model):
 
 def test_zero_ratio_is_pure_stale(model, segments):
     blended, states, report = selective_blend(model, segments, 0.0)
-    stale, _ = concat_stale(model, segments)
+    stale = concat_stale(model, segments)
     assert np.array_equal(blended.k_pre, stale.k_pre)
     assert np.array_equal(blended.v, stale.v)
     assert report.selected == []
@@ -175,7 +174,7 @@ def test_first_segment_region_always_exact(model, segments):
 
 
 def test_unselected_rows_keep_stale_values(model, segments):
-    stale, _ = concat_stale(model, segments)
+    stale = concat_stale(model, segments)
     blended, _, report = selective_blend(model, segments, 0.3)
     untouched = sorted(set(range(64)) - set(report.selected))
     assert np.array_equal(blended.k_pre[:, :, untouched], stale.k_pre[:, :, untouched])

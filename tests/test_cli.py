@@ -178,6 +178,7 @@ def test_blend_writes_outputs(workspace, capsys):
     code, out, _ = _run(capsys, ["blend", "--request", str(req), "--out", str(out_dir)])
     assert code == 0
     report = json.loads((out_dir / "blend_report.json").read_text())
+    assert list(report) == ["recompute_ratio", "selected", "scores", "final_state_error", "kv_error"]
     assert report["recompute_ratio"] == 1.0
     assert report["kv_error"] == 0.0
     _, cache, states = load_fixture(out_dir / "blended.kdnf")
@@ -304,6 +305,14 @@ def test_cost_sweep_params_file_not_an_object_is_one_line_exit_1(workspace, caps
 def test_cost_report_takes_no_convention_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["cost", "report", flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["get", "serve"])
+def test_capacity_is_a_put_flag_only(workspace, command):
+    # neither command admits or evicts a chunk
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--root", str(workspace / "store"), "--capacity", "10"])
     assert exc.value.code == 2
 
 

@@ -204,18 +204,18 @@ def test_handle_request_serves_blobs_as_stored(store, model, monkeypatch):
 
 
 def test_handle_malformed_requests(store):
-    for frame in (
-        Frame(REQ_TOKENS, b"\x00"),  # too short
-        Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([9]) + struct.pack("<I", 0)),  # bad mode
-        Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([0]) + struct.pack("<I", 99)),  # truncated list
-        Frame(REQ_KEYS, b"\x00\x00"),
-        Frame(REQ_KEYS, struct.pack("<I", 2) + b"\x00" * 33),  # count mismatch
-        Frame(CHUNK, b"whatever"),  # not a request
+    for frame, message in (
+        (Frame(REQ_TOKENS, b"\x00"), "request payload too short"),
+        (Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([9]) + struct.pack("<I", 0)), "unknown mode byte 9"),
+        (Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([0]) + struct.pack("<I", 99)), "token list truncated"),
+        (Frame(REQ_KEYS, b"\x00\x00"), "request payload too short"),
+        (Frame(REQ_KEYS, struct.pack("<I", 2) + b"\x00" * 33), "key list length mismatch"),
+        (Frame(REQ_KEYS, struct.pack("<I", 1) + bytes([7]) + b"\x00" * 32), "unknown mode byte 7"),
+        (Frame(CHUNK, b"whatever"), "unexpected frame type 3"),  # not a request
     ):
         replies = handle_request(store, frame)
         assert len(replies) == 1 and replies[0].frame_type == ERR
-        code, msg = decode_err(replies[0])
-        assert code >= 1 and msg
+        assert decode_err(replies[0]) == (delivery.ERR_BAD_REQUEST, message)
 
 
 def test_process_stream_happy_path(store, model):
@@ -322,6 +322,10 @@ def test_tcp_end_to_end(store, model):
         # miss-only query
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, [30, 30])
         assert caches == [] and miss == [30, 30]
+        # a standalone miss suffix holds the missed chunks' tokens, wherever they are
+        store.store_text(model, [9, 10, 11, 12, 13, 14, 15, 16], mode=MODE_STANDALONE)
+        caches, miss = client.fetch(model.model_id, MODE_STANDALONE, [30] * 8 + [9, 10, 11, 12, 13, 14, 15, 16])
+        assert [(c.n_tokens, c.start_pos) for c in caches] == [(8, 0)] and miss == [30] * 8
     finally:
         server.shutdown()
         server.server_close()
@@ -343,6 +347,18 @@ def test_tcp_server_survives_garbage_then_serves(store, model):
         client = Client(host, port, timeout=10.0)
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, [1, 2, 3, 4, 5, 6, 7, 8])
         assert miss == [] and len(caches) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_server_closes_an_idle_connection(store, monkeypatch):
+    monkeypatch.setattr(delivery, "IDLE_TIMEOUT_S", 0.2)
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        with socket.create_connection(server.server_address, timeout=5.0) as sock:
+            assert sock.recv(1) == b""  # EOF, not a timeout of this recv
     finally:
         server.shutdown()
         server.server_close()
@@ -535,20 +551,25 @@ def reply_chunks(model):
 
 
 # (mode and token count of a token request, or None for a one-key request;
-# the chunks of the reply; the refusal)
-@pytest.mark.parametrize("request_, reply, match", [
-    ((MODE_CHAIN, 16), ["at 0", "at 0"], "at position 0, expected 8"),
-    ((MODE_STANDALONE, 8), ["at 8"], "at position 8, expected 0"),
-    ((MODE_CHAIN, 10), ["at 0", "at 8"], "chunk of 8 tokens, expected at most 2"),
-    ((MODE_CHAIN, 10), ["65536 tokens"], "chunk of 65536 tokens, expected at most 10"),
-    ((MODE_CHAIN, 16), ["at 0", "32x32x64 at 8"], r"geometry \(32, 32, 64\), expected \(2, 2, 4\)"),
-    (None, ["at 0", "at 8"], "more than 1 chunks"),
+# the chunks of the reply and its END suffix; the refusal)
+@pytest.mark.parametrize("request_, reply, suffix, match", [
+    ((MODE_CHAIN, 16), ["at 0", "at 0"], [], "at position 0, expected 8"),
+    ((MODE_STANDALONE, 8), ["at 8"], [], "at position 8, expected 0"),
+    ((MODE_CHAIN, 10), ["at 0", "at 8"], [], "chunk of 8 tokens, expected at most 2"),
+    ((MODE_CHAIN, 10), ["65536 tokens"], [], "chunk of 65536 tokens, expected at most 10"),
+    ((MODE_CHAIN, 16), ["at 0", "32x32x64 at 8"], [], r"geometry \(32, 32, 64\), expected \(2, 2, 4\)"),
+    (None, ["at 0", "at 8"], [], "more than 1 chunks"),
+    ((MODE_CHAIN, 16), ["at 0"], list(range(8, 20)), "miss suffix of 12 tokens does not match the 8 tokens left"),
+    ((MODE_CHAIN, 16), ["at 0"], list(range(9, 17)), "miss suffix of 8 tokens does not match the 8 tokens left"),
+    ((MODE_STANDALONE, 16), ["at 0"], [0, 1, 2, 3], "miss suffix of 4 tokens does not match the 8 tokens left"),
+    (None, ["at 0"], [5], "miss suffix of 1 tokens does not match the 0 tokens left"),
 ], ids=["chain-off-position", "standalone-off-position", "past-the-tokens-left", "claims-65536-tokens",
-        "geometry-of-another-model", "more-chunks-than-keys"])
+        "geometry-of-another-model", "more-chunks-than-keys", "chain-suffix-past-the-request",
+        "chain-suffix-of-other-tokens", "standalone-suffix-short", "key-request-with-a-suffix"])
 def test_fetch_refuses_a_reply_it_did_not_ask_for_before_inflating_it(
-    model, reply_chunks, monkeypatch, request_, reply, match
+    model, reply_chunks, monkeypatch, request_, reply, suffix, match
 ):
-    frames = [Frame(CHUNK, reply_chunks[name]) for name in reply] + [encode_end([])]
+    frames = [Frame(CHUNK, reply_chunks[name]) for name in reply] + [encode_end(suffix)]
     monkeypatch.setattr(delivery, "handle_request", lambda store, frame: frames)
     server = KdnServer(None, port=0)
     server.serve_in_background()
