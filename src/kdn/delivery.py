@@ -56,6 +56,7 @@ ERR_BAD_REQUEST = 2
 ERR_INTERNAL = 3
 
 IDLE_TIMEOUT_S = 60.0  # seconds a server connection may stay silent
+MAX_CONNECTIONS = 64  # connections a server handles at once; one past them is closed at accept
 
 _MODE_BYTE = {MODE_CHAIN: 0, MODE_STANDALONE: 1}
 _BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
@@ -182,6 +183,8 @@ def encode_key_request(keys: list[ChunkKey]) -> Frame:
 
 
 def _decode_token_list(data: bytes, offset: int) -> list[int]:
+    if len(data) - offset < 4:
+        raise ProtocolError("token list count truncated")
     (n,) = struct.unpack_from("<I", data, offset)
     offset += 4
     if len(data) - offset < 4 * n:
@@ -280,6 +283,25 @@ class KdnServer(socketserver.ThreadingTCPServer):
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.store = store
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        """Start a handler thread only while fewer than ``MAX_CONNECTIONS`` run."""
+        if not self._slots.acquire(blocking=False):
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will release the slot
+            self._slots.release()
+            raise
+
+    def finish_request(self, request, client_address) -> None:
+        # released before the socket closes: a client that saw it close can connect at once
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            self._slots.release()
 
     def serve_in_background(self) -> threading.Thread:
         t = threading.Thread(target=self.serve_forever, daemon=True)
@@ -307,13 +329,16 @@ class Client:
 
     def _fetch(self, request: Frame, n_chunks: int, tokens: list[int] | None = None,
                mode: str | None = None) -> tuple[list[KvCache], list[int]]:
-        """A corrupt frame or chunk (crc or decode failure) is retried once before giving up."""
+        """A corrupt frame or chunk (crc or decode failure) is retried once before giving up;
+        a connection refused, reset or timed out is not retried.  Either raises FetchError."""
         last_err: Exception | None = None
         for _ in range(2):
             try:
                 return self._receive(request, n_chunks, tokens, mode)
             except (codec.CodecError, FrameDecodeError) as e:
                 last_err = e
+            except OSError as e:
+                raise FetchError(f"fetch failed: {e}") from e
         raise FetchError(f"fetch failed after retry: {last_err}")
 
     def _receive(self, request: Frame, n_chunks: int, tokens: list[int] | None,
@@ -334,7 +359,10 @@ class Client:
                     if frame.frame_type == ERR:
                         raise FetchError("server error {}: {}".format(*decode_err(frame)))
                     if frame.frame_type == END:
-                        miss = _decode_token_list(frame.payload, 0)
+                        try:
+                            miss = _decode_token_list(frame.payload, 0)
+                        except ProtocolError as e:
+                            raise codec.DecodeError(f"malformed END frame: {e}") from e
                         rest = [] if tokens is None else tokens[served:]
                         if len(miss) != len(rest) or (mode == MODE_CHAIN and miss != rest):
                             raise codec.DecodeError(f"miss suffix of {len(miss)} tokens does not match "

@@ -35,6 +35,16 @@ ROLE_Q, ROLE_K, ROLE_V, ROLE_O = 0, 1, 2, 3
 # keys per causal score tile in ``attend``
 TILE = 128
 
+# Largest softmax shift ``attend`` folds into Q.K^T alone.  A row's shift is
+# c = |q| max|k| over its head's keys; by Cauchy-Schwarz each of its scores s
+# lies in [-c, c], so each exp(s - c) in [exp(-2c), 1].  At 2c <= 700 that is
+# a normal float64 (the least is exp(-708.4)), so no weight underflows and the
+# row's sum, at least exp(-2c), stays nonzero.  The shift adds one term of
+# size c to each product, whose own terms reach |q||k| <= c, so it rounds each
+# exponent by about eps * c, 8e-14 at c = 350: inside attend's 1e-12 bound.  A
+# span group whose largest c is past this also subtracts each row's exact max.
+MAX_SHIFT = 350.0
+
 # token rows to index a (token, ...) array by
 Rows = np.ndarray | list[int] | slice
 
@@ -191,13 +201,11 @@ def _rope_table(k0: int, n_keys: int, d_head: int, rope_base: float) -> tuple[np
     return cos, sin
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate (..., token, dim) rows pairwise by (token, dim // 2) angles."""
-    out = np.empty_like(x, dtype=np.float64)
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray) -> None:
+    """Rotate (..., token, dim) rows pairwise by (token, dim // 2) angles into float64 ``out``."""
     even, odd = x[..., 0::2], x[..., 1::2]
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
-    return out
 
 
 def attend(
@@ -227,13 +235,16 @@ def attend(
     its row count: at 1024 keys of 4 heads x 16 dims, the last row alone, or
     rows 1000-1023, were off by up to 7e-17 of the output's scale.
 
-    The 1/sqrt(d_head) scale multiplies the rotated Q rows and the softmax
-    is normalized after the P.V product, so no pass over the scores scales
-    or divides them.  Queries and keys take their rotary angles from one
-    cos/sin table over the key positions, shared by the layers of one
-    ``_run_layers`` call.  Each call allocates one float64 score workspace,
-    sized for its largest group across all heads, and every group's scores
-    and softmax live in a view of it.
+    The 1/sqrt(d_head) scale multiplies the rotated Q rows.  Each Q row
+    carries its softmax shift -c (see ``MAX_SHIFT``) in one more column, and
+    each K and V row a 1, so Q.K^T yields the shifted scores and P.V yields
+    the softmax's sum beside its weighted sum of V.  Besides the two products
+    and the diagonal tile's mask, exp is the one pass over the scores; a
+    group past ``MAX_SHIFT`` adds a row max and a subtraction.  Queries and
+    keys take their rotary angles from one cos/sin table over the key
+    positions, shared by the layers of one ``_run_layers`` call.  Each call
+    allocates one float64 score workspace, sized for its largest group across
+    all heads, and every group's scores and softmax live in a view of it.
     """
     cfg = model.config
     n_keys = len(k_positions)
@@ -252,11 +263,19 @@ def attend(
         x_q, q_positions = np.repeat(x_q, 2, axis=0), np.repeat(q_positions, 2)
     offsets = q_positions - k0
     cos, sin = _rope_table(k0, n_keys, cfg.d_head, cfg.rope_base)
-    q = _rotate(x_q @ model.wq[layer], cos[offsets], sin[offsets])  # (head, row, dim)
-    q *= 1.0 / np.sqrt(float(cfg.d_head))
-    k = _rotate(k_pre.astype(np.float64), cos, sin)
-    v = v.astype(np.float64)
-    ctx = np.empty_like(q)
+    d = cfg.d_head
+    q = np.empty((cfg.n_heads, len(x_q), d + 1))
+    k = np.empty((cfg.n_heads, n_keys, d + 1))
+    v1 = np.empty_like(k)
+    _rotate(x_q @ model.wq[layer], cos[offsets], sin[offsets], q[..., :d])
+    q[..., :d] *= 1.0 / np.sqrt(float(d))
+    _rotate(k_pre, cos, sin, k[..., :d])
+    v1[..., :d] = v
+    k[..., d] = v1[..., d] = 1.0
+    # squared norms by einsum: np.linalg.norm over 16-wide rows took 5x as long
+    k_sq = np.einsum("hkd,hkd->hk", k[..., :d], k[..., :d]).max(axis=-1)
+    q[..., d] = -np.sqrt(np.einsum("hrd,hrd->hr", q[..., :d], q[..., :d]) * k_sq[:, None])
+    ctx = np.empty((cfg.n_heads, len(x_q), d))
     spans = np.minimum(n_keys, (offsets // TILE + 1) * TILE)
     groups, counts = np.unique(spans, return_counts=True)
     # a lone row runs twice (gemm, as above)
@@ -269,9 +288,12 @@ def attend(
         np.matmul(q[:, rows], k[:, :m].transpose(0, 2, 1), out=scores)
         lo = (m - 1) // TILE * TILE
         np.copyto(scores[..., lo:], -np.inf, where=np.arange(lo, m) > offsets[rows, None])
-        scores -= scores.max(axis=-1, keepdims=True)
+        if q[:, rows, d].min() < -MAX_SHIFT:
+            scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        ctx[:, rows] = (scores @ v[:, :m]) / scores.sum(axis=-1, keepdims=True)
+        pv = scores @ v1[:, :m]
+        ctx[:, rows] = pv[..., :d] / pv[..., d:]
+    del q, k, v1, work, scores  # the output projection allocates after they are gone
     # one product per head: a batched (head, row, d_model) product and a sum
     # over heads gave the same bits but a slower, larger `blend` op
     out = np.zeros((x_q.shape[0], cfg.d_model), dtype=np.float64)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kdn
-from kdn import blender
+from kdn import blender, delivery
 from kdn.cli import main
 from kdn.costmodel import PUBLISHED_MEASUREMENTS
 from kdn.model import KvCache, ModelConfig, build_model, load_fixture, prefill
@@ -95,6 +95,22 @@ def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
 
     miss = " ".join(str(i % 32) for i in range(128, 140)) + " 31 31 31"
     assert chunks_and_miss(remote) == chunks_and_miss(local) == (2, f"miss_suffix: 15 tokens -> {miss}\n")
+
+
+@pytest.mark.parametrize("payload", [b"\x01", b"\x05\x00\x00\x00"], ids=["count-cut", "tokens-cut"])
+def test_get_host_reports_a_malformed_end_frame_in_one_line(workspace, capsys, monkeypatch, payload):
+    monkeypatch.setattr(delivery, "handle_request", lambda store, frame: [delivery.Frame(delivery.END, payload)])
+    server = delivery.KdnServer(None, port=0)
+    server.serve_in_background()
+    try:
+        host, port = server.server_address
+        code, out, err = _run(capsys, ["get", "--host", host, "--port", str(port), "--model", MODEL_JSON,
+                                       "--tokens", str(workspace / "tokens.txt")])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: fetch failed after retry: malformed END frame") and err.count("\n") == 1
 
 
 def test_serve_missing_root_exits_1(tmp_path, capsys):

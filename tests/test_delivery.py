@@ -364,6 +364,28 @@ def test_tcp_server_closes_an_idle_connection(store, monkeypatch):
         server.server_close()
 
 
+def test_tcp_server_closes_a_connection_past_its_cap(store, model, monkeypatch):
+    monkeypatch.setattr(delivery, "MAX_CONNECTIONS", 1)
+    tokens = [1, 2, 3, 4, 5, 6, 7, 8]
+    server = KdnServer(store, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        with socket.create_connection(server.server_address, timeout=5.0) as held:
+            # an answered request shows that the held connection has the one handler
+            held.sendall(encode_frame(encode_token_request(model.model_id, MODE_CHAIN, tokens)))
+            assert _read_until_end(held) == [CHUNK, END]
+            with pytest.raises(FetchError):
+                client.fetch(model.model_id, MODE_CHAIN, tokens)
+            held.shutdown(socket.SHUT_WR)
+            assert held.recv(1) == b""  # the handler saw EOF and ended
+        caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens)
+        assert miss == [] and [c.n_tokens for c in caches] == [8]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def _read_until_end(sock) -> list[int]:
     reader = FrameReader()
     types: list[int] = []
@@ -563,13 +585,18 @@ def reply_chunks(model):
     ((MODE_CHAIN, 16), ["at 0"], list(range(9, 17)), "miss suffix of 8 tokens does not match the 8 tokens left"),
     ((MODE_STANDALONE, 16), ["at 0"], [0, 1, 2, 3], "miss suffix of 4 tokens does not match the 8 tokens left"),
     (None, ["at 0"], [5], "miss suffix of 1 tokens does not match the 0 tokens left"),
+    # an END payload as raw bytes: a count cut short, and a count of 5 with no tokens
+    ((MODE_CHAIN, 8), [], b"\x01", "malformed END frame: token list count truncated"),
+    ((MODE_CHAIN, 8), [], b"\x05\x00\x00\x00", "malformed END frame: token list truncated"),
 ], ids=["chain-off-position", "standalone-off-position", "past-the-tokens-left", "claims-65536-tokens",
         "geometry-of-another-model", "more-chunks-than-keys", "chain-suffix-past-the-request",
-        "chain-suffix-of-other-tokens", "standalone-suffix-short", "key-request-with-a-suffix"])
+        "chain-suffix-of-other-tokens", "standalone-suffix-short", "key-request-with-a-suffix",
+        "end-count-cut", "end-tokens-cut"])
 def test_fetch_refuses_a_reply_it_did_not_ask_for_before_inflating_it(
     model, reply_chunks, monkeypatch, request_, reply, suffix, match
 ):
-    frames = [Frame(CHUNK, reply_chunks[name]) for name in reply] + [encode_end(suffix)]
+    end = Frame(END, suffix) if isinstance(suffix, bytes) else encode_end(suffix)
+    frames = [Frame(CHUNK, reply_chunks[name]) for name in reply] + [end]
     monkeypatch.setattr(delivery, "handle_request", lambda store, frame: frames)
     server = KdnServer(None, port=0)
     server.serve_in_background()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdn.model import (
+    MAX_SHIFT,
     TILE,
     KvCache,
     ModelConfig,
@@ -215,6 +216,33 @@ def test_attend_matches_untiled_reference_at_1024_keys(cfg, start_pos):
     for rows in (slice(None), slice(n - 64, n)):
         got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
         np.testing.assert_allclose(got, want[rows], rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("cfg", [ATTN_CFG, ModelConfig(1, 4, 16, 32)], ids=["2x4", "4x16"])
+@pytest.mark.parametrize("n", [300, 1024])
+def test_attend_matches_untiled_reference_at_any_scale(cfg, n):
+    # scaling x and k_pre by a scales every score by a^2.  A span group whose
+    # rows' shifts c = |q| max|k| all stay under MAX_SHIFT folds its softmax
+    # shift into Q.K^T; one past it subtracts each row's exact max.  The scale
+    # that puts the largest c at 0.99 MAX_SHIFT rounds the folded shift most.
+    m = build_model(cfg)
+    x, pos, k_pre, v = _attend_inputs(n, 0, seed=n, cfg=cfg)
+
+    def shifts(x, k_pre):  # each row's largest c over the heads
+        q = np.linalg.norm(x @ m.wq[0], axis=-1) / np.sqrt(cfg.d_head)
+        return (q * np.linalg.norm(k_pre.astype(np.float64), axis=-1).max(axis=-1)[:, None]).max(axis=0)
+
+    worst = np.sqrt(0.99 * MAX_SHIFT / shifts(x, k_pre).max())
+    cs = []
+    for a in (1e-3, 1.0, worst, 30.0, 1e3, 1e5):
+        xa, ka = a * x, (a * k_pre).astype(np.float32)
+        cs.append(shifts(xa, ka))
+        got = attend(m, 0, xa, pos, ka, v, pos)
+        want = ref_attend(m, 0, xa, pos, ka, v, pos)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # every row of some case folds its shift, and every row of another takes the exact max
+    assert min(c.max() for c in cs) < MAX_SHIFT < max(c.min() for c in cs)
 
 
 def test_attend_bits_do_not_depend_on_the_call_before():
