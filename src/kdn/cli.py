@@ -1,6 +1,10 @@
 """Operator command line: server, store client, blender, codec bench,
 and cost-model reports.
 
+JSON documents are files (``--request``, ``--params``, ``--trace``) or, for
+``--model`` and ``--profile``, a file or inline text; one that cannot be read,
+parsed or built into its values is one ``kdn:`` line and exit 1.
+
 Exit codes: 0 success, 1 operational error, 2 usage error.
 """
 
@@ -34,15 +38,15 @@ class UsageError(CliError):
     """Bad flags or request values (exit 2)."""
 
 
-def _load_model_config(spec: str) -> model.ModelConfig:
-    text = spec
-    if os.path.exists(spec):
-        text = Path(spec).read_text()
-    # a JSONDecodeError and a ModelError are ValueErrors
+def _read_doc(spec: str, what: str, build, inline: bool = False):
+    """``build(doc)`` of the JSON document in the file ``spec`` or, if
+    ``inline`` and no such file exists, in ``spec`` itself.  Any failure to
+    read, parse or build is one ``what: reason`` error."""
     try:
-        return model.ModelConfig.from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise CliError(f"bad model config {spec!r}: {e}") from e
+        text = spec if inline and not os.path.exists(spec) else Path(spec).read_text()
+        return build(json.loads(text))
+    except (OSError, *store.MALFORMED_DOCUMENT) as e:
+        raise CliError(f"{what}: {e}") from e
 
 
 def _load_tokens(path: str) -> list[int]:
@@ -64,11 +68,9 @@ def _load_tokens(path: str) -> list[int]:
 def _resolve_profile(name: str) -> codec.CodecProfile:
     if name in codec.PROFILES:
         return codec.PROFILES[name]
-    try:
-        return codec.CodecProfile.from_dict(json.loads(name))
-    except (json.JSONDecodeError, TypeError, codec.CodecError) as e:
-        known = ", ".join(sorted(codec.PROFILES))
-        raise CliError(f"unknown codec profile {name!r} (known: {known}): {e}") from e
+    known = ", ".join(sorted(codec.PROFILES))
+    return _read_doc(name, f"unknown codec profile {name!r} (known: {known})", codec.CodecProfile.from_dict,
+                     inline=True)
 
 
 def _store_root(args) -> Path:
@@ -110,19 +112,19 @@ def cmd_serve(args) -> int:
     except OSError as e:
         raise CliError(f"cannot bind {args.host}:{args.port}: {e}") from e
     host, port = server.server_address
-    print(f"kdn serve: {len(st.entries)} chunks at {st.root}, listening on {host}:{port}")
+    # no shutdown(): serve_forever runs on this thread, so it has stopped, and shutdown() waits forever if it never started
     try:
+        print(f"kdn serve: {len(st.entries)} chunks at {st.root}, listening on {host}:{port}")
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
         server.server_close()
     return 0
 
 
 def cmd_put(args) -> int:
-    cfg = _load_model_config(args.model)
+    cfg = _read_doc(args.model, f"bad model config {args.model!r}", model.ModelConfig.from_dict, inline=True)
     tokens = _load_tokens(args.tokens)
     mdl = model.build_model(cfg)
     st = _open_store(args, capacity=args.capacity)
@@ -137,7 +139,7 @@ def cmd_put(args) -> int:
 
 
 def cmd_get(args) -> int:
-    cfg = _load_model_config(args.model)
+    cfg = _read_doc(args.model, f"bad model config {args.model!r}", model.ModelConfig.from_dict, inline=True)
     tokens = _load_tokens(args.tokens)
     if args.host:
         client = delivery.Client(args.host, args.port)
@@ -154,13 +156,9 @@ def cmd_get(args) -> int:
 
 
 def cmd_blend(args) -> int:
-    try:
-        req = json.loads(Path(args.request).read_text())
-        cfg = model.ModelConfig.from_dict(req["model"])
-        segment_tokens = [[int(t) for t in toks] for toks in req["segments"]]
-        ratio = float(req["ratio"])
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as e:
-        raise CliError(f"bad blend request: {e}") from e
+    cfg, segment_tokens, ratio = _read_doc(args.request, "bad blend request", lambda req: (
+        model.ModelConfig.from_dict(req["model"]), [[int(t) for t in toks] for toks in req["segments"]],
+        float(req["ratio"])))
     if not 0.0 <= ratio <= 1.0:
         raise UsageError(f"ratio {ratio} out of [0, 1]")
     mdl = model.build_model(cfg)
@@ -203,18 +201,6 @@ def cmd_bench_codec(args) -> int:
     return 0
 
 
-def _load_doc(path: str, read):
-    """``read(doc)`` of the JSON params file at ``path``; any failure is one ``bad params file`` error."""
-    try:
-        return read(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
-        raise CliError(f"bad params file: {e}") from e
-
-
-def _load_params(path: str) -> tuple[costmodel.CostParams, dict]:
-    return _load_doc(path, lambda doc: (costmodel.CostParams.from_dict(doc), doc))
-
-
 def _measured_rows(doc: dict) -> dict[str, costmodel.SystemMeasurement]:
     """The params file's ``measured`` rows, if it has them, else the published ones."""
     given = doc.get("measured")
@@ -231,7 +217,8 @@ def _conventions(args) -> costmodel.Conventions:
 
 
 def cmd_cost_report(args) -> int:
-    measured = _load_doc(args.params, _measured_rows) if args.params else costmodel.PUBLISHED_MEASUREMENTS
+    measured = (_read_doc(args.params, "bad params file", _measured_rows) if args.params
+                else costmodel.PUBLISHED_MEASUREMENTS)
     report = costmodel.comparison_report(measured)
     rows = [
         [name, m.inject_time, m.cost, m.delay]
@@ -259,10 +246,10 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
 
 
 def cmd_cost_sweep(args) -> int:
-    params, doc = _load_params(args.params)
+    params, r2 = _read_doc(args.params, "bad params file",
+                           lambda doc: (costmodel.CostParams.from_dict(doc), float(doc.get("r2", 0.0))))
     conventions = _conventions(args)
     objective = costmodel.Objective(args.objective)
-    r2 = float(doc.get("r2", 0.0))
     _, grid = _parse_sweep(args.sweep)
     threshold = costmodel.threshold_r1(params, objective, r2=r2, conventions=conventions)
     rows = []
@@ -292,13 +279,9 @@ def cmd_cost_sweep(args) -> int:
 
 
 def cmd_cost_simulate(args) -> int:
-    params, _ = _load_params(args.params)
+    params = _read_doc(args.params, "bad params file", costmodel.CostParams.from_dict)
     conventions = _conventions(args)
-    try:
-        raw = json.loads(Path(args.trace).read_text())
-        trace = [(float(t), str(c)) for t, c in raw]
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as e:
-        raise CliError(f"bad trace file: {e}") from e
+    trace = _read_doc(args.trace, "bad trace file", lambda raw: [(float(t), str(c)) for t, c in raw])
     mix = costmodel.empirical_mix(trace, params.refresh_period)
     rows = []
     for system in costmodel.System:

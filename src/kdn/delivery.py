@@ -189,6 +189,8 @@ def _decode_token_list(data: bytes, offset: int) -> list[int]:
     offset += 4
     if len(data) - offset < 4 * n:
         raise ProtocolError("token list truncated")
+    if len(data) - offset > 4 * n:
+        raise ProtocolError(f"{len(data) - offset - 4 * n} bytes after the token list")
     return list(struct.unpack_from(f"<{n}I", data, offset)) if n else []
 
 
@@ -201,6 +203,9 @@ def encode_err(code: int, message: str) -> Frame:
 
 
 def decode_err(frame: Frame) -> tuple[int, str]:
+    """An ERR frame's code and message; one too short for its code is a corrupt reply, like a malformed END."""
+    if len(frame.payload) < 2:
+        raise codec.DecodeError("malformed ERR frame: error code truncated")
     (code,) = struct.unpack_from("<H", frame.payload)
     return code, frame.payload[2:].decode("utf-8", errors="replace")
 

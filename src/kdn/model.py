@@ -398,9 +398,14 @@ def load_fixture(path) -> tuple[dict, KvCache, np.ndarray]:
         data = f.read()
     if data[:4] != FIXTURE_MAGIC:
         raise ModelError("bad fixture magic")
-    n_layers, n_heads, d_head, vocab, n_tokens, start_pos = struct.unpack("<6H", data[4:16])
-    kv = np.frombuffer(data, "<f4", 2 * n_layers * n_heads * n_tokens * d_head, 16)
+    if len(data) < 16:
+        raise ModelError(f"fixture header cut at {len(data)} of 16 bytes")
+    n_layers, n_heads, d_head, vocab, n_tokens, start_pos = struct.unpack_from("<6H", data, 4)
     d_model = n_heads * d_head
+    expected = 16 + 4 * (2 * n_layers + 1) * n_tokens * d_model  # header, K/V and the states' rows
+    if len(data) != expected:
+        raise ModelError(f"fixture of {len(data)} bytes, its header asks for {expected}")
+    kv = np.frombuffer(data, "<f4", 2 * n_layers * n_tokens * d_model, 16)
     states = np.frombuffer(data, "<f4", n_tokens * d_model, 16 + kv.nbytes).reshape(n_tokens, d_model)
     meta = {
         "n_layers": n_layers,

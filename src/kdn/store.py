@@ -35,6 +35,11 @@ MODE_STANDALONE = "standalone"
 _MODE_CODE = {MODE_CHAIN: 0, MODE_STANDALONE: 1}
 
 
+# what building values from a malformed JSON document raises (a JSONDecodeError and kdn's
+# typed errors are ValueErrors); manifest replay and the CLI's document reader catch these
+MALFORMED_DOCUMENT = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
+
+
 class StoreError(Exception):
     pass
 
@@ -166,8 +171,7 @@ class Store:
                         continue
                     try:
                         self._replay(json.loads(line))
-                    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-                            RecursionError, StoreError) as e:
+                    except (*MALFORMED_DOCUMENT, StoreError) as e:
                         log.warning("manifest line %d skipped: %s", lineno, e)
         # entries whose blob vanished are dropped; blobs without entries are orphans
         for digest, entry in list(self.entries.items()):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kdn
-from kdn import blender, delivery
+from kdn import blender, cli, delivery
 from kdn.cli import main
 from kdn.costmodel import PUBLISHED_MEASUREMENTS
 from kdn.model import KvCache, ModelConfig, build_model, load_fixture, prefill
@@ -97,9 +97,14 @@ def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
     assert chunks_and_miss(remote) == chunks_and_miss(local) == (2, f"miss_suffix: 15 tokens -> {miss}\n")
 
 
-@pytest.mark.parametrize("payload", [b"\x01", b"\x05\x00\x00\x00"], ids=["count-cut", "tokens-cut"])
-def test_get_host_reports_a_malformed_end_frame_in_one_line(workspace, capsys, monkeypatch, payload):
-    monkeypatch.setattr(delivery, "handle_request", lambda store, frame: [delivery.Frame(delivery.END, payload)])
+@pytest.mark.parametrize("reply", [
+    delivery.Frame(delivery.END, b"\x01"),
+    delivery.Frame(delivery.END, b"\x05\x00\x00\x00"),
+    delivery.Frame(delivery.END, b"\x00\x00\x00\x00junk"),
+    delivery.Frame(delivery.ERR, b"\x01"),  # too short for its code
+], ids=["count-cut", "tokens-cut", "trailing-bytes", "err-code-cut"])
+def test_get_host_reports_a_malformed_end_frame_in_one_line(workspace, capsys, monkeypatch, reply):
+    monkeypatch.setattr(delivery, "handle_request", lambda store, frame: [reply])
     server = delivery.KdnServer(None, port=0)
     server.serve_in_background()
     try:
@@ -109,8 +114,23 @@ def test_get_host_reports_a_malformed_end_frame_in_one_line(workspace, capsys, m
     finally:
         server.shutdown()
         server.server_close()
+    kind = "ERR" if reply.frame_type == delivery.ERR else "END"
     assert code == 1 and out == ""
-    assert err.startswith("kdn: fetch failed after retry: malformed END frame") and err.count("\n") == 1
+    assert err.startswith(f"kdn: fetch failed after retry: malformed {kind} frame") and err.count("\n") == 1
+
+
+def test_serve_exits_0_and_closes_its_socket_on_an_interrupt_before_it_serves(workspace, monkeypatch):
+    servers = []
+    real_server = delivery.KdnServer
+    monkeypatch.setattr(delivery, "KdnServer", lambda *args: servers.append(real_server(*args)) or servers[-1])
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "print", interrupt, raising=False)  # SIGINT while it prints its first line
+    (workspace / "store").mkdir()
+    assert main(["serve", "--root", str(workspace / "store"), "--port", "0"]) == 0
+    assert servers[0].socket.fileno() == -1
 
 
 def test_serve_missing_root_exits_1(tmp_path, capsys):
@@ -373,6 +393,73 @@ def test_cost_simulate_bad_trace(workspace, capsys):
     bad.write_text("[]")
     code, _, err = _run(capsys, ["cost", "simulate", "--params", str(p), "--trace", str(bad)])
     assert code == 1 and "empty" in err
+
+
+def test_bench_codec_profile_file_reads_as_its_inline_text(workspace, capsys):
+    inline = json.dumps({"quant_bits": 4, "group_size": 3, "anchor_stride": 5, "lossless_id": 3})
+    (workspace / "profile.json").write_text(inline)
+    tables = []
+    for spec in (inline, str(workspace / "profile.json")):
+        code, out, _ = _run(capsys, ["--output", "json", "bench", "codec", "--profile", spec])
+        assert code == 0
+        tables.append([{k: v for k, v in row.items() if not k.endswith("_ms")} for row in json.loads(out)])
+    assert tables[0] == tables[1]
+
+
+# -- malformed JSON documents ----------------------------------------------------------
+
+_HUGE = int("9" * 400)  # a float() of it overflows
+_DEEP = "[" * 100_000 + "]" * 100_000  # json.loads recurses once per level
+_MODEL = {**json.loads(MODEL_JSON), "rope_base": 10000.0}
+_BLEND = {"model": _MODEL, "segments": [[1, 2]], "ratio": 0.5}
+
+# per JSON flag: its command around the document ("{doc}"; "{w}" is the
+# workspace), its error prefix, whether it also takes inline text, and its
+# malformed documents by kind
+_JSON_FLAGS = {
+    "model": (["put", "--root", "{w}/s", "--model", "{doc}", "--tokens", "{w}/tokens.txt"], "bad model config", True,
+              {"container": [1], "not-a-number": {**_MODEL, "n_layers": "x"},
+               "400-digits": {**_MODEL, "rope_base": _HUGE}}),
+    "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
+                {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
+                 "inf": {"quant_bits": 1e400}}),
+    "request": (["blend", "--request", "{doc}", "--out", "{w}/out"], "bad blend request", False,
+                {"container": [1], "not-a-number": {**_BLEND, "ratio": "x"}, "400-digits": {**_BLEND, "ratio": _HUGE}}),
+    "report-params": (["cost", "report", "--params", "{doc}"], "bad params file", False,
+                      {"container": [1], "not-a-number": _measured_doc(cost="x"),
+                       "400-digits": _measured_doc(cost=_HUGE)}),
+    "sweep-params": (["cost", "sweep", "--params", "{doc}"], "bad params file", False,
+                     {"container": [1], "not-a-number": {**_params_doc(), "r2": "x"},
+                      "400-digits": {**_params_doc(), "T": _HUGE}}),
+    "simulate-params": (["cost", "simulate", "--params", "{doc}", "--trace", "{w}/trace.json"],
+                        "bad params file", False,
+                        {"container": [1], "not-a-number": {**_params_doc(), "T": "x"},
+                         "400-digits": {**_params_doc(), "B": _HUGE}}),
+    # a trace is a list, so its wrong container is an object
+    "trace": (["cost", "simulate", "--params", "{w}/params.json", "--trace", "{doc}"], "bad trace file", False,
+              {"container": {"0": [0.0, "a"]}, "not-a-number": [["x", "a"]], "400-digits": [[_HUGE, "a"]]}),
+}
+
+
+@pytest.mark.parametrize("flag, kind", [
+    (flag, kind) for flag, (_, _, inline, docs) in _JSON_FLAGS.items()
+    for kind in [*docs, "deep", *([] if inline else ["missing"])]
+])
+def test_malformed_json_document_is_one_line_exit_1(workspace, capsys, flag, kind):
+    template, prefix, inline, docs = _JSON_FLAGS[flag]
+    (workspace / "params.json").write_text(json.dumps(_params_doc()))
+    (workspace / "trace.json").write_text(json.dumps([[0.0, "a"], [5.0, "b"]]))
+    doc = workspace / "doc.json"  # never written for "missing"
+    spec = str(doc)
+    if kind == "deep":  # a file for every flag: no command line holds 200 KB in one argument
+        doc.write_text(_DEEP)
+    elif kind in docs and inline:
+        spec = json.dumps(docs[kind])
+    elif kind in docs:
+        doc.write_text(json.dumps(docs[kind]))
+    code, out, err = _run(capsys, [arg.format(w=workspace, doc=spec) for arg in template])
+    assert code == 1 and out == ""
+    assert err.startswith(f"kdn: {prefix}") and err.count("\n") == 1, err[:300]
 
 
 def test_usage_error_from_argparse(capsys):

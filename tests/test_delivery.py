@@ -208,6 +208,8 @@ def test_handle_malformed_requests(store):
         (Frame(REQ_TOKENS, b"\x00"), "request payload too short"),
         (Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([9]) + struct.pack("<I", 0)), "unknown mode byte 9"),
         (Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([0]) + struct.pack("<I", 99)), "token list truncated"),
+        (Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([0]) + struct.pack("<2I", 1, 5) + b"13 junk bytes"),
+         "13 bytes after the token list"),
         (Frame(REQ_KEYS, b"\x00\x00"), "request payload too short"),
         (Frame(REQ_KEYS, struct.pack("<I", 2) + b"\x00" * 33), "key list length mismatch"),
         (Frame(REQ_KEYS, struct.pack("<I", 1) + bytes([7]) + b"\x00" * 32), "unknown mode byte 7"),
@@ -585,17 +587,21 @@ def reply_chunks(model):
     ((MODE_CHAIN, 16), ["at 0"], list(range(9, 17)), "miss suffix of 8 tokens does not match the 8 tokens left"),
     ((MODE_STANDALONE, 16), ["at 0"], [0, 1, 2, 3], "miss suffix of 4 tokens does not match the 8 tokens left"),
     (None, ["at 0"], [5], "miss suffix of 1 tokens does not match the 0 tokens left"),
-    # an END payload as raw bytes: a count cut short, and a count of 5 with no tokens
+    # an END payload as raw bytes: a count cut short, a count of 5 with no tokens, and bytes after an empty list
     ((MODE_CHAIN, 8), [], b"\x01", "malformed END frame: token list count truncated"),
     ((MODE_CHAIN, 8), [], b"\x05\x00\x00\x00", "malformed END frame: token list truncated"),
+    ((MODE_CHAIN, 8), [], struct.pack("<I", 0) + b"junk", "malformed END frame: 4 bytes after the token list"),
+    # the last frame whole: an ERR frame too short for its code
+    ((MODE_CHAIN, 8), [], Frame(ERR, b"\x01"), "malformed ERR frame: error code truncated"),
 ], ids=["chain-off-position", "standalone-off-position", "past-the-tokens-left", "claims-65536-tokens",
         "geometry-of-another-model", "more-chunks-than-keys", "chain-suffix-past-the-request",
         "chain-suffix-of-other-tokens", "standalone-suffix-short", "key-request-with-a-suffix",
-        "end-count-cut", "end-tokens-cut"])
+        "end-count-cut", "end-tokens-cut", "end-trailing-bytes", "err-code-cut"])
 def test_fetch_refuses_a_reply_it_did_not_ask_for_before_inflating_it(
     model, reply_chunks, monkeypatch, request_, reply, suffix, match
 ):
-    end = Frame(END, suffix) if isinstance(suffix, bytes) else encode_end(suffix)
+    end = encode_end(suffix) if isinstance(suffix, list) else suffix
+    end = Frame(END, end) if isinstance(end, bytes) else end
     frames = [Frame(CHUNK, reply_chunks[name]) for name in reply] + [end]
     monkeypatch.setattr(delivery, "handle_request", lambda store, frame: frames)
     server = KdnServer(None, port=0)

@@ -485,6 +485,19 @@ def test_fixture_header_overflow_is_model_error(tmp_path, model):
     assert not path.exists()
 
 
+def test_fixture_of_any_other_length_is_model_error(tmp_path, model):
+    cache, states = prefill(model, [7, 8, 9])
+    path = tmp_path / "case.kdnf"
+    save_fixture(path, CFG, cache, states)
+    data = path.read_bytes()
+    kv_end = 16 + cache.kv.nbytes
+    # cut inside the header, the K/V and the states, and one byte past the states
+    for bad in (data[:10], data[:16], data[: kv_end - 6], data[:kv_end], data[:-1], data + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(ModelError, match="fixture"):
+            load_fixture(path)
+
+
 def test_fixture_bad_magic(tmp_path):
     p = tmp_path / "bad.kdnf"
     p.write_bytes(b"NOPE" + b"\x00" * 12)
