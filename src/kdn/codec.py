@@ -223,13 +223,34 @@ def quantize(cache: KvCache, profile: CodecProfile) -> QuantizedCache:
     return QuantizedCache(codes, scale, zero, cache.start_pos, profile)
 
 
-def _dequantize_tensor(codes, scale, zero, group_size) -> np.ndarray:
-    group = np.arange(codes.shape[-2]) // group_size
-    return codes * scale[..., group, :] + zero[..., group, :]
+def _dequantize_tensor(codes, scale, zero, width: int, n_tokens: int) -> np.ndarray:
+    """``codes * scale + zero`` in float32 for the (..., G, D) grids and
+    (B, >= G * width, D) codes zero-padded to whole groups of ``width``
+    tokens (``_group_width``), B the product of the grids' leading axes: one
+    multiply and one add over a (..., G, width, D) view of the output, each
+    group's grid broadcast over its tokens.  The (..., n_tokens, D) result is
+    a view of that output."""
+    *lead, G, D = scale.shape
+    out = np.empty((*lead, G * width, D), np.float32)
+    grouped = out.reshape(*lead, G, width, D)
+    np.multiply(codes[:, : G * width].reshape(grouped.shape), scale[..., None, :], out=grouped, dtype=np.float32)
+    np.add(grouped, zero[..., None, :], out=grouped)
+    return out[..., :n_tokens, :]
+
+
+def _group_width(group_size: int, n_tokens: int) -> int:
+    """The tokens a decode pads each quantizer group to: no more than T, so
+    that a huge group size from a header cannot inflate the padding (a group
+    size of T or more makes one group, T tokens wide)."""
+    return max(1, min(group_size, n_tokens))
 
 
 def dequantize(q: QuantizedCache) -> KvCache:
-    return KvCache(_dequantize_tensor(q.codes, q.scale, q.zero, q.profile.group_size), start_pos=q.start_pos)
+    *lead, T, D = q.codes.shape
+    B, g = math.prod(lead), _group_width(q.profile.group_size, T)
+    codes = np.zeros((B, q.scale.shape[-2] * g, D), q.codes.dtype)
+    codes[:, :T] = q.codes.reshape(B, T, D)
+    return KvCache(_dequantize_tensor(codes, q.scale, q.zero, g, T), start_pos=q.start_pos)
 
 
 def _anchor_deltas(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
@@ -241,18 +262,36 @@ def _anchor_deltas(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int, dtype) -> np.ndarray:
-    """Inverse of ``_anchor_deltas`` in ``dtype``, channel-major (..., D, T) for a (..., T, D) ``shape``."""
+def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int, dtype, length: int = 0) -> np.ndarray:
+    """Inverse of ``_anchor_deltas`` in ``dtype``: the codes of a (..., T, D)
+    ``shape`` as a (B, P, D) array, B the product of the leading axes and P
+    the larger of ``length`` and T padded to whole anchor windows, zero past
+    the windows.  Sums in a wider ``dtype`` than ``uint8`` must be byte codes.
+
+    One pass each: a copy zero-pads the channel-major deltas to whole
+    windows, and one ``cumsum`` down the window position, the outermost axis
+    of a (window position, B, D, window) view of that copy, writes the running
+    sums, which restart at each anchor, straight into the same view of the
+    token-major result.  A window is no longer than T, so that a huge stride
+    from a header cannot inflate the padding.
+    """
     *lead, T, D = shape
     if stream.size != math.prod(shape):
         raise DecodeError(f"delta stream has {stream.size} values, expected {math.prod(shape)}")
-    # a running sum that restarts at each anchor: cumsum over whole windows,
-    # no longer than T so that a huge stride from a header cannot inflate the padding
+    B = math.prod(lead)
     w = max(1, min(anchor_stride, T))
-    padded = -(-T // w) * w
-    vals = np.zeros((*lead, D, padded), dtype)
-    vals[..., :T] = stream.reshape(*lead, D, T)
-    return vals.reshape(*lead, D, padded // w, w).cumsum(axis=-1, dtype=dtype).reshape(*lead, D, padded)[..., :T]
+    n_win = -(-T // w)
+    padded = np.zeros((B, D, n_win * w), dtype)
+    padded[..., :T] = stream.reshape(B, D, T)
+    sums = np.empty((B, max(n_win * w, length), D), dtype)
+    sums[:, n_win * w :] = 0
+    # both as (window position, B, D, window)
+    deltas = padded.reshape(B, D, n_win, w).transpose(3, 0, 1, 2)
+    np.cumsum(deltas, axis=0, dtype=dtype, out=sums[:, : n_win * w].reshape(B, n_win, w, D).transpose(2, 0, 3, 1))
+    # a window's padding repeats its last sum, so checking every sum checks the codes
+    if dtype != np.uint8 and sums.size and (sums.min() < 0 or sums.max() > 255):
+        raise DecodeError("decoded codes out of byte range")
+    return sums
 
 
 def delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
@@ -265,10 +304,7 @@ def delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
 
 
 def delta_decode(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
-    vals = _anchor_sums(stream, shape, anchor_stride, np.int64)
-    if vals.size and (vals.min() < 0 or vals.max() > 255):
-        raise DecodeError("decoded codes out of byte range")
-    return vals.swapaxes(-1, -2).astype(np.uint8)
+    return _anchor_sums(stream, shape, anchor_stride, np.int64)[:, : shape[-2]].reshape(shape).astype(np.uint8)
 
 
 def byte_delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
@@ -278,7 +314,7 @@ def byte_delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
 
 def byte_delta_decode(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
     """Inverse of ``byte_delta_encode``: the running sums wrap mod 256 as the differences did."""
-    return _anchor_sums(stream, shape, anchor_stride, np.uint8).swapaxes(-1, -2)
+    return _anchor_sums(stream, shape, anchor_stride, np.uint8)[:, : shape[-2]].reshape(shape)
 
 
 def zigzag(n):
@@ -524,6 +560,13 @@ def compress_cache(cache: KvCache, profile: CodecProfile) -> CompressedChunk:
 
 
 def decompress_cache(chunk: CompressedChunk) -> KvCache:
+    """The chunk's dequantized cache, one pass per stage: inflate the params
+    and the code stream; for ids 1-3, ``_anchor_sums`` un-deltas the
+    channel-major stream into token-major codes padded to whole quantizer
+    groups (``dequantize`` pads id 0's stored codes); ``_dequantize_tensor``
+    scales them group by group into the float32 (K or V, layer, head, token,
+    dim) output.  A group is padded to at most T tokens (``_group_width``),
+    so the output is less than twice the cache whatever the header says."""
     shape = (2, chunk.n_layers, chunk.n_heads, chunk.n_tokens, chunk.d_head)
     profile = chunk.profile
     if len(chunk.payload) < 8:
@@ -539,9 +582,8 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
     if stream.size != n_values:
         raise DecodeError(f"code stream has {stream.size} values, expected {n_values}")
     if profile.lossless_id == LOSSLESS_RAW:
-        codes = stream.reshape(shape)
-    elif profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
-        codes = byte_delta_decode(stream, shape, profile.anchor_stride)
-    else:
-        codes = delta_decode(stream, shape, profile.anchor_stride)
-    return dequantize(QuantizedCache(codes, scale, zero, chunk.start_pos, profile))
+        return dequantize(QuantizedCache(stream.reshape(shape), scale, zero, chunk.start_pos, profile))
+    g = _group_width(profile.group_size, chunk.n_tokens)
+    # ids 1-2 sum int64 deltas, id 3 sums bytes mod 256
+    codes = _anchor_sums(stream, shape, profile.anchor_stride, stream.dtype, scale.shape[-2] * g)
+    return KvCache(_dequantize_tensor(codes, scale, zero, g, chunk.n_tokens), start_pos=chunk.start_pos)

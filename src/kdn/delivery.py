@@ -231,6 +231,8 @@ def _parse_request(store: Store, frame: Frame) -> tuple[list[ChunkKey], list[int
     if len(payload) != 4 + 33 * n:
         raise ProtocolError("key list length mismatch")
     keys = [ChunkKey(payload[off + 1 : off + 33], _mode(payload[off])) for off in range(4, len(payload), 33)]
+    if len({key.digest for key in keys}) != n:
+        raise ProtocolError("key list names a digest twice")
     return [key for key in keys if key.digest in store.entries], []
 
 

@@ -66,6 +66,11 @@ class ModelConfig:
             raise ModelError("n_layers, n_heads and d_head must be positive")
         if self.vocab_size < 1:
             raise ModelError("vocab_size must be positive")
+        # a chunk header holds layers, heads and dim as u16; model_id packs each field as u32
+        if max(self.n_layers, self.n_heads, self.d_head) > 0xFFFF:
+            raise ModelError("n_layers, n_heads and d_head must be at most 65535")
+        if self.vocab_size > 0xFFFFFFFF:
+            raise ModelError("vocab_size must be below 2**32")
         if self.d_head % 2 != 0:
             raise ModelError("d_head must be even (pairwise rotary rotation)")
 

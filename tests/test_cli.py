@@ -59,6 +59,17 @@ def test_token_ids_outside_u32_exit_1(workspace, capsys, command, bad):
     assert code == 1 and err.startswith(f"kdn: token id {bad} out of range") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [("n_layers", 1 << 32), ("n_heads", 1 << 16), ("d_head", 1 << 16),
+                                          ("vocab_size", 1 << 32)])
+def test_model_config_past_its_wire_widths_exits_1(workspace, capsys, field, value):
+    model = json.dumps({**json.loads(MODEL_JSON), field: value})
+    code, out, err = _run(capsys, ["get", "--host", "127.0.0.1", "--port", "9", "--model", model,
+                                   "--tokens", str(workspace / "tokens.txt")])
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: bad model config") and err.count("\n") == 1, err[:300]
+    assert err.rstrip().endswith("must be at most 65535" if field != "vocab_size" else "must be below 2**32")
+
+
 def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
     root = str(workspace / "store")
     (workspace / "doc.txt").write_text(" ".join(str(i % 32) for i in range(150)))  # chunks of 64, 64, 22

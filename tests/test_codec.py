@@ -37,6 +37,7 @@ from kdn.codec import (
     zigzag,
     _CRC_BLOCK,
     _HEADER,
+    _LOSSLESS_IDS,
     _varint_decode,
     _varint_encode,
 )
@@ -590,6 +591,48 @@ def test_byte_deflate_decodes_as_varint_deflate(seed, bits, t, stride_over, grou
     old, new = decoded
     assert np.array_equal(old.k_pre, new.k_pre) and np.array_equal(old.v, new.v)
     assert new.start_pos == cache.start_pos
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    lid=st.sampled_from(_LOSSLESS_IDS),
+    bits=st.sampled_from([4, 8]),
+    t=st.integers(0, 130),
+    group_size=st.sampled_from([1, 3, 16, 64]),
+    stride=st.sampled_from([1, 5, 16, 200]),
+)
+def test_decompress_is_the_per_group_dequantized_quantize_bit_for_bit(seed, lid, bits, t, group_size, stride):
+    # ragged windows and groups (T % stride, T % group_size), a stride past T, and T = 0
+    cache = fixtures.random_cache(n_tokens=t, seed=seed)
+    profile = CodecProfile(quant_bits=bits, group_size=group_size, anchor_stride=stride, lossless_id=lid)
+    restored = decompress_cache(CompressedChunk.from_bytes(compress_cache(cache, profile).to_bytes())).kv
+    expected = np.stack([ref_dequantize_tensor(*ref_quantize_tensor(x, bits, group_size), group_size) for x in cache.kv])
+    assert restored.dtype == expected.dtype == np.float32
+    assert restored.shape == expected.shape
+    assert np.array_equal(restored.view(np.uint32), expected.view(np.uint32))
+
+
+@pytest.mark.parametrize("lid", _LOSSLESS_IDS)
+@pytest.mark.parametrize("t", [1, 10])
+def test_decode_memory_does_not_grow_with_the_header_group_size(lid, t):
+    # a group size far past T makes one group of T tokens, so the chunk decodes
+    # as with group size T, in the same values and within the same memory
+    cache = fixtures.random_cache(n_layers=4, n_heads=4, n_tokens=t, d_head=16, seed=3)
+
+    def decode(group_size):
+        chunk = compress_cache(cache, CodecProfile(group_size=group_size, lossless_id=lid))
+        tracemalloc.start()
+        try:
+            kv = decompress_cache(chunk).kv
+            return kv, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    restored, peak = decode(65535)
+    expected, expected_peak = decode(t)
+    assert np.array_equal(restored.view(np.uint32), expected.view(np.uint32))
+    assert peak < expected_peak + (4 << 10)
 
 
 def test_chunk_wire_roundtrip():

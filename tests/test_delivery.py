@@ -189,6 +189,17 @@ def test_handle_key_request(store, model):
     assert [f.frame_type for f in replies] == [END]
 
 
+def test_key_request_naming_a_digest_twice_is_bad_request_before_any_read(store, model):
+    # a repeated key would make the reply read and hold its blob once per repeat
+    keys, _ = store.lookup(model.model_id, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    order = list(store.entries)
+    assert keys[0].digest == order[0]  # least recently used: a read would move it to the end
+    replies = handle_request(store, encode_key_request([keys[0]] * 3))
+    assert len(replies) == 1
+    assert decode_err(replies[0]) == (delivery.ERR_BAD_REQUEST, "key list names a digest twice")
+    assert list(store.entries) == order
+
+
 def test_handle_request_serves_blobs_as_stored(store, model, monkeypatch):
     def parse(cls, data):
         raise AssertionError("the server parsed a chunk")
@@ -386,6 +397,29 @@ def test_tcp_server_closes_a_connection_past_its_cap(store, model, monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_tcp_fetch_memory_does_not_grow_with_the_stored_group_size(tmp_path, model):
+    # one-token chunks stored with a group size far past their length each
+    # decode into a cache of their own size, not a group-size-long padding
+    st = open_store(StoreConfig(root=tmp_path / "store", chunk_size=1))
+    tokens = [1, 2, 3, 4, 5, 6, 7, 8]
+    st.store_text(model, tokens, mode=MODE_CHAIN, profile=codec.CodecProfile(group_size=65535))
+    server = KdnServer(st, port=0)
+    server.serve_in_background()
+    try:
+        client = Client(*server.server_address, timeout=10.0)
+        tracemalloc.start()
+        try:
+            caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert miss == [] and [c.n_tokens for c in caches] == [1] * 8
+    assert peak < 1 << 20
 
 
 def _read_until_end(sock) -> list[int]:

@@ -86,6 +86,11 @@ def test_config_validation():
         ModelConfig(2, 2, 5, 32)  # odd d_head
     with pytest.raises(ModelError):
         ModelConfig(2, 2, 4, 0)
+    # layers, heads and dim are u16 in a chunk header; model_id packs each field as u32
+    assert 0 <= ModelConfig(0xFFFF, 0xFFFF, 0xFFFE, 0xFFFFFFFF).model_id < 1 << 64
+    for fields in ((1 << 16, 2, 4, 32), (2, 1 << 16, 4, 32), (2, 2, 1 << 16, 32), (2, 2, 4, 1 << 32), (1 << 32, 2, 4, 32)):
+        with pytest.raises(ModelError):
+            ModelConfig(*fields)
 
 
 # -- golden prefill vs independent oracle ---------------------------------------
