@@ -65,6 +65,12 @@ def _load_tokens(path: str) -> list[int]:
     return tokens
 
 
+def _port(text: str) -> int:  # an argparse type: a TCP port, 0 to 65535
+    if not text.isdecimal() or int(text) > 0xFFFF:
+        raise argparse.ArgumentTypeError(f"port {text!r} is not an integer in [0, 65535]")
+    return int(text)
+
+
 def _resolve_profile(name: str) -> codec.CodecProfile:
     if name in codec.PROFILES:
         return codec.PROFILES[name]
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the delivery server over a store")
     p.add_argument("--root", help="store root (or KDN_ROOT)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7311)
+    p.add_argument("--port", type=_port, default=7311)
     p.set_defaults(func=cmd_serve)
 
     for name, fn in (("put", cmd_put), ("get", cmd_get)):
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--profile", default="8bit-deflate")
         else:
             p.add_argument("--host", help="fetch from a server instead of a local store")
-            p.add_argument("--port", type=int, default=7311)
+            p.add_argument("--port", type=_port, default=7311)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("blend", help="run a selective blend request")

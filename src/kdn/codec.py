@@ -163,10 +163,9 @@ class CodecProfile:
     def __post_init__(self) -> None:
         if self.quant_bits not in (4, 8):
             raise CodecError("quant_bits must be 4 or 8")
-        if self.group_size < 1:
-            raise CodecError("group_size must be >= 1")
-        if self.anchor_stride < 1:
-            raise CodecError("anchor_stride must be >= 1")
+        for name in ("group_size", "anchor_stride"):  # u16s of the chunk header
+            if not 1 <= getattr(self, name) <= 0xFFFF:
+                raise CodecError(f"{name} must be in [1, 65535]")
         if self.lossless_id not in _LOSSLESS_IDS:
             raise CodecError(f"unknown lossless_id {self.lossless_id}")
 
@@ -198,22 +197,37 @@ class QuantizedCache:
     profile: CodecProfile
 
 
+def _blocks(n: int, width: int):
+    """Tokens 0..n in blocks of ``width``, unpadded, as runs of equal blocks:
+    (token slice, first block, block count, block width) for the whole
+    blocks, then for the shorter last block if there is one."""
+    whole, rest = divmod(n, width)
+    if whole:
+        yield slice(0, n - rest), 0, whole, width
+    if rest:
+        yield slice(n - rest, n), whole, 1, rest
+
+
 def _quantize_tensor(x: np.ndarray, bits: int, group_size: int):
-    """Affine per-token-group quantization along the token axis: one min and
-    one max reduction give every grid, one broadcast rounds every token."""
-    T = x.shape[-2]
+    """Affine per-token-group quantization along the token axis: per run of
+    ``_blocks``, one min and one max over a (..., group, token, dim) view give
+    its grids, and one broadcast rounds its tokens."""
+    *lead, T, D = x.shape
     levels = (1 << bits) - 1
-    group = np.arange(T) // group_size
-    starts = np.arange(0, T, group_size)
     x = x.astype(np.float64)
-    gmin = np.minimum.reduceat(x, starts, axis=-2)
-    s = (np.maximum.reduceat(x, starts, axis=-2) - gmin) / levels
-    s[s == 0.0] = 1.0  # constant group: every code is 0, zero-point carries the value
-    scale = s.astype(np.float32)
-    zero = gmin.astype(np.float32)
-    # round-half-to-even for cross-platform bit-exact codes
-    q = np.rint((x - zero.astype(np.float64)[..., group, :]) / scale.astype(np.float64)[..., group, :])
-    return np.clip(q, 0, levels).astype(np.uint8), scale, zero
+    codes = np.empty(x.shape, np.uint8)
+    scale, zero = np.empty((2, *lead, -(-T // group_size), D), np.float32)
+    for tokens, g, n, w in _blocks(T, group_size):
+        xg = x[..., tokens, :].reshape(*lead, n, w, D)
+        gmin = xg.min(axis=-2)
+        s = (xg.max(axis=-2) - gmin) / levels
+        s[s == 0.0] = 1.0  # constant group: every code is 0, zero-point carries the value
+        grid = slice(g, g + n)
+        scale[..., grid, :], zero[..., grid, :] = s, gmin
+        # round-half-to-even for cross-platform bit-exact codes
+        q = np.rint((xg - zero[..., grid, None, :].astype(np.float64)) / scale[..., grid, None, :].astype(np.float64))
+        codes[..., tokens, :].reshape(xg.shape)[...] = np.clip(q, 0, levels)
+    return codes, scale, zero
 
 
 def quantize(cache: KvCache, profile: CodecProfile) -> QuantizedCache:
@@ -223,38 +237,29 @@ def quantize(cache: KvCache, profile: CodecProfile) -> QuantizedCache:
     return QuantizedCache(codes, scale, zero, cache.start_pos, profile)
 
 
-def _dequantize_tensor(codes, scale, zero, width: int, n_tokens: int) -> np.ndarray:
+def _dequantize_tensor(codes, scale, zero, group_size: int) -> np.ndarray:
     """``codes * scale + zero`` in float32 for the (..., G, D) grids and
-    (B, >= G * width, D) codes zero-padded to whole groups of ``width``
-    tokens (``_group_width``), B the product of the grids' leading axes: one
-    multiply and one add over a (..., G, width, D) view of the output, each
-    group's grid broadcast over its tokens.  The (..., n_tokens, D) result is
-    a view of that output."""
-    *lead, G, D = scale.shape
-    out = np.empty((*lead, G * width, D), np.float32)
-    grouped = out.reshape(*lead, G, width, D)
-    np.multiply(codes[:, : G * width].reshape(grouped.shape), scale[..., None, :], out=grouped, dtype=np.float32)
-    np.add(grouped, zero[..., None, :], out=grouped)
-    return out[..., :n_tokens, :]
-
-
-def _group_width(group_size: int, n_tokens: int) -> int:
-    """The tokens a decode pads each quantizer group to: no more than T, so
-    that a huge group size from a header cannot inflate the padding (a group
-    size of T or more makes one group, T tokens wide)."""
-    return max(1, min(group_size, n_tokens))
+    (..., T, D) or (B, T, D) codes, B the product of the grids' leading axes,
+    as a (..., T, D) array: per run of ``_blocks``, one multiply and one add over a (..., group,
+    token, dim) view of it, each group's grid broadcast over its tokens."""
+    *lead, _, D = scale.shape
+    codes = codes.reshape(*lead, *codes.shape[-2:])
+    out = np.empty(codes.shape, np.float32)
+    for tokens, g, n, w in _blocks(codes.shape[-2], group_size):
+        grid, grouped = slice(g, g + n), out[..., tokens, :].reshape(*lead, n, w, D)
+        np.multiply(codes[..., tokens, :].reshape(grouped.shape), scale[..., grid, None, :], grouped, dtype=np.float32)
+        np.add(grouped, zero[..., grid, None, :], out=grouped)
+    return out
 
 
 def dequantize(q: QuantizedCache) -> KvCache:
-    *lead, T, D = q.codes.shape
-    B, g = math.prod(lead), _group_width(q.profile.group_size, T)
-    codes = np.zeros((B, q.scale.shape[-2] * g, D), q.codes.dtype)
-    codes[:, :T] = q.codes.reshape(B, T, D)
-    return KvCache(_dequantize_tensor(codes, q.scale, q.zero, g, T), start_pos=q.start_pos)
+    return KvCache(_dequantize_tensor(q.codes, q.scale, q.zero, q.profile.group_size), start_pos=q.start_pos)
 
 
 def _anchor_deltas(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
-    """Anchor/delta coding along tokens in the dtype of ``codes``, stream order (..., channel, token)."""
+    """Anchor/delta coding along tokens of (..., token, channel) codes in
+    their dtype (mod 256 for ``uint8``), stream order (..., channel, token):
+    each anchor window's token 0 raw, later tokens minus the token before."""
     ch_major = codes.swapaxes(-1, -2)  # (..., D, T)
     out = ch_major.copy()
     out[..., 1:] -= ch_major[..., :-1]
@@ -262,59 +267,28 @@ def _anchor_deltas(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int, dtype, length: int = 0) -> np.ndarray:
+def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int, dtype) -> np.ndarray:
     """Inverse of ``_anchor_deltas`` in ``dtype``: the codes of a (..., T, D)
-    ``shape`` as a (B, P, D) array, B the product of the leading axes and P
-    the larger of ``length`` and T padded to whole anchor windows, zero past
-    the windows.  Sums in a wider ``dtype`` than ``uint8`` must be byte codes.
+    ``shape`` as a (B, T, D) array, B the product of the leading axes.  Sums
+    in a wider ``dtype`` than ``uint8`` must be byte codes.
 
-    One pass each: a copy zero-pads the channel-major deltas to whole
-    windows, and one ``cumsum`` down the window position, the outermost axis
-    of a (window position, B, D, window) view of that copy, writes the running
-    sums, which restart at each anchor, straight into the same view of the
-    token-major result.  A window is no longer than T, so that a huge stride
-    from a header cannot inflate the padding.
+    Per run of ``_blocks`` of anchor windows, one ``cumsum`` down the window
+    position, the outermost axis of a (window position, B, D, window) view of
+    the channel-major stream, writes the running sums, which restart at each
+    anchor, straight into the same view of the token-major result.
     """
     *lead, T, D = shape
     if stream.size != math.prod(shape):
         raise DecodeError(f"delta stream has {stream.size} values, expected {math.prod(shape)}")
     B = math.prod(lead)
-    w = max(1, min(anchor_stride, T))
-    n_win = -(-T // w)
-    padded = np.zeros((B, D, n_win * w), dtype)
-    padded[..., :T] = stream.reshape(B, D, T)
-    sums = np.empty((B, max(n_win * w, length), D), dtype)
-    sums[:, n_win * w :] = 0
-    # both as (window position, B, D, window)
-    deltas = padded.reshape(B, D, n_win, w).transpose(3, 0, 1, 2)
-    np.cumsum(deltas, axis=0, dtype=dtype, out=sums[:, : n_win * w].reshape(B, n_win, w, D).transpose(2, 0, 3, 1))
-    # a window's padding repeats its last sum, so checking every sum checks the codes
+    sums = np.empty((B, T, D), dtype)
+    for tokens, _, n, w in _blocks(T, anchor_stride):
+        # both as (window position, B, D, window)
+        np.cumsum(stream.reshape(B, D, T)[..., tokens].reshape(B, D, n, w).transpose(3, 0, 1, 2), axis=0, dtype=dtype,
+                  out=sums[:, tokens].reshape(B, n, w, D).transpose(2, 0, 3, 1))
     if dtype != np.uint8 and sums.size and (sums.min() < 0 or sums.max() > 255):
         raise DecodeError("decoded codes out of byte range")
     return sums
-
-
-def delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
-    """Anchor/delta coding along tokens of (..., token, channel) codes, stream order (..., channel, token).
-
-    Token 0 of each anchor window is stored raw; later tokens store the
-    signed difference from the previous token in the same channel.
-    """
-    return _anchor_deltas(codes.astype(np.int64), anchor_stride)
-
-
-def delta_decode(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
-    return _anchor_sums(stream, shape, anchor_stride, np.int64)[:, : shape[-2]].reshape(shape).astype(np.uint8)
-
-
-def byte_delta_encode(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
-    """``delta_encode`` of ``uint8`` codes with the differences taken mod 256: one byte a value."""
-    return _anchor_deltas(codes, anchor_stride)
-
-
-def byte_delta_decode(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
-    """Inverse of ``byte_delta_encode``: the running sums wrap mod 256 as the differences did."""
-    return _anchor_sums(stream, shape, anchor_stride, np.uint8)[:, : shape[-2]].reshape(shape)
 
 
 def zigzag(n):
@@ -538,10 +512,10 @@ def compress_cache(cache: KvCache, profile: CodecProfile) -> CompressedChunk:
     if profile.lossless_id == LOSSLESS_RAW:
         # raw container stores the quantized codes directly, one byte each
         stream = q.codes.reshape(-1)
-    elif profile.lossless_id == LOSSLESS_BYTE_DEFLATE:
-        stream = byte_delta_encode(q.codes, profile.anchor_stride)
     else:
-        stream = delta_encode(q.codes, profile.anchor_stride)
+        # id 3 takes the deltas mod 256, one byte each; ids 1-2 signed, in int64
+        dtype = np.uint8 if profile.lossless_id == LOSSLESS_BYTE_DEFLATE else np.int64
+        stream = _anchor_deltas(q.codes.astype(dtype), profile.anchor_stride)
     codes_blob = lossless_encode(stream, profile.lossless_id)
     params_blob = _pack_params(q)
     payload = struct.pack("<II", len(params_blob), len(codes_blob)) + params_blob + codes_blob
@@ -562,11 +536,10 @@ def compress_cache(cache: KvCache, profile: CodecProfile) -> CompressedChunk:
 def decompress_cache(chunk: CompressedChunk) -> KvCache:
     """The chunk's dequantized cache, one pass per stage: inflate the params
     and the code stream; for ids 1-3, ``_anchor_sums`` un-deltas the
-    channel-major stream into token-major codes padded to whole quantizer
-    groups (``dequantize`` pads id 0's stored codes); ``_dequantize_tensor``
-    scales them group by group into the float32 (K or V, layer, head, token,
-    dim) output.  A group is padded to at most T tokens (``_group_width``),
-    so the output is less than twice the cache whatever the header says."""
+    channel-major stream into token-major codes (id 0 stores those);
+    ``_dequantize_tensor`` scales them into the float32 (K or V, layer, head,
+    token, dim) output.  Both run over unpadded ``_blocks`` of windows or
+    groups, so no header field inflates a decode past stream and cache."""
     shape = (2, chunk.n_layers, chunk.n_heads, chunk.n_tokens, chunk.d_head)
     profile = chunk.profile
     if len(chunk.payload) < 8:
@@ -582,8 +555,8 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
     if stream.size != n_values:
         raise DecodeError(f"code stream has {stream.size} values, expected {n_values}")
     if profile.lossless_id == LOSSLESS_RAW:
-        return dequantize(QuantizedCache(stream.reshape(shape), scale, zero, chunk.start_pos, profile))
-    g = _group_width(profile.group_size, chunk.n_tokens)
-    # ids 1-2 sum int64 deltas, id 3 sums bytes mod 256
-    codes = _anchor_sums(stream, shape, profile.anchor_stride, stream.dtype, scale.shape[-2] * g)
-    return KvCache(_dequantize_tensor(codes, scale, zero, g, chunk.n_tokens), start_pos=chunk.start_pos)
+        codes = stream.reshape(shape)
+    else:
+        # ids 1-2 sum int64 deltas, id 3 sums bytes mod 256
+        codes = _anchor_sums(stream, shape, profile.anchor_stride, stream.dtype)
+    return KvCache(_dequantize_tensor(codes, scale, zero, profile.group_size), start_pos=chunk.start_pos)

@@ -433,7 +433,10 @@ _JSON_FLAGS = {
                "400-digits": {**_MODEL, "rope_base": _HUGE}}),
     "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
                 {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
-                 "inf": {"quant_bits": 1e400}}),
+                 "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536}}),
+    # group size and anchor stride are u16s of the chunk header
+    "put-profile": (["put", "--root", "{w}/s", "--model", "{w}/model.json", "--tokens", "{w}/tokens.txt",
+                     "--profile", "{doc}"], "unknown codec profile", True, {"over-u16": {"group_size": 70000}}),
     "request": (["blend", "--request", "{doc}", "--out", "{w}/out"], "bad blend request", False,
                 {"container": [1], "not-a-number": {**_BLEND, "ratio": "x"}, "400-digits": {**_BLEND, "ratio": _HUGE}}),
     "report-params": (["cost", "report", "--params", "{doc}"], "bad params file", False,
@@ -477,3 +480,13 @@ def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["serve", "get"])
+@pytest.mark.parametrize("port", ["70000", "-1", "x"])
+def test_port_not_in_0_to_65535_is_usage_error(workspace, capsys, command, port):
+    more = ["--model", MODEL_JSON, "--tokens", str(workspace / "tokens.txt")] if command == "get" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--root", str(workspace / "store"), f"--port={port}", *more])
+    assert exc.value.code == 2
+    assert f"argument --port: port '{port}' is not an integer in [0, 65535]" in capsys.readouterr().err

@@ -20,15 +20,11 @@ from kdn.codec import (
     CompressedChunk,
     CrcMismatch,
     DecodeError,
-    byte_delta_decode,
-    byte_delta_encode,
     chunk_crc32c,
     compress_cache,
     crc32c,
     crc32c_combine,
     decompress_cache,
-    delta_decode,
-    delta_encode,
     dequantize,
     lossless_decode,
     lossless_encode,
@@ -38,6 +34,8 @@ from kdn.codec import (
     _CRC_BLOCK,
     _HEADER,
     _LOSSLESS_IDS,
+    _anchor_deltas,
+    _anchor_sums,
     _varint_decode,
     _varint_encode,
 )
@@ -266,7 +264,7 @@ def test_varint_decode_memory_is_linear_in_its_bytes():
     cfg = ModelConfig(n_layers=4, n_heads=4, d_head=16, vocab_size=256)
     tokens = np.random.default_rng(7).integers(0, 256, 1024).tolist()
     q = quantize(prefill(build_model(cfg), tokens)[0], PROFILES["8bit-varint"])
-    data = _varint_encode(delta_encode(q.codes, 16))
+    data = _varint_encode(_anchor_deltas(q.codes.astype(np.int64), 16))
     tracemalloc.start()
     try:
         values = _varint_decode(data)
@@ -362,23 +360,23 @@ def test_quantize_rejects_nonfinite():
 
 def test_delta_constant_channel():
     codes = np.full((1, 1, 4, 1), 7, np.uint8)
-    stream = delta_encode(codes, anchor_stride=16)
+    stream = _anchor_deltas(codes.astype(np.int64), anchor_stride=16)
     assert list(stream) == [7, 0, 0, 0]
-    assert np.array_equal(delta_decode(stream, (1, 1, 4, 1), 16), codes)
+    assert np.array_equal(_anchor_sums(stream, (1, 1, 4, 1), 16, np.int64).reshape(codes.shape), codes)
 
 
 def test_delta_stride_one_is_identity():
     codes = np.arange(8, dtype=np.uint8).reshape(1, 1, 8, 1)
-    stream = delta_encode(codes, anchor_stride=1)
+    stream = _anchor_deltas(codes.astype(np.int64), anchor_stride=1)
     assert list(stream) == list(range(8))
 
 
 def test_delta_anchor_positions():
     codes = np.array([10, 12, 9, 9, 20], np.uint8).reshape(1, 1, 5, 1)
-    stream = delta_encode(codes, anchor_stride=2)
+    stream = _anchor_deltas(codes.astype(np.int64), anchor_stride=2)
     # t=0 anchor, t=1 delta, t=2 anchor, t=3 delta, t=4 anchor
     assert list(stream) == [10, 2, 9, 0, 20]
-    assert np.array_equal(delta_decode(stream, (1, 1, 5, 1), 2), codes)
+    assert np.array_equal(_anchor_sums(stream, (1, 1, 5, 1), 2, np.int64).reshape(codes.shape), codes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,8 +388,8 @@ def test_delta_anchor_positions():
 def test_delta_roundtrip(seed, stride, t):
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, 256, size=(2, 1, t, 3), dtype=np.uint8)
-    stream = delta_encode(codes, stride)
-    assert np.array_equal(delta_decode(stream, codes.shape, stride), codes)
+    stream = _anchor_deltas(codes.astype(np.int64), stride)
+    assert np.array_equal(_anchor_sums(stream, codes.shape, stride, np.int64).reshape(codes.shape), codes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,25 +403,25 @@ def test_delta_decode_matches_reference(seed, shape, stride):
     expected = ref_delta_decode(stream, shape, stride)
     if expected.size and (expected.min() < 0 or expected.max() > 255):
         with pytest.raises(DecodeError):
-            delta_decode(stream, shape, stride)
+            _anchor_sums(stream, shape, stride, np.int64)
     else:
-        assert np.array_equal(delta_decode(stream, shape, stride), expected)
+        assert np.array_equal(_anchor_sums(stream, shape, stride, np.int64).reshape(shape), expected)
 
 
 def test_delta_decode_bad_size():
     with pytest.raises(DecodeError):
-        delta_decode(np.zeros(5, np.int64), (1, 1, 2, 1), 16)
+        _anchor_sums(np.zeros(5, np.int64), (1, 1, 2, 1), 16, np.int64)
     with pytest.raises(DecodeError):
-        byte_delta_decode(np.zeros(5, np.uint8), (1, 1, 2, 1), 16)
+        _anchor_sums(np.zeros(5, np.uint8), (1, 1, 2, 1), 16, np.uint8)
 
 
 def test_byte_delta_wraps_mod_256():
     codes = np.array([250, 3, 255, 0, 7], np.uint8).reshape(1, 1, 5, 1)
-    stream = byte_delta_encode(codes, anchor_stride=4)
+    stream = _anchor_deltas(codes, anchor_stride=4)
     assert stream.dtype == np.uint8
     # t=0 anchor, 3 - 250 = 9, 255 - 3 = 252, 0 - 255 = 1, t=4 anchor
     assert stream.tolist() == [250, 9, 252, 1, 7]
-    assert np.array_equal(byte_delta_decode(stream, codes.shape, 4), codes)
+    assert np.array_equal(_anchor_sums(stream, codes.shape, 4, np.uint8).reshape(codes.shape), codes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,10 +432,10 @@ def test_byte_delta_wraps_mod_256():
 )
 def test_byte_delta_decode_matches_reference(seed, shape, stride):
     stream = np.random.default_rng(seed).integers(0, 256, size=int(np.prod(shape)), dtype=np.uint8)
-    decoded = byte_delta_decode(stream, shape, stride)
+    decoded = _anchor_sums(stream, shape, stride, np.uint8).reshape(shape)
     assert decoded.dtype == np.uint8
     assert np.array_equal(decoded, ref_byte_delta_decode(stream, shape, stride))
-    assert np.array_equal(byte_delta_encode(decoded, stride), stream)
+    assert np.array_equal(_anchor_deltas(decoded, stride), stream)
 
 
 # -- lossless containers --------------------------------------------------------------
@@ -616,12 +614,13 @@ def test_decompress_is_the_per_group_dequantized_quantize_bit_for_bit(seed, lid,
 @pytest.mark.parametrize("lid", _LOSSLESS_IDS)
 @pytest.mark.parametrize("t", [1, 10])
 def test_decode_memory_does_not_grow_with_the_header_group_size(lid, t):
-    # a group size far past T makes one group of T tokens, so the chunk decodes
-    # as with group size T, in the same values and within the same memory
+    # a group size or anchor stride far past T makes one group or window of T
+    # tokens, so the chunk decodes as with T, in the same values and within
+    # the same memory
     cache = fixtures.random_cache(n_layers=4, n_heads=4, n_tokens=t, d_head=16, seed=3)
 
-    def decode(group_size):
-        chunk = compress_cache(cache, CodecProfile(group_size=group_size, lossless_id=lid))
+    def decode(**size):
+        chunk = compress_cache(cache, CodecProfile(lossless_id=lid, **size))
         tracemalloc.start()
         try:
             kv = decompress_cache(chunk).kv
@@ -629,10 +628,11 @@ def test_decode_memory_does_not_grow_with_the_header_group_size(lid, t):
         finally:
             tracemalloc.stop()
 
-    restored, peak = decode(65535)
-    expected, expected_peak = decode(t)
-    assert np.array_equal(restored.view(np.uint32), expected.view(np.uint32))
-    assert peak < expected_peak + (4 << 10)
+    for field in ("group_size", "anchor_stride"):
+        restored, peak = decode(**{field: 65535})
+        expected, expected_peak = decode(**{field: t})
+        assert np.array_equal(restored.view(np.uint32), expected.view(np.uint32))
+        assert peak < expected_peak + (4 << 10)
 
 
 def test_chunk_wire_roundtrip():
