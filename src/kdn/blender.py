@@ -27,11 +27,11 @@ class BlendError(ValueError):
 
 @dataclass
 class Segment:
-    """One piece of knowledge: tokens plus its standalone (position-0) cache."""
+    """One piece of knowledge: tokens plus its standalone (position-0) cache and final states."""
 
     tokens: list[int]
     stale_cache: KvCache
-    stale_states: np.ndarray | None = None
+    stale_states: np.ndarray
 
     def __post_init__(self) -> None:
         if self.stale_cache.n_tokens != len(self.tokens):
@@ -50,8 +50,8 @@ class BlendReport:
     recompute_ratio: float
     selected: list[int]
     scores: np.ndarray = field(repr=False)
-    final_state_error: float = 0.0
-    kv_error: float = 0.0
+    final_state_error: float
+    kv_error: float
 
 
 def _check_geometry(model: Model, caches: list, what: str) -> None:
@@ -61,18 +61,14 @@ def _check_geometry(model: Model, caches: list, what: str) -> None:
         raise BlendError(f"{what} geometry does not match the model")
 
 
-def _check_segments(model: Model, segments: list[Segment]) -> None:
-    if not segments:
-        raise BlendError("need at least one segment")
-    _check_geometry(model, [seg.stale_cache for seg in segments], "segment cache")
-
-
 def concat_stale(model: Model, segments: list[Segment]) -> KvCache:
     """Naive composition: each segment's cache at its cumulative offset.
 
     No recomputation, so cross-attention between segments is ignored.
     """
-    _check_segments(model, segments)
+    if not segments:
+        raise BlendError("need at least one segment")
+    _check_geometry(model, [seg.stale_cache for seg in segments], "segment cache")
     return concat_caches([seg.stale_cache for seg in segments], start_pos=0)
 
 
@@ -110,15 +106,7 @@ def selective_blend(
     tokens = [t for seg in segments for t in seg.tokens]
     n = len(tokens)
 
-    out_states = np.concatenate(
-        [
-            seg.stale_states
-            if seg.stale_states is not None
-            else prefill(model, seg.tokens, start_pos=0)[1]
-            for seg in segments
-        ],
-        axis=0,
-    )
+    out_states = np.concatenate([seg.stale_states for seg in segments], axis=0)
 
     # the oracle is a full prefill.  Its layer 0 runs first: K/V for every
     # token are plain projections of the embeddings, so a full causal pass
@@ -155,13 +143,8 @@ def selective_blend(
         )
     final_state_error = float(np.linalg.norm(out_states[-1] - oracle_states[-1])) if n else 0.0
 
-    report = BlendReport(
-        recompute_ratio=ratio,
-        selected=selected,
-        scores=scores,
-        final_state_error=final_state_error,
-        kv_error=kv_error,
-    )
+    report = BlendReport(recompute_ratio=ratio, selected=selected, scores=scores,
+                         final_state_error=final_state_error, kv_error=kv_error)
     return blended, out_states, report
 
 

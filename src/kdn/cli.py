@@ -28,6 +28,7 @@ from . import blender, codec, costmodel, delivery, fixtures, model, store
 
 DEFAULT_SEED = 20240901
 BENCH_REPEATS = 5  # ``bench codec`` times are medians of this many encodes and decodes
+MAX_SWEEP_POINTS = 10_001  # ``cost sweep`` grid points: a step of 1e-4 over [0, 1]
 
 
 class CliError(Exception):
@@ -130,9 +131,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_put(args) -> int:
-    cfg = _read_doc(args.model, f"bad model config {args.model!r}", model.ModelConfig.from_dict, inline=True)
+    mdl = _read_doc(args.model, f"bad model config {args.model!r}",
+                    lambda doc: model.build_model(model.ModelConfig.from_dict(doc)), inline=True)
     tokens = _load_tokens(args.tokens)
-    mdl = model.build_model(cfg)
     st = _open_store(args, capacity=args.capacity)
     before = set(st.entries)
     keys = st.store_text(mdl, tokens, mode=args.mode, profile=_resolve_profile(args.profile))
@@ -162,19 +163,18 @@ def cmd_get(args) -> int:
 
 
 def cmd_blend(args) -> int:
-    cfg, segment_tokens, ratio = _read_doc(args.request, "bad blend request", lambda req: (
-        model.ModelConfig.from_dict(req["model"]), [[int(t) for t in toks] for toks in req["segments"]],
-        float(req["ratio"])))
+    mdl, segment_tokens, ratio = _read_doc(args.request, "bad blend request", lambda req: (
+        model.build_model(model.ModelConfig.from_dict(req["model"])),
+        [[int(t) for t in toks] for toks in req["segments"]], float(req["ratio"])))
     if not 0.0 <= ratio <= 1.0:
         raise UsageError(f"ratio {ratio} out of [0, 1]")
-    mdl = model.build_model(cfg)
     segments = [blender.Segment.from_tokens(mdl, toks) for toks in segment_tokens]
     blended, states, report = blender.selective_blend(mdl, segments, ratio)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / "blended.kdnf"
     report_path = out_dir / "blend_report.json"
-    model.save_fixture(cache_path, cfg, blended, states)
+    model.save_fixture(cache_path, mdl.config, blended, states)
     report_path.write_text(json.dumps(dataclasses.asdict(report), indent=2, default=np.ndarray.tolist))
     print(f"blended cache -> {cache_path}")
     print(f"report -> {report_path} (kv_error={report.kv_error:.3e}, "
@@ -186,7 +186,7 @@ def cmd_bench_codec(args) -> int:
     profile = _resolve_profile(args.profile)
     cases = {
         "smooth": fixtures.smooth_cache(),
-        "random": fixtures.random_cache(seed=args.seed),
+        "random": fixtures.random_cache(seed=DEFAULT_SEED),
     }
     rows = []
     for name, cache in cases.items():
@@ -238,7 +238,7 @@ def cmd_cost_report(args) -> int:
     return 0
 
 
-def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
+def _parse_sweep(spec: str) -> np.ndarray:
     try:
         name, grid = spec.split("=", 1)
         lo, hi, step = (float(x) for x in grid.split(":"))
@@ -246,9 +246,14 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
         raise CliError(f"bad sweep spec {spec!r}, expected name=lo:hi:step") from e
     if name != "r1":
         raise CliError(f"only r1 sweeps are supported, got {name!r}")
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise CliError(f"sweep bounds and step must be finite, got {spec!r}")
     if step <= 0:
         raise CliError("sweep step must be positive")
-    return name, np.arange(lo, hi + step / 2, step)
+    # np.arange's length is the ceiling of this; an overflow to inf is refused too
+    if not (hi + step / 2 - lo) / step <= MAX_SWEEP_POINTS:
+        raise CliError(f"sweep {spec!r} has more than {MAX_SWEEP_POINTS} points")
+    return np.arange(lo, hi + step / 2, step)
 
 
 def cmd_cost_sweep(args) -> int:
@@ -256,7 +261,7 @@ def cmd_cost_sweep(args) -> int:
                            lambda doc: (costmodel.CostParams.from_dict(doc), float(doc.get("r2", 0.0))))
     conventions = _conventions(args)
     objective = costmodel.Objective(args.objective)
-    _, grid = _parse_sweep(args.sweep)
+    grid = _parse_sweep(args.sweep)
     threshold = costmodel.threshold_r1(params, objective, r2=r2, conventions=conventions)
     rows = []
     for r1 in grid:
@@ -342,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="bench_target", required=True)
     pb = bench_sub.add_parser("codec", help="ratio, error and encode/decode time over fixture caches")
     pb.add_argument("--profile", required=True)
-    pb.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pb.set_defaults(func=cmd_bench_codec)
 
     p = sub.add_parser("cost", help="cost-model reports")

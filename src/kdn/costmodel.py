@@ -15,7 +15,7 @@ matches the compute and network rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -94,7 +94,7 @@ class CostBreakdown:
     storage_bytes: float
     network_bytes: float
     delay_seconds: float
-    money: float = field(default=0.0)
+    money: float
 
     @staticmethod
     def priced(params: CostParams, gpu: float, storage: float, network: float, delay: float) -> "CostBreakdown":

@@ -34,7 +34,7 @@ from typing import Iterator
 
 from . import codec
 from .model import KvCache
-from .store import MODE_CHAIN, MODE_STANDALONE, ChunkKey, Store
+from .store import MODE_CHAIN, MODE_CODE, MODE_STANDALONE, ChunkKey, Store
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +58,7 @@ ERR_INTERNAL = 3
 IDLE_TIMEOUT_S = 60.0  # seconds a server connection may stay silent
 MAX_CONNECTIONS = 64  # connections a server handles at once; one past them is closed at accept
 
-_MODE_BYTE = {MODE_CHAIN: 0, MODE_STANDALONE: 1}
-_BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
+_BYTE_MODE = {v: k for k, v in MODE_CODE.items()}
 
 
 class ProtocolError(Exception):
@@ -116,14 +115,14 @@ def decode_frame(data: bytes, start: int = 0) -> tuple[Frame | None, int]:
     if data[start : start + 4] != FRAME_MAGIC:
         raise FrameDecodeError("bad frame magic")
     ftype = data[start + 4]
+    if ftype not in _FRAME_TYPES:  # refused before its payload is waited for
+        raise FrameDecodeError(f"unknown frame type {ftype}")
     (plen,) = struct.unpack_from("<I", data, start + 5)
     if plen > MAX_PAYLOAD:
         raise FrameDecodeError(f"oversize payload ({plen} bytes)")
     total = 9 + plen + 4
     if len(data) - start < total:
         return None, 0
-    if ftype not in _FRAME_TYPES:
-        raise FrameDecodeError(f"unknown frame type {ftype}")
     with memoryview(data) as view:  # released at once: a FrameReader resizes its buffer
         payload = view[start + 9 : start + 9 + plen].tobytes()
     (crc,) = struct.unpack_from("<I", data, start + 9 + plen)
@@ -172,13 +171,13 @@ def encode_token_request(model_id: int, mode: str, tokens: list[int]) -> Frame:
         packed = struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens)
     except struct.error as e:
         raise ProtocolError(f"token ids must be u32 integers: {e}") from e
-    return Frame(REQ_TOKENS, struct.pack("<Q", model_id) + bytes([_MODE_BYTE[mode]]) + packed)
+    return Frame(REQ_TOKENS, struct.pack("<Q", model_id) + bytes([MODE_CODE[mode]]) + packed)
 
 
 def encode_key_request(keys: list[ChunkKey]) -> Frame:
     payload = struct.pack("<I", len(keys))
     for k in keys:
-        payload += bytes([_MODE_BYTE[k.mode]]) + k.digest
+        payload += bytes([MODE_CODE[k.mode]]) + k.digest
     return Frame(REQ_KEYS, payload)
 
 

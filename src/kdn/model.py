@@ -45,6 +45,8 @@ TILE = 128
 # span group whose largest c is past this also subtracts each row's exact max.
 MAX_SHIFT = 350.0
 
+MAX_WEIGHTS = 1 << 27  # float64 weights ``build_model`` allocates at most: 1 GiB
+
 # token rows to index a (token, ...) array by
 Rows = np.ndarray | list[int] | slice
 
@@ -183,8 +185,11 @@ def _weight_matrix(tag: np.ndarray, n_rows: int, n_cols: int, fan_in: int) -> np
 
 
 def build_model(config: ModelConfig) -> Model:
-    """Materialize the closed-form weights for a configuration."""
+    """Materialize the closed-form weights for a configuration of at most ``MAX_WEIGHTS`` of them."""
     d_model, d_head = config.d_model, config.d_head
+    n_weights = 4 * config.n_layers * config.n_heads * d_model * d_head + config.vocab_size * d_model
+    if n_weights > MAX_WEIGHTS:  # checked before any array is allocated
+        raise ModelError(f"model of {n_weights} float64 weights is over the {MAX_WEIGHTS} (1 GiB) limit")
     v = np.arange(config.vocab_size, dtype=np.float64)[:, None]
     j = np.arange(d_model, dtype=np.float64)[None, :]
     embed = np.sin(_E_FREQ * (_E_TOK * v + j + 1.0))

@@ -15,7 +15,6 @@ import logging
 import os
 import re
 import struct
-import time
 from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ KEY_MAGIC = b"KDNKEY1"
 
 MODE_CHAIN = "chain"
 MODE_STANDALONE = "standalone"
-_MODE_CODE = {MODE_CHAIN: 0, MODE_STANDALONE: 1}
+MODE_CODE = {MODE_CHAIN: 0, MODE_STANDALONE: 1}  # a mode's byte in chunk keys and on the wire
 
 
 # what building values from a malformed JSON document raises (a JSONDecodeError and kdn's
@@ -56,7 +55,7 @@ class ChunkKey:
     def __post_init__(self) -> None:
         if len(self.digest) != 32:
             raise StoreError("chunk key digest must be 32 bytes")
-        if self.mode not in _MODE_CODE:
+        if self.mode not in MODE_CODE:
             raise StoreError(f"unknown key mode {self.mode!r}")
 
     @property
@@ -75,7 +74,7 @@ def make_key(
     Chain keys commit to the full prefix through the parent digest;
     standalone keys depend only on (model_id, chunk tokens).
     """
-    if mode not in _MODE_CODE:
+    if mode not in MODE_CODE:
         raise StoreError(f"unknown key mode {mode!r}")
     parent_digest = b"\x00" * 32
     if mode == MODE_CHAIN and parent is not None:
@@ -86,7 +85,7 @@ def make_key(
         raise StoreError(f"token ids must be u32 integers: {e}") from e
     canonical = (
         KEY_MAGIC
-        + bytes([_MODE_CODE[mode]])
+        + bytes([MODE_CODE[mode]])
         + parent_digest
         + struct.pack("<Q", model_id)
         + packed
@@ -104,7 +103,6 @@ class StoreEntry:
     size: int
     codec_profile: codec.CodecProfile
     pinned: bool = False
-    created: float = 0.0
 
 
 @dataclass
@@ -217,7 +215,6 @@ class Store:
             size=int(rec["size"]),
             codec_profile=codec.CodecProfile.from_dict(rec["codec"]),
             pinned=bool(rec.get("pinned", False)),
-            created=float(rec.get("created", 0.0)),
         )
         self._index(entry)
 
@@ -293,12 +290,12 @@ class Store:
             return
         if any("file" in rec for rec in recs):
             _fsync_dir(self.blob_dir)
-        created = not self.manifest_path.exists()
+        new_manifest = not self.manifest_path.exists()
         with open(self.manifest_path, "a", encoding="utf-8") as f:
             f.write("".join(json.dumps(rec) + "\n" for rec in recs))
             f.flush()
             os.fsync(f.fileno())
-        if created:
+        if new_manifest:
             _fsync_dir(self.root)
         if self._crash_hook is not None:
             self._crash_hook()
@@ -349,7 +346,7 @@ class Store:
         return [tokens[i : i + cs] for i in range(0, len(tokens), cs)]
 
     def _put(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None, pos: int,
-             blob: bytes, profile: codec.CodecProfile, pinned: bool, created: float) -> None:
+             blob: bytes, profile: codec.CodecProfile, pinned: bool) -> None:
         """Write ``blob`` and index ``key`` on it, committing the put record
         with the enclosing group commit, if any."""
         self._record({
@@ -362,7 +359,6 @@ class Store:
             "codec": profile.to_dict(),
             "size": len(blob),
             "pinned": pinned,
-            "created": created,
         })
 
     def store_text(
@@ -381,7 +377,8 @@ class Store:
         refuses, or that does not decode whole at the model's geometry, counts
         as missing: its entry is dropped and the chunk recomputed and
         rewritten, keeping its pin.  A token outside the model's vocabulary
-        raises ``ModelError`` before any key is made.
+        raises ``ModelError`` before any key is made, an unknown mode
+        ``StoreError`` at the first key (``make_key``), before any prefill.
 
         The document is one group commit: its ``put`` records and the
         ``del`` records of the evictions that made room reach the manifest in
@@ -389,8 +386,6 @@ class Store:
         """
         if not tokens:
             raise StoreError("store_text requires a nonempty token list")
-        if mode not in _MODE_CODE:
-            raise StoreError(f"unknown mode {mode!r}")
         _check_tokens(model, tokens)
         profile = profile or codec.CodecProfile()
         full_cache = None
@@ -415,7 +410,7 @@ class Store:
                     if self.total_size + len(blob) > self.config.capacity:
                         self.evict_to(self.config.capacity - len(blob))
                     pinned = entry is not None and entry.pinned
-                    self._put(key, chunk_tokens, parent, cache.start_pos, blob, profile, pinned=pinned, created=time.time())
+                    self._put(key, chunk_tokens, parent, cache.start_pos, blob, profile, pinned=pinned)
                 keys.append(key)
                 parent = key if mode == MODE_CHAIN else None
                 offset += len(chunk_tokens)
@@ -536,8 +531,7 @@ class Store:
         cache = codec.decompress_cache(chunk)
         edited = transform(cache, params)
         blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
-        self._put(key, entry.tokens, entry.parent, entry.pos, blob, entry.codec_profile,
-                  pinned=entry.pinned, created=entry.created)
+        self._put(key, entry.tokens, entry.parent, entry.pos, blob, entry.codec_profile, pinned=entry.pinned)
 
 
 def open_store(config: StoreConfig) -> Store:

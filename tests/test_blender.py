@@ -41,12 +41,12 @@ def segments(model):
 
 
 def test_segment_validation(model):
-    cache, _ = prefill(model, [1, 2, 3])
+    cache, states = prefill(model, [1, 2, 3])
     with pytest.raises(BlendError):
-        Segment([1, 2], cache)  # token count mismatch
-    off, _ = prefill(model, [1, 2, 3], start_pos=4)
+        Segment([1, 2], cache, states)  # token count mismatch
+    off, states = prefill(model, [1, 2, 3], start_pos=4)
     with pytest.raises(BlendError):
-        Segment([1, 2, 3], off)  # not standalone
+        Segment([1, 2, 3], off, states)  # not standalone
 
 
 def test_concat_stale_layout(model, segments):
@@ -135,16 +135,14 @@ def test_full_recompute_is_bit_equal_to_prefill(cfg):
 
 def test_blend_leaves_segments_unchanged(model, segments):
     # the blend writes into fresh arrays, never into a segment's
-    no_states = Segment(TOKENS_B, segments[1].stale_cache.copy())
-    for segs in (segments, segments[:1], [segments[0], no_states]):
-        inputs = [a for s in segs for a in (s.stale_cache.k_pre, s.stale_cache.v, s.stale_states) if a is not None]
+    for segs in (segments, segments[:1]):
+        inputs = [a for s in segs for a in (s.stale_cache.k_pre, s.stale_cache.v, s.stale_states)]
         before = [a.copy() for a in inputs]
         for r in (0.15, 1.0):
             blended, states, _ = selective_blend(model, segs, r)
             for out in (blended.k_pre, blended.v, states):
                 assert not any(np.may_share_memory(out, a) for a in inputs)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
-        assert no_states.stale_states is None
 
 
 def test_empty_segment_blends(model):

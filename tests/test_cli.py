@@ -1,5 +1,8 @@
+import contextlib
 import json
 import os
+import re
+import resource
 import select
 import signal
 import subprocess
@@ -29,6 +32,21 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def _address_space_cap(headroom=1 << 30):
+    """Cap this process's address space ``headroom`` bytes above its size now: a
+    command that allocates past a size bound it should have kept then fails
+    with MemoryError instead of paging the host's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    size = 1024 * int(re.search(r"VmSize:\s+(\d+) kB", Path("/proc/self/status").read_text())[1])
+    cap = size + headroom if soft == resource.RLIM_INFINITY else min(size + headroom, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 # -- put / get ----------------------------------------------------------------------
@@ -380,6 +398,16 @@ def test_cost_sweep_bad_spec(workspace, capsys):
     assert code == 1 and "r1" in err
 
 
+@pytest.mark.parametrize("spec", ["r1=0:1:1e-12", "r1=0:1:nan", "r1=0:inf:1"])
+def test_cost_sweep_grid_not_finite_or_too_long_is_one_line_exit_1(workspace, capsys, spec):
+    p = workspace / "params.json"
+    p.write_text(json.dumps(_params_doc()))
+    with _address_space_cap():  # the 1e-12 grid is 7.28 TiB
+        code, out, err = _run(capsys, ["cost", "sweep", "--params", str(p), "--sweep", spec])
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: sweep") and err.count("\n") == 1, err[:300]
+
+
 def test_cost_simulate(workspace, capsys):
     p = workspace / "params.json"
     p.write_text(json.dumps(_params_doc()))
@@ -423,6 +451,9 @@ _HUGE = int("9" * 400)  # a float() of it overflows
 _DEEP = "[" * 100_000 + "]" * 100_000  # json.loads recurses once per level
 _MODEL = {**json.loads(MODEL_JSON), "rope_base": 10000.0}
 _BLEND = {"model": _MODEL, "segments": [[1, 2]], "ratio": 0.5}
+# configs within ModelConfig's field bounds whose weights are past build_model's bound
+_WIDE = {"n_layers": 65535, "n_heads": 65535, "d_head": 2, "vocab_size": 32}
+_WORDY = {"n_layers": 1, "n_heads": 1, "d_head": 2, "vocab_size": 4294967295}
 
 # per JSON flag: its command around the document ("{doc}"; "{w}" is the
 # workspace), its error prefix, whether it also takes inline text, and its
@@ -430,7 +461,7 @@ _BLEND = {"model": _MODEL, "segments": [[1, 2]], "ratio": 0.5}
 _JSON_FLAGS = {
     "model": (["put", "--root", "{w}/s", "--model", "{doc}", "--tokens", "{w}/tokens.txt"], "bad model config", True,
               {"container": [1], "not-a-number": {**_MODEL, "n_layers": "x"},
-               "400-digits": {**_MODEL, "rope_base": _HUGE}}),
+               "400-digits": {**_MODEL, "rope_base": _HUGE}, "too-wide": _WIDE, "too-wordy": _WORDY}),
     "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
                 {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
                  "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536}}),
@@ -438,7 +469,8 @@ _JSON_FLAGS = {
     "put-profile": (["put", "--root", "{w}/s", "--model", "{w}/model.json", "--tokens", "{w}/tokens.txt",
                      "--profile", "{doc}"], "unknown codec profile", True, {"over-u16": {"group_size": 70000}}),
     "request": (["blend", "--request", "{doc}", "--out", "{w}/out"], "bad blend request", False,
-                {"container": [1], "not-a-number": {**_BLEND, "ratio": "x"}, "400-digits": {**_BLEND, "ratio": _HUGE}}),
+                {"container": [1], "not-a-number": {**_BLEND, "ratio": "x"}, "400-digits": {**_BLEND, "ratio": _HUGE},
+                 "too-wide": {**_BLEND, "model": _WIDE}}),
     "report-params": (["cost", "report", "--params", "{doc}"], "bad params file", False,
                       {"container": [1], "not-a-number": _measured_doc(cost="x"),
                        "400-digits": _measured_doc(cost=_HUGE)}),
@@ -471,7 +503,8 @@ def test_malformed_json_document_is_one_line_exit_1(workspace, capsys, flag, kin
         spec = json.dumps(docs[kind])
     elif kind in docs:
         doc.write_text(json.dumps(docs[kind]))
-    code, out, err = _run(capsys, [arg.format(w=workspace, doc=spec) for arg in template])
+    with _address_space_cap():  # a too-large model must fail before it allocates
+        code, out, err = _run(capsys, [arg.format(w=workspace, doc=spec) for arg in template])
     assert code == 1 and out == ""
     assert err.startswith(f"kdn: {prefix}") and err.count("\n") == 1, err[:300]
 

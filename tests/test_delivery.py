@@ -257,6 +257,16 @@ def test_process_stream_resyncs_after_garbage(store, model):
     assert any(f.frame_type == ERR for f in frames)
 
 
+def test_process_stream_refuses_an_unknown_type_before_its_payload(store, model):
+    # a header of type 9 that claims 64 MiB: answered at once, not after 64 MiB
+    # arrive, and the request after it is answered too
+    header = FRAME_MAGIC + bytes([9]) + struct.pack("<I", delivery.MAX_PAYLOAD)
+    req = encode_token_request(model.model_id, MODE_CHAIN, [1, 2, 3])
+    refusal = encode_frame(delivery.encode_err(delivery.ERR_BAD_FRAME, "unknown frame type 9"))
+    answer = b"".join(encode_frame(f) for f in handle_request(store, req))
+    assert process_stream(store, header + encode_frame(req)) == refusal + answer
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=200))
 def test_process_stream_totality(fuzz_store, data):

@@ -431,8 +431,7 @@ def test_store_text_commits_with_one_manifest_fsync(tmp_path, model, monkeypatch
 
 
 def _records(store):
-    return [{k: v for k, v in json.loads(line).items() if k != "created"}
-            for line in store.manifest_path.read_text().splitlines()]
+    return [json.loads(line) for line in store.manifest_path.read_text().splitlines()]
 
 
 def test_group_commit_keeps_the_per_chunk_record_order(tmp_path, model):
@@ -693,7 +692,7 @@ def _outcome(fn, *args):
 
 
 def _entry_fields(store):
-    return {d: (e.file, e.size, e.pinned, e.tokens, e.parent, e.codec_profile, e.created)
+    return {d: (e.file, e.size, e.pinned, e.tokens, e.parent, e.codec_profile)
             for d, e in store.entries.items()}
 
 
@@ -755,6 +754,12 @@ def test_reopen_preserves_entries(tmp_path, model):
     assert st2.entries[keys[0].digest].pinned
     hits, miss = st2.retrieve_text(model.model_id, [1, 2, 3, 4, 5])
     assert miss == []
+    # put records written before they dropped their "created" stamp reopen to the same entries
+    recs = [json.loads(line) for line in st.manifest_path.read_text().splitlines()]
+    assert not any("created" in rec for rec in recs)
+    st.manifest_path.write_text("".join(json.dumps({**rec, "created": 1.7e9} if "file" in rec else rec) + "\n"
+                                        for rec in recs))
+    assert _entry_fields(_store(tmp_path)) == _entry_fields(st2)
 
 
 # each line replaces fields of a valid put record under a fresh key, or is the whole line
