@@ -218,10 +218,6 @@ def _measured_rows(doc: dict) -> dict[str, costmodel.SystemMeasurement]:
     }
 
 
-def _conventions(args) -> costmodel.Conventions:
-    return costmodel.Conventions(include_tq=not args.no_tq, paper_delay_kv=args.paper_delay)
-
-
 def cmd_cost_report(args) -> int:
     measured = (_read_doc(args.params, "bad params file", _measured_rows) if args.params
                 else costmodel.PUBLISHED_MEASUREMENTS)
@@ -259,10 +255,10 @@ def _parse_sweep(spec: str) -> np.ndarray:
 def cmd_cost_sweep(args) -> int:
     params, r2 = _read_doc(args.params, "bad params file",
                            lambda doc: (costmodel.CostParams.from_dict(doc), float(doc.get("r2", 0.0))))
-    conventions = _conventions(args)
+    conventions = costmodel.Conventions(paper_delay_kv=args.paper_delay)
     objective = costmodel.Objective(args.objective)
     grid = _parse_sweep(args.sweep)
-    threshold = costmodel.threshold_r1(params, objective, r2=r2, conventions=conventions)
+    threshold = costmodel.threshold_r1(params, objective, conventions)
     rows = []
     for r1 in grid:
         r1 = float(r1)
@@ -291,7 +287,7 @@ def cmd_cost_sweep(args) -> int:
 
 def cmd_cost_simulate(args) -> int:
     params = _read_doc(args.params, "bad params file", costmodel.CostParams.from_dict)
-    conventions = _conventions(args)
+    conventions = costmodel.Conventions(paper_delay_kv=args.paper_delay)
     trace = _read_doc(args.trace, "bad trace file", lambda raw: [(float(t), str(c)) for t, c in raw])
     mix = costmodel.empirical_mix(trace, params.refresh_period)
     rows = []
@@ -359,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         pc = cost_sub.add_parser(name)
         pc.add_argument("--params", required=(name != "report"))
         if name != "report":
-            pc.add_argument("--no-tq", action="store_true", help="drop T_Q from gpu and delay")
             pc.add_argument("--paper-delay", action="store_true", help="use the published KV delay row")
         if name == "sweep":
             pc.add_argument("--sweep", default="r1=0:1:0.01")

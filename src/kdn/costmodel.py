@@ -5,11 +5,12 @@ The three systems: FT fine-tunes every never-seen context; IC prefills the
 context on every query; KV prefills-and-stores on a per-period miss and
 transfers the stored KV cache on a hit.
 
-Two conventions are switchable.  ``include_tq`` (default on) charges the
-query prefill to the gpu and delay of every system.  ``paper_delay_kv``
-(default off) reproduces the published KV delay row verbatim; the default
-uses the self-consistent reading (miss -> prefill, hit -> transfer), which
-matches the compute and network rows.
+Every system pays the query prefill ``T_Q`` in gpu and delay; it is an
+input like any other, 0 when a params document leaves it out.  One
+convention is switchable: ``paper_delay_kv`` (default off) reproduces the
+published KV delay row verbatim; the default uses the self-consistent
+reading (miss -> prefill, hit -> transfer), which matches the compute and
+network rows.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise CostModelError(f"{f.name} must be finite")
             if f.name != "t_query" and not getattr(self, f.name) > 0:
                 raise CostModelError(f"{f.name} must be strictly positive")
         if self.t_query < 0:
@@ -78,13 +81,14 @@ class WorkloadMix:
     r2: float  # fraction never seen before
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
+            raise CostModelError("r1 and r2 must be finite")
         if self.r1 < 0 or self.r2 < 0 or self.r1 + self.r2 > 1 + 1e-12:
             raise CostModelError("need r1 >= 0, r2 >= 0, r1 + r2 <= 1")
 
 
 @dataclass(frozen=True)
 class Conventions:
-    include_tq: bool = True
     paper_delay_kv: bool = False
 
 
@@ -109,7 +113,7 @@ def per_query(
     conventions: Conventions = Conventions(),
 ) -> CostBreakdown:
     """Closed-form per-query resource usage for one system under one mix."""
-    tq = params.t_query if conventions.include_tq else 0.0
+    tq = params.t_query
     if system is System.FT:
         gpu = mix.r2 * params.t_finetune + tq
         storage = mix.r2 * params.s_model
@@ -139,6 +143,8 @@ def per_query(
 def validate_trace(trace: list[tuple[float, str]]) -> None:
     last = -math.inf
     for t, _ in trace:
+        if not math.isfinite(t):
+            raise CostModelError("trace times must be finite")
         if t < last:
             raise CostModelError("trace times must be nondecreasing")
         last = t
@@ -183,7 +189,7 @@ def simulate_trace(
     validate_trace(trace)
     if not trace:
         raise CostModelError("trace is empty")
-    tq = params.t_query if conventions.include_tq else 0.0
+    tq = params.t_query
     gpu = storage = network = delay = 0.0
     seen_ever: set[str] = set()
     stored_this_period: set[str] = set()
@@ -254,44 +260,28 @@ class ThresholdResult:
 def threshold_r1(
     params: CostParams,
     objective: Objective,
-    r2: float = 0.0,
     conventions: Conventions = Conventions(),
 ) -> ThresholdResult:
-    """Smallest r1 at which KV's objective <= IC's, holding r2 fixed.
+    """Smallest r1 from which KV's objective is <= IC's all the way to r1 = 1.
 
-    Solved in closed form from the linear per-query expressions and
-    cross-checked by bisection; the two must agree to 1e-9.
+    Neither system's objective reads r2, KV's is affine in r1 and IC's is
+    constant, so f = KV - IC is a line fixed by f(0) and f(1): "never" if
+    f(1) > 0 (IC wins at r1 = 1), "always" (r1 = 0) if f(0) <= 0 as well,
+    else the "crossing" f(0) / (f(0) - f(1)).
     """
 
     def f(r1: float) -> float:
-        mix = WorkloadMix(r1, min(r2, 1.0 - r1))
+        mix = WorkloadMix(r1, 0.0)
         kv = _objective_value(per_query(System.KV, params, mix, conventions), objective)
         ic = _objective_value(per_query(System.IC, params, mix, conventions), objective)
         return kv - ic
 
-    # closed form: f is affine in r1
     f0, f1 = f(0.0), f(1.0)
-    slope = f1 - f0
+    if f1 > 0.0:
+        return ThresholdResult(None, "never")
     if f0 <= 0.0:
-        closed = ThresholdResult(0.0, "always")
-    elif slope >= 0.0 or f1 > 0.0:
-        closed = ThresholdResult(None, "never")
-    else:
-        closed = ThresholdResult(-f0 / slope, "crossing")
-
-    if closed.kind == "crossing":
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = (lo + hi) / 2.0
-            if f(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        if abs(hi - closed.r1) > 1e-9:
-            raise CostModelError(
-                f"threshold self-check failed: closed form {closed.r1} vs bisection {hi}"
-            )
-    return closed
+        return ThresholdResult(0.0, "always")
+    return ThresholdResult(f0 / (f0 - f1), "crossing")
 
 
 # -- comparison report ---------------------------------------------------------
@@ -318,6 +308,8 @@ def comparison_report(measured: dict[str, SystemMeasurement]) -> ComparisonRepor
         if name not in measured:
             raise CostModelError(f"missing measurement row {name!r}")
     for name, row in measured.items():
+        if not all(map(math.isfinite, (row.inject_time, row.cost, row.delay))):
+            raise CostModelError(f"non-finite measurement in row {name!r}")
         if row.inject_time < 0 or row.cost <= 0 or row.delay <= 0:
             raise CostModelError(f"nonpositive measurement in row {name!r}")
     kdn = measured["KDN"]

@@ -6,12 +6,15 @@ package; golden and property tests compare the two.  ``ref_attend`` is the
 untiled attention kernel the tiled one replaced; ``ref_project_kv``,
 ``ref_blend_scores`` and ``ref_quantize_tensor`` are the per-head and
 per-group loops that the package's single array operations must reproduce
-bit for bit.
+bit for bit.  ``ref_threshold_bisection`` solves for the cost model's
+break-even r1 by bisection, with no use of the line's closed form.
 """
 
 import math
 
 import numpy as np
+
+from kdn.costmodel import Objective, System, WorkloadMix, per_query
 
 
 def ref_weight(tag: int, i: int, j: int, fan_in: int) -> float:
@@ -245,3 +248,21 @@ def ref_byte_delta_decode(stream, shape, anchor_stride):
                     acc = v if t % anchor_stride == 0 else (acc + v) % 256
                     out[layer, h, t, d] = acc
     return out
+
+
+def ref_threshold_bisection(params, objective, conventions) -> float:
+    """The r1 in [0, 1] at which KV's objective falls to IC's, to 1e-12, for
+    parameters where KV loses at r1 = 0 and wins at r1 = 1."""
+
+    def f(r1):
+        kv, ic = (per_query(s, params, WorkloadMix(r1, 0.0), conventions) for s in (System.KV, System.IC))
+        return kv.money - ic.money if objective is Objective.MONEY else kv.delay_seconds - ic.delay_seconds
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2.0
+        if f(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi

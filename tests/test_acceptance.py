@@ -4,6 +4,7 @@ Each test covers one release criterion at its stated tolerance and prints a
 one-line verdict, so `pytest -s tests/test_acceptance.py` reads as a report.
 """
 
+import dataclasses
 import random
 import time
 
@@ -45,6 +46,7 @@ from kdn.delivery import (
 )
 from kdn.model import ModelConfig, build_model, extend, prefill
 from kdn.store import MODE_CHAIN, StoreConfig, open_store
+from reference import ref_threshold_bisection
 
 
 def _passed(n: int, detail: str) -> None:
@@ -247,9 +249,9 @@ def test_criterion_5_cost_model_vs_simulation():
             t_finetune=rng.uniform(60.0, 3600.0),
             bandwidth=rng.uniform(1e8, 1e11),
         )
-        conventions = Conventions(
-            include_tq=rng.random() < 0.5, paper_delay_kv=rng.random() < 0.5
-        )
+        if rng.random() >= 0.5:  # half the cases charge no query prefill
+            params = dataclasses.replace(params, t_query=0.0)
+        conventions = Conventions(paper_delay_kv=rng.random() < 0.5)
         t = 0.0
         trace = []
         for _ in range(rng.randint(1, 80)):
@@ -265,10 +267,12 @@ def test_criterion_5_cost_model_vs_simulation():
                 worst = max(worst, rel)
                 assert rel <= 1e-12, f"case {case} {system.name}.{attr}: rel {rel}"
 
-        # threshold closed form vs bisection (threshold_r1 raises past 1e-9)
-        res = threshold_r1(params, rng.choice([Objective.MONEY, Objective.DELAY]))
+        # threshold closed form vs bisection
+        objective = rng.choice([Objective.MONEY, Objective.DELAY])
+        res = threshold_r1(params, objective)
         if res.kind == "crossing":
             assert 0.0 <= res.r1 <= 1.0
+            assert abs(res.r1 - ref_threshold_bisection(params, objective, Conventions())) <= 1e-9
     _passed(5, f"100 traces: worst closed-vs-simulated rel diff {worst:.3g} <= 1e-12; "
                "thresholds bisection-verified to 1e-9")
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import re
 import resource
@@ -366,10 +367,16 @@ def test_cost_sweep_params_file_not_an_object_is_one_line_exit_1(workspace, caps
     assert err.startswith("kdn: bad params file:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--no-tq", "--paper-delay"])
-def test_cost_report_takes_no_convention_flags(capsys, flag):
+@pytest.mark.parametrize("argv", [
+    ["report", "--no-tq"],
+    ["report", "--paper-delay"],
+    # no command drops T_Q: "T_Q": 0, or no T_Q, charges no query prefill
+    ["sweep", "--params", "params.json", "--no-tq"],
+    ["simulate", "--params", "params.json", "--trace", "trace.json", "--no-tq"],
+], ids=["--no-tq", "--paper-delay", "sweep---no-tq", "simulate---no-tq"])
+def test_cost_report_takes_no_convention_flags(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["cost", "report", flag])
+        main(["cost", *argv])
     assert exc.value.code == 2
 
 
@@ -389,6 +396,16 @@ def test_cost_sweep(workspace, capsys):
     assert code == 0
     assert "threshold" in out
     assert out.count("\n") >= 5  # header + 5 grid rows + threshold line
+
+
+def test_cost_sweep_crossing_where_kv_and_ic_differ_by_rounding(workspace, capsys):
+    # KV's money is IC's plus 5e-9 minus 1e-8 * r1 at every r1
+    p = workspace / "params.json"
+    p.write_text(json.dumps({"T": 1, "C_gpu": 1, "C_store": 1, "C_net": 1, "S_model": 1, "S_kv": 1.000000005,
+                             "S_text": 1, "T_prefill": 1e-8, "T_Q": 0, "T_finetune": 1, "B": 1}))
+    code, out, _ = _run(capsys, ["cost", "sweep", "--params", str(p)])
+    assert code == 0
+    assert "threshold r1* = 0.500000" in out
 
 
 def test_cost_sweep_bad_spec(workspace, capsys):
@@ -507,6 +524,25 @@ def test_malformed_json_document_is_one_line_exit_1(workspace, capsys, flag, kin
         code, out, err = _run(capsys, [arg.format(w=workspace, doc=spec) for arg in template])
     assert code == 1 and out == ""
     assert err.startswith(f"kdn: {prefix}") and err.count("\n") == 1, err[:300]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["sweep", "--params", "{doc}"], {**_params_doc(), "T_Q": math.nan}),
+    (["sweep", "--params", "{doc}"], {**_params_doc(), "T_prefill": math.inf}),
+    (["sweep", "--params", "{doc}"], {**_params_doc(), "r2": math.nan}),
+    (["simulate", "--params", "{doc}", "--trace", "{w}/trace.json"], {**_params_doc(), "T_Q": math.nan}),
+    (["simulate", "--params", "{w}/params.json", "--trace", "{doc}"], [[0.0, "a"], [math.nan, "b"]]),
+    (["simulate", "--params", "{w}/params.json", "--trace", "{doc}"], [[0.0, "a"], [math.inf, "b"]]),
+    (["report", "--params", "{doc}"], _measured_doc(cost=math.nan)),
+], ids=["sweep-tq-nan", "sweep-prefill-inf", "sweep-r2-nan", "simulate-tq-nan", "trace-nan", "trace-inf",
+        "report-cost-nan"])
+def test_non_finite_cost_input_is_one_line_exit_1(workspace, capsys, argv, doc):
+    (workspace / "params.json").write_text(json.dumps(_params_doc()))
+    (workspace / "trace.json").write_text(json.dumps([[0.0, "a"], [5.0, "b"]]))
+    (workspace / "doc.json").write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["cost", *(arg.format(w=workspace, doc=workspace / "doc.json") for arg in argv)])
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: ") and "finite" in err and err.count("\n") == 1, err[:300]
 
 
 def test_usage_error_from_argparse(capsys):

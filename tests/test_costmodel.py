@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import ref_threshold_bisection
 
 from kdn.costmodel import (
     PUBLISHED_MEASUREMENTS,
@@ -11,6 +12,7 @@ from kdn.costmodel import (
     Objective,
     System,
     SystemMeasurement,
+    ThresholdResult,
     WorkloadMix,
     best_system,
     comparison_report,
@@ -35,7 +37,8 @@ PARAMS = CostParams(
     bandwidth=1e10,
 )
 
-NO_TQ = Conventions(include_tq=False)
+NO_TQ = CostParams(**{**PARAMS.__dict__, "t_query": 0.0})
+PAPER_DELAY = Conventions(paper_delay_kv=True)
 
 
 # -- parameter validation -----------------------------------------------------------
@@ -48,6 +51,10 @@ def test_params_validation():
         CostParams(**{**PARAMS.__dict__, "t_prefill": -1.0})
     with pytest.raises(CostModelError):
         CostParams(**{**PARAMS.__dict__, "t_query": -0.1})
+    for name in ("t_query", "t_prefill", "bandwidth"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(CostModelError, match="finite"):
+                CostParams(**{**PARAMS.__dict__, name: value})
     # t_query == 0 is allowed
     CostParams(**{**PARAMS.__dict__, "t_query": 0.0})
 
@@ -94,16 +101,19 @@ def test_mix_validation():
         WorkloadMix(-0.1, 0.0)
     with pytest.raises(CostModelError):
         WorkloadMix(0.7, 0.6)
+    for r1, r2 in ((math.nan, 0.0), (0.0, math.nan), (0.0, -math.inf)):
+        with pytest.raises(CostModelError, match="finite"):
+            WorkloadMix(r1, r2)
 
 
 # -- closed-form table cells ----------------------------------------------------------
 
 
 def test_ft_trivials():
-    b = per_query(System.FT, PARAMS, WorkloadMix(0.0, 0.0), NO_TQ)
+    b = per_query(System.FT, NO_TQ, WorkloadMix(0.0, 0.0))
     assert (b.gpu_seconds, b.storage_bytes, b.network_bytes, b.delay_seconds) == (0, 0, 0, 0)
     assert b.money == 0.0
-    b = per_query(System.FT, PARAMS, WorkloadMix(0.0, 1.0), NO_TQ)
+    b = per_query(System.FT, NO_TQ, WorkloadMix(0.0, 1.0))
     assert b.gpu_seconds == PARAMS.t_finetune
     assert b.storage_bytes == PARAMS.s_model
     assert b.network_bytes == PARAMS.s_model
@@ -120,19 +130,19 @@ def test_ic_is_mix_independent():
 
 
 def test_kv_endpoints():
-    cold = per_query(System.KV, PARAMS, WorkloadMix(0.0, 1.0), NO_TQ)
+    cold = per_query(System.KV, NO_TQ, WorkloadMix(0.0, 1.0))
     assert cold.gpu_seconds == PARAMS.t_prefill
     assert cold.storage_bytes == PARAMS.s_kv
     assert cold.network_bytes == 0.0
     assert cold.delay_seconds == PARAMS.t_prefill
-    hot = per_query(System.KV, PARAMS, WorkloadMix(1.0, 0.0), NO_TQ)
+    hot = per_query(System.KV, NO_TQ, WorkloadMix(1.0, 0.0))
     assert hot.gpu_seconds == 0.0
     assert hot.network_bytes == PARAMS.s_kv
     assert hot.delay_seconds == pytest.approx(PARAMS.s_kv / PARAMS.bandwidth)
 
 
 def test_tq_convention():
-    without = per_query(System.KV, PARAMS, WorkloadMix(0.5, 0.2), NO_TQ)
+    without = per_query(System.KV, NO_TQ, WorkloadMix(0.5, 0.2))
     with_tq = per_query(System.KV, PARAMS, WorkloadMix(0.5, 0.2))
     assert with_tq.gpu_seconds == pytest.approx(without.gpu_seconds + PARAMS.t_query)
     assert with_tq.delay_seconds == pytest.approx(without.delay_seconds + PARAMS.t_query)
@@ -141,7 +151,7 @@ def test_tq_convention():
 
 def test_paper_delay_convention():
     r1 = 0.7
-    paper = per_query(System.KV, PARAMS, WorkloadMix(r1, 0.0), Conventions(True, True))
+    paper = per_query(System.KV, PARAMS, WorkloadMix(r1, 0.0), PAPER_DELAY)
     assert paper.delay_seconds == pytest.approx(
         r1 * PARAMS.t_prefill + (1 - r1) * PARAMS.s_kv / PARAMS.bandwidth + PARAMS.t_query
     )
@@ -218,9 +228,9 @@ def test_trace_all_repeats():
     seed=st.integers(0, 10_000),
     n=st.integers(1, 60),
     n_ctx=st.integers(1, 8),
-    conventions=st.sampled_from([Conventions(), NO_TQ, Conventions(True, True)]),
+    case=st.sampled_from([(PARAMS, Conventions()), (NO_TQ, Conventions()), (PARAMS, PAPER_DELAY)]),
 )
-def test_trace_property(seed, n, n_ctx, conventions):
+def test_trace_property(seed, n, n_ctx, case):
     import random
 
     rng = random.Random(seed)
@@ -229,7 +239,8 @@ def test_trace_property(seed, n, n_ctx, conventions):
     for _ in range(n):
         t += rng.expovariate(1 / 400.0)
         trace.append((t, f"c{rng.randrange(n_ctx)}"))
-    _assert_sim_matches_closed(trace, conventions=conventions)
+    params, conventions = case
+    _assert_sim_matches_closed(trace, params, conventions)
 
 
 def test_trace_validation():
@@ -237,6 +248,9 @@ def test_trace_validation():
         validate_trace([(1.0, "a"), (0.5, "b")])
     with pytest.raises(CostModelError):
         simulate_trace(PARAMS, [], System.IC)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(CostModelError, match="finite"):
+            empirical_mix([(0.0, "a"), (t, "b")], PARAMS.refresh_period)
     assert empirical_mix([], 3600.0) == WorkloadMix(0.0, 0.0)
 
 
@@ -257,7 +271,7 @@ def test_best_system_and_tie_break():
         s_model=1.0, s_kv=1.0, s_text=1.0,
         t_prefill=1.0, t_query=0.0, t_finetune=1.0, bandwidth=1.0,
     )
-    winner, margin = best_system(flat, WorkloadMix(0.0, 1.0), Objective.DELAY, NO_TQ)
+    winner, margin = best_system(flat, WorkloadMix(0.0, 1.0), Objective.DELAY)
     assert winner is System.FT  # FT(1.0s) ties IC(1.0s) and KV(1.0s)
     assert margin == pytest.approx(0.0, abs=1e-12)
 
@@ -289,17 +303,43 @@ def test_threshold_always_and_never():
     assert res.kind == "never" and res.r1 is None
 
 
+def test_threshold_always_means_kv_wins_up_to_r1_1():
+    # default delay: KV's delay at r1 = 0 equals IC's, so f(0) = 0; with
+    # S_kv / B = 2 s past T_prefill = 1 s, every hit makes KV slower
+    slow_link = CostParams(**{**NO_TQ.__dict__, "t_prefill": 1.0, "s_kv": 2e10, "bandwidth": 1e10})
+    half = WorkloadMix(0.5, 0.0)
+    assert per_query(System.KV, slow_link, half).delay_seconds == pytest.approx(1.5)
+    assert per_query(System.IC, slow_link, half).delay_seconds == pytest.approx(1.0)
+    assert threshold_r1(slow_link, Objective.DELAY) == ThresholdResult(None, "never")
+    fast_link = CostParams(**{**slow_link.__dict__, "s_kv": 5e9})
+    assert threshold_r1(fast_link, Objective.DELAY) == ThresholdResult(0.0, "always")
+
+
+def test_threshold_crossing_where_kv_and_ic_differ_by_rounding():
+    # KV's money is IC's plus 5e-9 minus 1e-8 * r1: a crossing at 0.5,
+    # though the two differ by less than 1e-8 at every r1
+    params = CostParams(
+        refresh_period=1.0, c_gpu=1.0, c_store=1.0, c_net=1.0, s_model=1.0, s_kv=1.000000005,
+        s_text=1.0, t_prefill=1e-8, t_query=0.0, t_finetune=1.0, bandwidth=1.0,
+    )
+    res = threshold_r1(params, Objective.MONEY)
+    assert res.kind == "crossing"
+    assert res.r1 == pytest.approx(0.5, abs=1e-6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     s_kv=st.floats(1e6, 1e12),
     t_prefill=st.floats(0.1, 100.0),
     objective=st.sampled_from([Objective.MONEY, Objective.DELAY]),
+    conventions=st.sampled_from([Conventions(), PAPER_DELAY]),
 )
-def test_threshold_closed_form_matches_bisection(s_kv, t_prefill, objective):
+def test_threshold_closed_form_matches_bisection(s_kv, t_prefill, objective, conventions):
     params = CostParams(**{**PARAMS.__dict__, "s_kv": s_kv, "t_prefill": t_prefill})
-    res = threshold_r1(params, objective)  # raises if closed form and bisection diverge
+    res = threshold_r1(params, objective, conventions)
     if res.kind == "crossing":
         assert 0.0 <= res.r1 <= 1.0
+        assert abs(res.r1 - ref_threshold_bisection(params, objective, conventions)) <= 1e-9
 
 
 # -- comparison report -----------------------------------------------------------------------
@@ -335,3 +375,6 @@ def test_comparison_report_validation():
     bad["KDN"] = SystemMeasurement(0.25, 0.0, 2.97)
     with pytest.raises(CostModelError):
         comparison_report(bad)
+    for row in (SystemMeasurement(0.25, math.nan, 2.97), SystemMeasurement(math.inf, 0.0059, 2.97)):
+        with pytest.raises(CostModelError, match="non-finite"):
+            comparison_report({**PUBLISHED_MEASUREMENTS, "KDN": row})
