@@ -14,7 +14,6 @@ from .store import ChunkKey, Store, StoreConfig, make_key, open_store
 from .blender import BlendReport, Segment, concat_stale, prefix_extend_path, selective_blend
 from .delivery import Client, Frame, KdnServer, LinkModel, simulate_transfer
 from .costmodel import (
-    Conventions,
     CostBreakdown,
     CostParams,
     Objective,
@@ -56,7 +55,6 @@ __all__ = [
     "KdnServer",
     "LinkModel",
     "simulate_transfer",
-    "Conventions",
     "CostBreakdown",
     "CostParams",
     "Objective",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -255,28 +254,19 @@ def _parse_sweep(spec: str) -> np.ndarray:
 def cmd_cost_sweep(args) -> int:
     params, r2 = _read_doc(args.params, "bad params file",
                            lambda doc: (costmodel.CostParams.from_dict(doc), float(doc.get("r2", 0.0))))
-    conventions = costmodel.Conventions(paper_delay_kv=args.paper_delay)
     objective = costmodel.Objective(args.objective)
     grid = _parse_sweep(args.sweep)
-    threshold = costmodel.threshold_r1(params, objective, conventions)
+    threshold = costmodel.threshold_r1(params, objective, paper_delay_kv=args.paper_delay)
+    half_step = (grid[1] - grid[0]) / 2 if len(grid) > 1 else 0.0
     rows = []
     for r1 in grid:
         r1 = float(r1)
         mix = costmodel.WorkloadMix(r1, min(r2, 1.0 - r1))
-        vals = {
-            s: costmodel.per_query(s, params, mix, conventions) for s in costmodel.System
-        }
-        winner, _ = costmodel.best_system(params, mix, objective, conventions)
-        marker = ""
-        half_step = (grid[1] - grid[0]) / 2 if len(grid) > 1 else 0.0
-        if threshold.r1 is not None and abs(r1 - threshold.r1) <= half_step:
-            marker = "<-- threshold"
-        rows.append(
-            [f"{r1:.3f}"]
-            + [f"{getattr(vals[s], 'money' if objective is costmodel.Objective.MONEY else 'delay_seconds'):.6g}"
-               for s in costmodel.System]
-            + [winner.name, marker]
-        )
+        vals = {s: costmodel.per_query(s, params, mix, paper_delay_kv=args.paper_delay) for s in costmodel.System}
+        winner, _ = costmodel.best_system(vals, objective)
+        marker = "<-- threshold" if threshold.r1 is not None and abs(r1 - threshold.r1) <= half_step else ""
+        rows.append([f"{r1:.3f}"] + [f"{costmodel._objective_value(b, objective):.6g}" for b in vals.values()]
+                    + [winner.name, marker])
     _emit_table(["r1", "FT", "IC", "KV", "best", ""], rows, args.output)
     if threshold.kind == "crossing":
         print(f"threshold r1* = {threshold.r1:.6f}")
@@ -287,13 +277,12 @@ def cmd_cost_sweep(args) -> int:
 
 def cmd_cost_simulate(args) -> int:
     params = _read_doc(args.params, "bad params file", costmodel.CostParams.from_dict)
-    conventions = costmodel.Conventions(paper_delay_kv=args.paper_delay)
     trace = _read_doc(args.trace, "bad trace file", lambda raw: [(float(t), str(c)) for t, c in raw])
     mix = costmodel.empirical_mix(trace, params.refresh_period)
     rows = []
     for system in costmodel.System:
-        sim = costmodel.simulate_trace(params, trace, system, conventions)
-        closed = costmodel.per_query(system, params, mix, conventions)
+        sim = costmodel.simulate_trace(params, trace, system, paper_delay_kv=args.paper_delay)
+        closed = costmodel.per_query(system, params, mix, paper_delay_kv=args.paper_delay)
         diff = max(
             abs(sim.gpu_seconds - closed.gpu_seconds),
             abs(sim.storage_bytes - closed.storage_bytes),

@@ -7,10 +7,10 @@ transfers the stored KV cache on a hit.
 
 Every system pays the query prefill ``T_Q`` in gpu and delay; it is an
 input like any other, 0 when a params document leaves it out.  One
-convention is switchable: ``paper_delay_kv`` (default off) reproduces the
-published KV delay row verbatim; the default uses the self-consistent
-reading (miss -> prefill, hit -> transfer), which matches the compute and
-network rows.
+convention is switchable: the keyword ``paper_delay_kv`` (default off)
+reproduces the published KV delay row verbatim; the default uses the
+self-consistent reading (miss -> prefill, hit -> transfer), which matches
+the compute and network rows.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class WorkloadMix:
             raise CostModelError("need r1 >= 0, r2 >= 0, r1 + r2 <= 1")
 
 
-@dataclass(frozen=True)
-class Conventions:
-    paper_delay_kv: bool = False
-
-
 @dataclass
 class CostBreakdown:
     gpu_seconds: float
@@ -106,12 +101,7 @@ class CostBreakdown:
         return CostBreakdown(gpu, storage, network, delay, money)
 
 
-def per_query(
-    system: System,
-    params: CostParams,
-    mix: WorkloadMix,
-    conventions: Conventions = Conventions(),
-) -> CostBreakdown:
+def per_query(system: System, params: CostParams, mix: WorkloadMix, *, paper_delay_kv: bool = False) -> CostBreakdown:
     """Closed-form per-query resource usage for one system under one mix."""
     tq = params.t_query
     if system is System.FT:
@@ -128,7 +118,7 @@ def per_query(
         gpu = (1.0 - mix.r1) * params.t_prefill + tq
         storage = (1.0 - mix.r1) * params.s_kv
         network = mix.r1 * params.s_kv
-        if conventions.paper_delay_kv:
+        if paper_delay_kv:
             delay = mix.r1 * params.t_prefill + (1.0 - mix.r1) * params.s_kv / params.bandwidth + tq
         else:
             delay = (1.0 - mix.r1) * params.t_prefill + mix.r1 * params.s_kv / params.bandwidth + tq
@@ -150,6 +140,14 @@ def validate_trace(trace: list[tuple[float, str]]) -> None:
         last = t
 
 
+def _period(t: float, refresh_period: float) -> float:
+    """The index of the refresh period that holds time ``t``."""
+    p = t // refresh_period
+    if math.isinf(p):
+        raise CostModelError(f"trace time {t} is not a finite number of refresh periods of {refresh_period} s")
+    return p
+
+
 def empirical_mix(trace: list[tuple[float, str]], refresh_period: float) -> WorkloadMix:
     """(r1, r2) observed by replaying the trace's per-period bookkeeping."""
     validate_trace(trace)
@@ -158,7 +156,7 @@ def empirical_mix(trace: list[tuple[float, str]], refresh_period: float) -> Work
     period = None
     n1 = n2 = 0
     for t, ctx in trace:
-        p = int(t // refresh_period)
+        p = _period(t, refresh_period)
         if p != period:
             period = p
             seen_this_period = set()
@@ -178,7 +176,8 @@ def simulate_trace(
     params: CostParams,
     trace: list[tuple[float, str]],
     system: System,
-    conventions: Conventions = Conventions(),
+    *,
+    paper_delay_kv: bool = False,
 ) -> CostBreakdown:
     """Event-by-event accounting over a query trace, averaged per query.
 
@@ -195,7 +194,7 @@ def simulate_trace(
     stored_this_period: set[str] = set()
     period = None
     for t, ctx in trace:
-        p = int(t // params.refresh_period)
+        p = _period(t, params.refresh_period)
         if p != period:
             period = p
             stored_this_period = set()
@@ -215,11 +214,11 @@ def simulate_trace(
             hit = ctx in stored_this_period
             if hit:
                 network += params.s_kv
-                delay += params.t_prefill if conventions.paper_delay_kv else params.s_kv / params.bandwidth
+                delay += params.t_prefill if paper_delay_kv else params.s_kv / params.bandwidth
             else:
                 gpu += params.t_prefill
                 storage += params.s_kv
-                delay += params.s_kv / params.bandwidth if conventions.paper_delay_kv else params.t_prefill
+                delay += params.s_kv / params.bandwidth if paper_delay_kv else params.t_prefill
                 stored_this_period.add(ctx)
         else:
             raise CostModelError(f"unknown system {system}")
@@ -235,18 +234,14 @@ def _objective_value(b: CostBreakdown, objective: Objective) -> float:
     return b.money if objective is Objective.MONEY else b.delay_seconds
 
 
-def best_system(
-    params: CostParams,
-    mix: WorkloadMix,
-    objective: Objective,
-    conventions: Conventions = Conventions(),
-) -> tuple[System, float]:
-    """argmin over the three systems; ties go to the lower system number.
+def best_system(breakdowns: dict[System, CostBreakdown], objective: Objective) -> tuple[System, float]:
+    """argmin of ``objective`` over the systems' breakdowns; ties go to the
+    lower system number.
 
     Returns the winner and its margin over the runner-up.
     """
-    values = {s: _objective_value(per_query(s, params, mix, conventions), objective) for s in System}
-    winner = min(System, key=lambda s: (values[s], s.value))
+    values = {s: _objective_value(b, objective) for s, b in breakdowns.items()}
+    winner = min(values, key=lambda s: (values[s], s.value))
     runner_up = min((v for s, v in values.items() if s is not winner), default=values[winner])
     return winner, runner_up - values[winner]
 
@@ -257,11 +252,7 @@ class ThresholdResult:
     kind: str  # "crossing" | "always" | "never"
 
 
-def threshold_r1(
-    params: CostParams,
-    objective: Objective,
-    conventions: Conventions = Conventions(),
-) -> ThresholdResult:
+def threshold_r1(params: CostParams, objective: Objective, *, paper_delay_kv: bool = False) -> ThresholdResult:
     """Smallest r1 from which KV's objective is <= IC's all the way to r1 = 1.
 
     Neither system's objective reads r2, KV's is affine in r1 and IC's is
@@ -272,9 +263,8 @@ def threshold_r1(
 
     def f(r1: float) -> float:
         mix = WorkloadMix(r1, 0.0)
-        kv = _objective_value(per_query(System.KV, params, mix, conventions), objective)
-        ic = _objective_value(per_query(System.IC, params, mix, conventions), objective)
-        return kv - ic
+        kv, ic = (per_query(s, params, mix, paper_delay_kv=paper_delay_kv) for s in (System.KV, System.IC))
+        return _objective_value(kv, objective) - _objective_value(ic, objective)
 
     f0, f1 = f(0.0), f(1.0)
     if f1 > 0.0:

@@ -4,9 +4,11 @@ Wire layout per frame, little-endian:
 
     "KDN1" | type u8 | payload_len u32 | payload | crc32c u32
 
-The crc covers type byte plus payload.  Requests by token text answer with
-zero or more CHUNK frames (compressed-chunk blobs as stored, in token order)
-followed by END carrying the miss-suffix token list.
+The crc covers type byte plus payload.  A request's reply is
+``CHUNK* (END | ERR)``: compressed-chunk blobs as stored, in token (or key)
+order, then END carrying the miss-suffix token list.  The server reads each
+blob as it sends its frame, so a blob that fails to read ends the reply with
+ERR after the CHUNK frames sent before it; a malformed request is one ERR.
 
 A CHUNK frame's crc is built without reading its payload: CRC-32C values
 compose, and a chunk's payload followed by its stored payload crc has a fixed
@@ -235,16 +237,25 @@ def _parse_request(store: Store, frame: Frame) -> tuple[list[ChunkKey], list[int
     return [key for key in keys if key.digest in store.entries], []
 
 
-def handle_request(store: Store, frame: Frame) -> list[Frame]:
-    """Answer one request frame with CHUNK* (blobs as stored) END, or a single ERR."""
+def _answer(store: Store, frame: Frame) -> Iterator[Frame]:
+    """The reply to one request frame, CHUNK* (blobs as stored) then END or
+    ERR, one frame at a time: each blob is read when its frame is taken, so
+    a sender holds one blob at a time.  A malformed request is a single ERR."""
     try:
         keys, miss = _parse_request(store, frame)
-        return [*(Frame(CHUNK, store.read_blob(key)) for key in keys), encode_end(miss)]
+        for key in keys:
+            yield Frame(CHUNK, store.read_blob(key))
+        yield encode_end(miss)
     except ProtocolError as e:
-        return [encode_err(ERR_BAD_REQUEST, str(e))]
+        yield encode_err(ERR_BAD_REQUEST, str(e))
     except Exception as e:  # the server must survive arbitrary input
         log.exception("request handling failed")
-        return [encode_err(ERR_INTERNAL, f"{type(e).__name__}: {e}")]
+        yield encode_err(ERR_INTERNAL, f"{type(e).__name__}: {e}")
+
+
+def handle_request(store: Store, frame: Frame) -> list[Frame]:
+    """The whole reply to one request frame (``_answer``) as a list."""
+    return list(_answer(store, frame))
 
 
 def _replies(store: Store, reader: FrameReader) -> Iterator[bytes]:
@@ -258,7 +269,7 @@ def _replies(store: Store, reader: FrameReader) -> Iterator[bytes]:
             continue
         if frame is None:
             return
-        for reply in handle_request(store, frame):
+        for reply in _answer(store, frame):
             yield encode_frame(reply)
 
 

@@ -17,7 +17,7 @@ import re
 import struct
 from collections import Counter, OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +97,6 @@ def make_key(
 class StoreEntry:
     key: ChunkKey
     tokens: list[int]
-    parent: ChunkKey | None
     pos: int  # the position of its first token
     file: str
     size: int
@@ -197,19 +196,15 @@ class Store:
         if not re.fullmatch("[0-9a-f]{64}", rec["file"]):
             raise StoreError(f"blob name {rec['file']!r} is not a digest")
         key = ChunkKey(bytes.fromhex(rec["key"]), rec["mode"])
-        parent = None
-        if rec.get("parent"):
-            parent = ChunkKey(bytes.fromhex(rec["parent"]), rec["mode"])
         pos = rec.get("pos")
-        if pos is None and parent is not None:  # a record from before put records held "pos"
-            up = self.entries.get(parent.digest)
+        if pos is None and rec.get("parent"):  # a record from before put records held "pos"
+            up = self.entries.get(bytes.fromhex(rec["parent"]))
             if up is None:
                 raise StoreError(f"put of {key.hex[:12]} has no position and its parent is not indexed")
             pos = up.pos + len(up.tokens)
         entry = StoreEntry(
             key=key,
             tokens=[int(t) for t in rec["tokens"]],
-            parent=parent,
             pos=int(pos or 0),
             file=rec["file"],
             size=int(rec["size"]),
@@ -345,8 +340,8 @@ class Store:
         cs = self.config.chunk_size
         return [tokens[i : i + cs] for i in range(0, len(tokens), cs)]
 
-    def _put(self, key: ChunkKey, tokens: list[int], parent: ChunkKey | None, pos: int,
-             blob: bytes, profile: codec.CodecProfile, pinned: bool) -> None:
+    def _put(self, key: ChunkKey, tokens: list[int], pos: int, blob: bytes, profile: codec.CodecProfile,
+             pinned: bool) -> None:
         """Write ``blob`` and index ``key`` on it, committing the put record
         with the enclosing group commit, if any."""
         self._record({
@@ -354,7 +349,6 @@ class Store:
             "mode": key.mode,
             "file": self._write_blob(blob),
             "tokens": tokens,
-            "parent": parent.hex if parent else None,
             "pos": pos,
             "codec": profile.to_dict(),
             "size": len(blob),
@@ -410,7 +404,7 @@ class Store:
                     if self.total_size + len(blob) > self.config.capacity:
                         self.evict_to(self.config.capacity - len(blob))
                     pinned = entry is not None and entry.pinned
-                    self._put(key, chunk_tokens, parent, cache.start_pos, blob, profile, pinned=pinned)
+                    self._put(key, chunk_tokens, cache.start_pos, blob, profile, pinned=pinned)
                 keys.append(key)
                 parent = key if mode == MODE_CHAIN else None
                 offset += len(chunk_tokens)
@@ -441,8 +435,7 @@ class Store:
             parent: ChunkKey | None = None
             pos = 0
             while pos < len(tokens):
-                remaining = tokens[pos:]
-                match = self._best_chain_child(model_id, parent, remaining)
+                match = self._best_chain_child(model_id, parent, tokens, pos)
                 if match is None:
                     break
                 key, n = match
@@ -469,12 +462,13 @@ class Store:
         return [(key, self.get_chunk(key)) for key in keys], miss
 
     def _best_chain_child(
-        self, model_id: int, parent: ChunkKey | None, remaining: list[int]
+        self, model_id: int, parent: ChunkKey | None, tokens: list[int], pos: int
     ) -> tuple[ChunkKey, int] | None:
-        """Longest stored chain chunk whose tokens prefix ``remaining``."""
+        """Longest stored chain chunk whose tokens prefix ``tokens[pos:]``;
+        slices only the tokens it hashes."""
         # full chunk first: the common case needs one hash, not a scan
-        for n in range(min(self.config.chunk_size, len(remaining)), 0, -1):
-            key = make_key(model_id, MODE_CHAIN, parent, remaining[:n])
+        for n in range(min(self.config.chunk_size, len(tokens) - pos), 0, -1):
+            key = make_key(model_id, MODE_CHAIN, parent, tokens[pos : pos + n])
             if key.digest in self.entries:
                 return key, n
         return None
@@ -524,14 +518,11 @@ class Store:
         transform = EDIT_TRANSFORMS.get(transform_id)
         if transform is None:
             raise StoreError(f"unknown transform id {transform_id}")
-        entry = self.entries.get(key.digest)
-        if entry is None:
-            raise StoreError(f"key {key.hex[:12]} not in store")
-        chunk = self.get_chunk(key)
-        cache = codec.decompress_cache(chunk)
-        edited = transform(cache, params)
+        chunk = self.get_chunk(key)  # the one check that ``key`` is stored
+        entry = self.entries[key.digest]
+        edited = transform(codec.decompress_cache(chunk), params)
         blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
-        self._put(key, entry.tokens, entry.parent, entry.pos, blob, entry.codec_profile, pinned=entry.pinned)
+        self._put(key, entry.tokens, entry.pos, blob, entry.codec_profile, pinned=entry.pinned)
 
 
 def open_store(config: StoreConfig) -> Store:

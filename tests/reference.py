@@ -250,12 +250,13 @@ def ref_byte_delta_decode(stream, shape, anchor_stride):
     return out
 
 
-def ref_threshold_bisection(params, objective, conventions) -> float:
+def ref_threshold_bisection(params, objective, paper_delay_kv=False) -> float:
     """The r1 in [0, 1] at which KV's objective falls to IC's, to 1e-12, for
     parameters where KV loses at r1 = 0 and wins at r1 = 1."""
 
     def f(r1):
-        kv, ic = (per_query(s, params, WorkloadMix(r1, 0.0), conventions) for s in (System.KV, System.IC))
+        kv, ic = (per_query(s, params, WorkloadMix(r1, 0.0), paper_delay_kv=paper_delay_kv)
+                  for s in (System.KV, System.IC))
         return kv.money - ic.money if objective is Objective.MONEY else kv.delay_seconds - ic.delay_seconds
 
     lo, hi = 0.0, 1.0

@@ -15,7 +15,6 @@ from kdn import codec, fixtures
 from kdn.blender import Segment, selective_blend
 from kdn.codec import PROFILES, CodecError, _varint_decode, _varint_encode
 from kdn.costmodel import (
-    Conventions,
     CostParams,
     Objective,
     PUBLISHED_MEASUREMENTS,
@@ -251,7 +250,7 @@ def test_criterion_5_cost_model_vs_simulation():
         )
         if rng.random() >= 0.5:  # half the cases charge no query prefill
             params = dataclasses.replace(params, t_query=0.0)
-        conventions = Conventions(paper_delay_kv=rng.random() < 0.5)
+        paper_delay_kv = rng.random() < 0.5
         t = 0.0
         trace = []
         for _ in range(rng.randint(1, 80)):
@@ -259,8 +258,8 @@ def test_criterion_5_cost_model_vs_simulation():
             trace.append((t, f"ctx{rng.randrange(rng.randint(1, 10))}"))
         mix = empirical_mix(trace, params.refresh_period)
         for system in System:
-            sim = simulate_trace(params, trace, system, conventions)
-            closed = per_query(system, params, mix, conventions)
+            sim = simulate_trace(params, trace, system, paper_delay_kv=paper_delay_kv)
+            closed = per_query(system, params, mix, paper_delay_kv=paper_delay_kv)
             for attr in ("gpu_seconds", "storage_bytes", "network_bytes", "delay_seconds"):
                 s, c = getattr(sim, attr), getattr(closed, attr)
                 rel = abs(s - c) / max(abs(c), 1e-30) if c else abs(s)
@@ -272,7 +271,7 @@ def test_criterion_5_cost_model_vs_simulation():
         res = threshold_r1(params, objective)
         if res.kind == "crossing":
             assert 0.0 <= res.r1 <= 1.0
-            assert abs(res.r1 - ref_threshold_bisection(params, objective, Conventions())) <= 1e-9
+            assert abs(res.r1 - ref_threshold_bisection(params, objective)) <= 1e-9
     _passed(5, f"100 traces: worst closed-vs-simulated rel diff {worst:.3g} <= 1e-12; "
                "thresholds bisection-verified to 1e-9")
 

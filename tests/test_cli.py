@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kdn
-from kdn import blender, cli, delivery
+from kdn import blender, cli, costmodel, delivery
 from kdn.cli import main
 from kdn.costmodel import PUBLISHED_MEASUREMENTS
 from kdn.model import KvCache, ModelConfig, build_model, load_fixture, prefill
@@ -134,7 +134,7 @@ def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
     delivery.Frame(delivery.ERR, b"\x01"),  # too short for its code
 ], ids=["count-cut", "tokens-cut", "trailing-bytes", "err-code-cut"])
 def test_get_host_reports_a_malformed_end_frame_in_one_line(workspace, capsys, monkeypatch, reply):
-    monkeypatch.setattr(delivery, "handle_request", lambda store, frame: [reply])
+    monkeypatch.setattr(delivery, "_answer", lambda store, frame: [reply])
     server = delivery.KdnServer(None, port=0)
     server.serve_in_background()
     try:
@@ -398,6 +398,19 @@ def test_cost_sweep(workspace, capsys):
     assert out.count("\n") >= 5  # header + 5 grid rows + threshold line
 
 
+def test_cost_sweep_row_computes_each_system_once(workspace, capsys, monkeypatch):
+    p = workspace / "params.json"
+    p.write_text(json.dumps(_params_doc()))
+    calls = []
+    per_query = costmodel.per_query
+    monkeypatch.setattr(costmodel, "per_query", lambda *args, **kw: calls.append(args[0]) or per_query(*args, **kw))
+    code, out, _ = _run(capsys, ["--output", "json", "cost", "sweep", "--params", str(p), "--sweep", "r1=0:1:0.25"])
+    rows = json.loads(out[: out.rindex("]") + 1])
+    assert code == 0 and len(rows) == 5
+    # threshold_r1 evaluates KV and IC at r1 = 0 and 1; each row computes its three printed columns only
+    assert len(calls) == 4 + 3 * len(rows)
+
+
 def test_cost_sweep_crossing_where_kv_and_ic_differ_by_rounding(workspace, capsys):
     # KV's money is IC's plus 5e-9 minus 1e-8 * r1 at every r1
     p = workspace / "params.json"
@@ -531,10 +544,13 @@ def test_malformed_json_document_is_one_line_exit_1(workspace, capsys, flag, kin
     (["sweep", "--params", "{doc}"], {**_params_doc(), "T_prefill": math.inf}),
     (["sweep", "--params", "{doc}"], {**_params_doc(), "r2": math.nan}),
     (["simulate", "--params", "{doc}", "--trace", "{w}/trace.json"], {**_params_doc(), "T_Q": math.nan}),
+    # 5 s is 5e308 periods of 1e-308 s, past the float range
+    (["simulate", "--params", "{doc}", "--trace", "{w}/trace.json"], {**_params_doc(), "T": 1e-308}),
     (["simulate", "--params", "{w}/params.json", "--trace", "{doc}"], [[0.0, "a"], [math.nan, "b"]]),
     (["simulate", "--params", "{w}/params.json", "--trace", "{doc}"], [[0.0, "a"], [math.inf, "b"]]),
     (["report", "--params", "{doc}"], _measured_doc(cost=math.nan)),
-], ids=["sweep-tq-nan", "sweep-prefill-inf", "sweep-r2-nan", "simulate-tq-nan", "trace-nan", "trace-inf",
+], ids=["sweep-tq-nan", "sweep-prefill-inf", "sweep-r2-nan", "simulate-tq-nan", "simulate-periods-overflow",
+        "trace-nan", "trace-inf",
         "report-cost-nan"])
 def test_non_finite_cost_input_is_one_line_exit_1(workspace, capsys, argv, doc):
     (workspace / "params.json").write_text(json.dumps(_params_doc()))

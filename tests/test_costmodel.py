@@ -6,7 +6,6 @@ from reference import ref_threshold_bisection
 
 from kdn.costmodel import (
     PUBLISHED_MEASUREMENTS,
-    Conventions,
     CostModelError,
     CostParams,
     Objective,
@@ -38,7 +37,6 @@ PARAMS = CostParams(
 )
 
 NO_TQ = CostParams(**{**PARAMS.__dict__, "t_query": 0.0})
-PAPER_DELAY = Conventions(paper_delay_kv=True)
 
 
 # -- parameter validation -----------------------------------------------------------
@@ -151,7 +149,7 @@ def test_tq_convention():
 
 def test_paper_delay_convention():
     r1 = 0.7
-    paper = per_query(System.KV, PARAMS, WorkloadMix(r1, 0.0), PAPER_DELAY)
+    paper = per_query(System.KV, PARAMS, WorkloadMix(r1, 0.0), paper_delay_kv=True)
     assert paper.delay_seconds == pytest.approx(
         r1 * PARAMS.t_prefill + (1 - r1) * PARAMS.s_kv / PARAMS.bandwidth + PARAMS.t_query
     )
@@ -188,11 +186,11 @@ def test_linearity_in_mix():
 # -- trace simulation -------------------------------------------------------------------
 
 
-def _assert_sim_matches_closed(trace, params=PARAMS, conventions=Conventions()):
+def _assert_sim_matches_closed(trace, params=PARAMS, paper_delay_kv=False):
     mix = empirical_mix(trace, params.refresh_period)
     for system in System:
-        sim = simulate_trace(params, trace, system, conventions)
-        closed = per_query(system, params, mix, conventions)
+        sim = simulate_trace(params, trace, system, paper_delay_kv=paper_delay_kv)
+        closed = per_query(system, params, mix, paper_delay_kv=paper_delay_kv)
         for attr in ("gpu_seconds", "storage_bytes", "network_bytes", "delay_seconds", "money"):
             s, c = getattr(sim, attr), getattr(closed, attr)
             assert s == pytest.approx(c, rel=1e-12, abs=1e-12 * max(1.0, abs(c)))
@@ -228,7 +226,7 @@ def test_trace_all_repeats():
     seed=st.integers(0, 10_000),
     n=st.integers(1, 60),
     n_ctx=st.integers(1, 8),
-    case=st.sampled_from([(PARAMS, Conventions()), (NO_TQ, Conventions()), (PARAMS, PAPER_DELAY)]),
+    case=st.sampled_from([(PARAMS, False), (NO_TQ, False), (PARAMS, True)]),
 )
 def test_trace_property(seed, n, n_ctx, case):
     import random
@@ -239,8 +237,8 @@ def test_trace_property(seed, n, n_ctx, case):
     for _ in range(n):
         t += rng.expovariate(1 / 400.0)
         trace.append((t, f"c{rng.randrange(n_ctx)}"))
-    params, conventions = case
-    _assert_sim_matches_closed(trace, params, conventions)
+    params, paper_delay_kv = case
+    _assert_sim_matches_closed(trace, params, paper_delay_kv)
 
 
 def test_trace_validation():
@@ -252,26 +250,40 @@ def test_trace_validation():
         with pytest.raises(CostModelError, match="finite"):
             empirical_mix([(0.0, "a"), (t, "b")], PARAMS.refresh_period)
     assert empirical_mix([], 3600.0) == WorkloadMix(0.0, 0.0)
+    # a finite time over a finite period can still be more periods than a float holds
+    far = [(0.0, "a"), (1e300, "b")]
+    tiny = CostParams(**{**PARAMS.__dict__, "refresh_period": 1e-300})
+    with pytest.raises(CostModelError, match="not a finite number of refresh periods"):
+        empirical_mix(far, tiny.refresh_period)
+    for system in System:
+        with pytest.raises(CostModelError, match="not a finite number of refresh periods"):
+            simulate_trace(tiny, far, system)
 
 
 # -- decision helpers ----------------------------------------------------------------------
 
 
+def _breakdowns(params, mix):
+    return {s: per_query(s, params, mix) for s in System}
+
+
 def test_best_system_and_tie_break():
-    # high reuse: KV beats IC on money with these prices
-    winner, margin = best_system(PARAMS, WorkloadMix(0.9, 0.05), Objective.MONEY)
-    assert margin >= 0
-    vals = {
-        s: per_query(s, PARAMS, WorkloadMix(0.9, 0.05)).money for s in System
-    }
-    assert vals[winner] == min(vals.values())
+    breakdowns = _breakdowns(PARAMS, WorkloadMix(0.9, 0.05))
+    winner, margin = best_system(breakdowns, Objective.MONEY)
+    vals = sorted(b.money for b in breakdowns.values())
+    assert breakdowns[winner].money == vals[0]
+    assert margin == vals[1] - vals[0] > 0
+    # it ranks the breakdowns it is given, and only those
+    winner, margin = best_system({s: breakdowns[s] for s in (System.FT, System.IC)}, Objective.MONEY)
+    assert winner is min((System.FT, System.IC), key=lambda s: breakdowns[s].money)
+    assert margin == abs(breakdowns[System.FT].money - breakdowns[System.IC].money)
     # exact tie goes to the lower system number
     flat = CostParams(
         refresh_period=1.0, c_gpu=1.0, c_store=1e-30, c_net=1e-30,
         s_model=1.0, s_kv=1.0, s_text=1.0,
         t_prefill=1.0, t_query=0.0, t_finetune=1.0, bandwidth=1.0,
     )
-    winner, margin = best_system(flat, WorkloadMix(0.0, 1.0), Objective.DELAY)
+    winner, margin = best_system(_breakdowns(flat, WorkloadMix(0.0, 1.0)), Objective.DELAY)
     assert winner is System.FT  # FT(1.0s) ties IC(1.0s) and KV(1.0s)
     assert margin == pytest.approx(0.0, abs=1e-12)
 
@@ -332,14 +344,14 @@ def test_threshold_crossing_where_kv_and_ic_differ_by_rounding():
     s_kv=st.floats(1e6, 1e12),
     t_prefill=st.floats(0.1, 100.0),
     objective=st.sampled_from([Objective.MONEY, Objective.DELAY]),
-    conventions=st.sampled_from([Conventions(), PAPER_DELAY]),
+    paper_delay_kv=st.booleans(),
 )
-def test_threshold_closed_form_matches_bisection(s_kv, t_prefill, objective, conventions):
+def test_threshold_closed_form_matches_bisection(s_kv, t_prefill, objective, paper_delay_kv):
     params = CostParams(**{**PARAMS.__dict__, "s_kv": s_kv, "t_prefill": t_prefill})
-    res = threshold_r1(params, objective, conventions)
+    res = threshold_r1(params, objective, paper_delay_kv=paper_delay_kv)
     if res.kind == "crossing":
         assert 0.0 <= res.r1 <= 1.0
-        assert abs(res.r1 - ref_threshold_bisection(params, objective, conventions)) <= 1e-9
+        assert abs(res.r1 - ref_threshold_bisection(params, objective, paper_delay_kv)) <= 1e-9
 
 
 # -- comparison report -----------------------------------------------------------------------

@@ -309,6 +309,38 @@ def test_garbage_split_across_reads_gets_one_err(fuzz_store, model):
     assert types == [ERR, CHUNK, END]
 
 
+def test_a_reply_holds_one_blob_at_a_time(tmp_path):
+    # a standalone token request hits its chunk once for each time it repeats it
+    mdl = build_model(ModelConfig(4, 4, 16, 256))
+    st = open_store(StoreConfig(root=tmp_path / "store", chunk_size=64))
+    chunk = list(range(64))
+    (key,) = st.store_text(mdl, chunk, mode=MODE_STANDALONE)
+
+    def peak(repeats):
+        reader = FrameReader()
+        reader.feed(encode_frame(encode_token_request(mdl.model_id, MODE_STANDALONE, chunk * repeats)))
+        tracemalloc.start()
+        try:
+            types = [decode_frame(wire)[0].frame_type for wire in _replies(st, reader)]
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert types == [CHUNK] * repeats + [END]
+        return top
+
+    peak(1)  # first-call allocations
+    assert peak(12) - peak(3) < st.entries[key.digest].size
+
+
+def test_a_blob_that_fails_to_read_ends_the_reply_with_err(store, model):
+    tokens = list(range(1, 11))
+    keys, _ = store.lookup(model.model_id, tokens)
+    (store.blob_dir / store.entries[keys[1].digest].file).unlink()  # lost at rest while the store is open
+    replies = handle_request(store, encode_token_request(model.model_id, MODE_CHAIN, tokens))
+    assert [f.frame_type for f in replies] == [CHUNK, ERR]
+    assert decode_err(replies[1])[0] == delivery.ERR_INTERNAL
+
+
 @settings(max_examples=60, deadline=None)
 @given(pos=st.integers(0, 10_000), bit=st.integers(0, 7))
 def test_process_stream_mutated_request(fuzz_store, model, pos, bit):
@@ -647,7 +679,7 @@ def test_fetch_refuses_a_reply_it_did_not_ask_for_before_inflating_it(
     end = encode_end(suffix) if isinstance(suffix, list) else suffix
     end = Frame(END, end) if isinstance(end, bytes) else end
     frames = [Frame(CHUNK, reply_chunks[name]) for name in reply] + [end]
-    monkeypatch.setattr(delivery, "handle_request", lambda store, frame: frames)
+    monkeypatch.setattr(delivery, "_answer", lambda store, frame: frames)
     server = KdnServer(None, port=0)
     server.serve_in_background()
     try:

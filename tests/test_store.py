@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdn import codec, delivery
+from kdn import store as store_module
 from kdn.blender import BlendError, prefix_extend_path
 from kdn.model import ModelConfig, ModelError, build_model, concat_caches, prefill
 from kdn.store import (
@@ -121,6 +122,31 @@ def test_store_retrieve_chain_roundtrip(tmp_path, model):
     expected = concat_caches(expected_parts, start_pos=0)
     assert np.array_equal(restored.k_pre, expected.k_pre)
     assert np.array_equal(restored.v, expected.v)
+
+
+class _SliceCountingList(list):
+    """A token list that counts the items its slices copy."""
+
+    sliced = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            self.sliced += len(item)
+        return item
+
+
+def test_lookup_copies_only_the_tokens_it_hashes(tmp_path, model, monkeypatch):
+    st = _store(tmp_path)
+    doc = [i % 32 for i in range(24)]
+    keys = st.store_text(model, doc)
+    hashed = []
+    monkeypatch.setattr(store_module, "make_key", lambda *a: hashed.append(a) or make_key(*a))
+    tokens = _SliceCountingList(doc + [31] * 10_000)
+    assert st.lookup(model.model_id, tokens) == (keys, [31] * 10_000)
+    # each hash copies at most one chunk, and the miss suffix is copied once
+    assert len(hashed) == 3 + 8  # the three hits, then every length of a fourth chunk
+    assert tokens.sliced <= len(tokens) + st.config.chunk_size * len(hashed)
 
 
 def test_retrieve_partial_prefix_and_miss(tmp_path, model):
@@ -252,12 +278,29 @@ def test_a_chunk_whose_start_pos_was_rewritten_at_rest_is_a_store_error(tmp_path
     assert st.get_chunk(keys[index]).start_pos == expected
 
 
-def _strip_positions(st: Store, keep=lambda rec: True) -> None:
-    """Rewrite the manifest as written before put records held "pos"."""
+def _chain_parents(*chains: list[ChunkKey]) -> dict[str, str]:
+    """The parent of each key after the first in the chains, by hex digest."""
+    return {child.hex: parent.hex for keys in chains for parent, child in zip(keys, keys[1:])}
+
+
+def _write_old_records(st: Store, parents: dict[str, str], keep_pos=lambda i: True, keep=lambda rec: True) -> None:
+    """Rewrite the manifest as written before put records dropped their
+    "parent" link (each chain key's parent in ``parents``, else null), with
+    "pos" left out of the i-th put record unless ``keep_pos(i)``, as written
+    before put records held it."""
     recs = [json.loads(line) for line in st.manifest_path.read_text().splitlines()]
-    assert all("pos" in rec for rec in recs if "file" in rec)
-    st.manifest_path.write_text("".join(json.dumps({k: v for k, v in rec.items() if k != "pos"}) + "\n"
-                                        for rec in recs if keep(rec)))
+    puts = [rec for rec in recs if "file" in rec]
+    assert all("pos" in rec and "parent" not in rec for rec in puts)
+    for i, rec in enumerate(puts):
+        fields = list(rec.items())
+        rec.clear()
+        for name, value in fields:
+            if name == "pos":  # the link sat just before it
+                rec["parent"] = parents.get(rec["key"])
+                if not keep_pos(i):
+                    continue
+            rec[name] = value
+    st.manifest_path.write_text("".join(json.dumps(rec) + "\n" for rec in recs if keep(rec)))
 
 
 def test_a_manifest_without_positions_reopens_at_derived_positions(tmp_path, model):
@@ -267,7 +310,7 @@ def test_a_manifest_without_positions_reopens_at_derived_positions(tmp_path, mod
     standalone = st.store_text(model, tokens, mode=MODE_STANDALONE)
     st.apply_edit(chain[1], 1, {"factor": 2.0, "tokens": [0]})  # a re-put of a chain chunk
     want = [st.get_chunk(k) for k in chain + standalone]
-    _strip_positions(st)
+    _write_old_records(st, _chain_parents(chain), keep_pos=lambda i: False)
     reopened = _store(tmp_path)
     assert [reopened.entries[k.digest].pos for k in chain + standalone] == [0, 8, 16, 0, 0, 0]
     assert [reopened.get_chunk(k) for k in chain + standalone] == want
@@ -282,12 +325,42 @@ def test_a_put_record_without_a_position_or_an_indexed_parent_is_skipped(tmp_pat
     st = _store(tmp_path)
     tokens = list(range(24))
     keys = st.store_text(model, tokens)
-    _strip_positions(st, keep=lambda rec: rec.get("key") != keys[0].hex)
+    _write_old_records(st, _chain_parents(keys), keep_pos=lambda i: False,
+                       keep=lambda rec: rec.get("key") != keys[0].hex)
     reopened = _store(tmp_path)
     # no root, so neither child can be positioned; their blobs are collected
     assert reopened.entries == {} and list(reopened.blob_dir.iterdir()) == []
     assert reopened.store_text(model, tokens) == keys
     assert [reopened.get_chunk(k).start_pos for k in keys] == [0, 8, 16]
+
+
+def test_put_records_hold_no_parent_link(tmp_path, model):
+    st = _store(tmp_path)
+    chain = st.store_text(model, list(range(20)))
+    standalone = st.store_text(model, list(range(20)), mode=MODE_STANDALONE)
+    st.apply_edit(chain[1], 1, {"factor": 2.0, "tokens": [0]})  # a re-put of a chain child
+    puts = [json.loads(line) for line in st.manifest_path.read_text().splitlines()]
+    assert [rec["key"] for rec in puts] == [k.hex for k in chain + standalone + chain[1:2]]
+    assert [list(rec) for rec in puts] == [["key", "mode", "file", "tokens", "pos", "codec", "size", "pinned"]] * 7
+
+
+@pytest.mark.parametrize("keep_pos", [lambda i: True, lambda i: False, lambda i: i % 2 == 0],
+                         ids=["with-pos", "without-pos", "mixed"])
+def test_a_manifest_with_parent_links_reopens_to_the_same_entries(tmp_path, model, keep_pos):
+    # the put records of an older version carry each chain key's parent, with or without "pos"
+    st = _store(tmp_path)
+    tokens = list(range(20))
+    chain = st.store_text(model, tokens)
+    standalone = st.store_text(model, tokens, mode=MODE_STANDALONE)
+    st.apply_edit(chain[1], 1, {"factor": 2.0, "tokens": [0]})
+    st.pin(chain[2])
+    want = _entry_fields(_store(tmp_path))
+    _write_old_records(st, _chain_parents(chain), keep_pos)
+    reopened = _store(tmp_path)
+    assert _entry_fields(reopened) == want
+    assert list(reopened.entries) == list(want)  # and the same recency order
+    assert reopened.lookup(model.model_id, tokens) == (chain, [])
+    assert reopened.lookup(model.model_id, tokens, MODE_STANDALONE) == (standalone, [])
 
 
 @pytest.mark.parametrize("damage", ["anchor-stride", "payload-byte", "codes-len", "missing"])
@@ -692,7 +765,7 @@ def _outcome(fn, *args):
 
 
 def _entry_fields(store):
-    return {d: (e.file, e.size, e.pinned, e.tokens, e.parent, e.codec_profile)
+    return {d: (e.pos, e.tokens, e.file, e.size, e.pinned, e.codec_profile)
             for d, e in store.entries.items()}
 
 
