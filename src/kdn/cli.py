@@ -108,6 +108,11 @@ def _emit_table(headers: list[str], rows: list[list], fmt: str) -> None:
             print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
+def _note(line: str, fmt: str) -> None:
+    """A line beside a table: stdout in text, stderr under csv or json, so stdout stays one document."""
+    print(line, file=sys.stdout if fmt == "text" else sys.stderr)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -138,7 +143,7 @@ def cmd_put(args) -> int:
     keys = st.store_text(mdl, tokens, mode=args.mode, profile=_resolve_profile(args.profile))
     fresh = sum(1 for k in keys if k.digest not in before)
     if fresh == 0:
-        print("already stored")
+        _note("already stored", args.output)
     rows = [[i, k.mode, k.hex] for i, k in enumerate(keys)]
     _emit_table(["chunk", "mode", "key"], rows, args.output)
     return 0
@@ -157,7 +162,7 @@ def cmd_get(args) -> int:
         hits, miss = st.retrieve_text(cfg.model_id, tokens, mode=args.mode)
         rows = [[i, key.hex, chunk.n_tokens] for i, (key, chunk) in enumerate(hits)]
         _emit_table(["chunk", "key", "tokens"], rows, args.output)
-    print(f"miss_suffix: {len(miss)} tokens" + (f" -> {' '.join(map(str, miss))}" if miss else ""))
+    _note(f"miss_suffix: {len(miss)} tokens" + (f" -> {' '.join(map(str, miss))}" if miss else ""), args.output)
     return 0
 
 
@@ -227,9 +232,9 @@ def cmd_cost_report(args) -> int:
     ]
     _emit_table(["system", "inject_hours", "cost_per_query", "delay_per_query"], rows, args.output)
     inject = "inf" if math.isinf(report.inject_ratio) else f"{report.inject_ratio:.2f}"
-    print(f"inject ratio (FT/KDN): {inject}x")
-    print(f"cost ratio   (IC/KDN): {report.cost_ratio:.2f}x")
-    print(f"delay ratio  (IC/KDN): {report.delay_ratio:.2f}x")
+    _note(f"inject ratio (FT/KDN): {inject}x", args.output)
+    _note(f"cost ratio   (IC/KDN): {report.cost_ratio:.2f}x", args.output)
+    _note(f"delay ratio  (IC/KDN): {report.delay_ratio:.2f}x", args.output)
     return 0
 
 
@@ -269,9 +274,9 @@ def cmd_cost_sweep(args) -> int:
                     + [winner.name, marker])
     _emit_table(["r1", "FT", "IC", "KV", "best", ""], rows, args.output)
     if threshold.kind == "crossing":
-        print(f"threshold r1* = {threshold.r1:.6f}")
+        _note(f"threshold r1* = {threshold.r1:.6f}", args.output)
     else:
-        print(f"threshold: {threshold.kind}")
+        _note(f"threshold: {threshold.kind}", args.output)
     return 0
 
 
@@ -290,7 +295,7 @@ def cmd_cost_simulate(args) -> int:
             abs(sim.delay_seconds - closed.delay_seconds),
         )
         rows.append([system.name, f"{sim.money:.6g}", f"{closed.money:.6g}", f"{diff:.3e}"])
-    print(f"empirical mix: r1={mix.r1:.4f} r2={mix.r2:.4f} over {len(trace)} queries")
+    _note(f"empirical mix: r1={mix.r1:.4f} r2={mix.r2:.4f} over {len(trace)} queries", args.output)
     _emit_table(["system", "sim_money", "closed_money", "max_abs_diff"], rows, args.output)
     return 0
 

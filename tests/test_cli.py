@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -95,7 +97,7 @@ def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
     (workspace / "query.txt").write_text(" ".join(str(i % 32) for i in range(140)) + " 31 31 31")
     assert _run(capsys, ["put", "--root", root, "--model", MODEL_JSON, "--tokens", str(workspace / "doc.txt")])[0] == 0
     get = ["--output", "json", "get", "--model", MODEL_JSON, "--tokens", str(workspace / "query.txt")]
-    code, local, _ = _run(capsys, [*get, "--root", root])
+    code, local, local_err = _run(capsys, [*get, "--root", root])
     assert code == 0
 
     env = dict(os.environ, PYTHONPATH=str(Path(kdn.__file__).parents[1]))
@@ -107,7 +109,7 @@ def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
         line = server.stdout.readline() if ready else ""
         assert "listening on" in line, line
         host, port = line.rsplit(" ", 1)[1].strip().rsplit(":", 1)
-        code, remote, _ = _run(capsys, [*get, "--host", host, "--port", port])
+        code, remote, remote_err = _run(capsys, [*get, "--host", host, "--port", port])
         assert code == 0
         server.send_signal(signal.SIGINT)
         assert server.wait(timeout=30) == 0
@@ -119,12 +121,10 @@ def test_serve_answers_get_host_as_a_local_get_does(workspace, capsys):
         server.stdout.close()
         server.stderr.close()
 
-    def chunks_and_miss(out):
-        rows = json.loads(out[: out.rindex("]") + 1])
-        return len(rows), out[out.index("miss_suffix") :]
-
+    # under --output json, stdout is the table alone and the miss line goes to stderr
     miss = " ".join(str(i % 32) for i in range(128, 140)) + " 31 31 31"
-    assert chunks_and_miss(remote) == chunks_and_miss(local) == (2, f"miss_suffix: 15 tokens -> {miss}\n")
+    assert len(json.loads(remote)) == len(json.loads(local)) == 2
+    assert remote_err == local_err == f"miss_suffix: 15 tokens -> {miss}\n"
 
 
 @pytest.mark.parametrize("reply", [
@@ -177,6 +177,10 @@ def test_put_idempotent_message(workspace, capsys):
     assert _run(capsys, args)[0] == 0
     code, out, _ = _run(capsys, args)
     assert code == 0 and "already stored" in out
+    # under csv, stdout is the table alone and the note goes to stderr
+    code, out, err = _run(capsys, ["--output", "csv", *args])
+    assert code == 0 and err == "already stored\n"
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["chunk", "0"]
 
 
 def test_get_reports_miss(workspace, capsys):
@@ -194,11 +198,12 @@ def test_get_json_output(workspace, capsys):
     root = str(workspace / "store")
     _run(capsys, ["put", "--root", root, "--model", MODEL_JSON,
                   "--tokens", str(workspace / "tokens.txt")])
-    code, out, _ = _run(capsys, ["--output", "json", "get", "--root", root,
-                                 "--model", MODEL_JSON, "--tokens", str(workspace / "tokens.txt")])
+    code, out, err = _run(capsys, ["--output", "json", "get", "--root", root,
+                                   "--model", MODEL_JSON, "--tokens", str(workspace / "tokens.txt")])
     assert code == 0
-    rows = json.loads(out[: out.rindex("]") + 1])
+    rows = json.loads(out)
     assert len(rows) == 1 and int(rows[0]["tokens"]) == 10
+    assert err == "miss_suffix: 0 tokens\n"
 
 
 def test_missing_root_is_operational_error(workspace, capsys, monkeypatch):
@@ -320,6 +325,14 @@ def test_cost_report_published(capsys):
     assert "delay ratio  (IC/KDN): 3.67x" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cost_report_ratio_lines_go_to_stderr_under_csv_and_json(capsys, fmt):
+    code, out, err = _run(capsys, ["--output", fmt, "cost", "report"])
+    rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and [row["system"] for row in rows] == list(PUBLISHED_MEASUREMENTS)
+    assert err.startswith("inject ratio (FT/KDN): 40.00x\n") and err.count("\n") == 3
+
+
 def _params_doc():
     return {
         "T": 3600, "C_gpu": 2 / 3600, "C_store": 1e-12, "C_net": 1e-12,
@@ -404,9 +417,10 @@ def test_cost_sweep_row_computes_each_system_once(workspace, capsys, monkeypatch
     calls = []
     per_query = costmodel.per_query
     monkeypatch.setattr(costmodel, "per_query", lambda *args, **kw: calls.append(args[0]) or per_query(*args, **kw))
-    code, out, _ = _run(capsys, ["--output", "json", "cost", "sweep", "--params", str(p), "--sweep", "r1=0:1:0.25"])
-    rows = json.loads(out[: out.rindex("]") + 1])
+    code, out, err = _run(capsys, ["--output", "json", "cost", "sweep", "--params", str(p), "--sweep", "r1=0:1:0.25"])
+    rows = json.loads(out)
     assert code == 0 and len(rows) == 5
+    assert err.startswith("threshold") and err.count("\n") == 1
     # threshold_r1 evaluates KV and IC at r1 = 0 and 1; each row computes its three printed columns only
     assert len(calls) == 4 + 3 * len(rows)
 
@@ -443,11 +457,11 @@ def test_cost_simulate(workspace, capsys):
     p.write_text(json.dumps(_params_doc()))
     trace = workspace / "trace.json"
     trace.write_text(json.dumps([[0.0, "a"], [5.0, "a"], [10.0, "b"], [4000.0, "a"]]))
-    code, out, _ = _run(capsys, ["--output", "json", "cost", "simulate",
-                                 "--params", str(p), "--trace", str(trace)])
+    code, out, err = _run(capsys, ["--output", "json", "cost", "simulate",
+                                   "--params", str(p), "--trace", str(trace)])
     assert code == 0
-    assert "empirical mix: r1=0.2500 r2=0.5000" in out
-    rows = json.loads(out[out.index("["):])
+    assert err.startswith("empirical mix: r1=0.2500 r2=0.5000") and err.count("\n") == 1
+    rows = json.loads(out)
     for row in rows:
         assert float(row["max_abs_diff"]) < 1e-9
 

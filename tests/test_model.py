@@ -22,7 +22,7 @@ from kdn.model import (
     _rope_table,
 )
 
-from reference import ref_attend, ref_embed, ref_prefill, ref_project_kv, ref_weight
+from reference import _rope_rows, ref_attend, ref_embed, ref_prefill, ref_project_kv, ref_weight
 
 CFG = ModelConfig(n_layers=2, n_heads=2, d_head=4, vocab_size=32)
 
@@ -190,6 +190,12 @@ def _attend_inputs(n, start_pos, seed=0, cfg=ATTN_CFG):
     return x, start_pos + np.arange(n), k_pre, v
 
 
+def _shifts(m, x, k_pre):
+    """Each query row's largest softmax shift c = |q| max|k| over the heads."""
+    q = np.linalg.norm(x @ m.wq[0], axis=-1) / np.sqrt(m.config.d_head)
+    return (q * np.linalg.norm(k_pre.astype(np.float64), axis=-1).max(axis=-1)[:, None]).max(axis=0)
+
+
 @pytest.mark.parametrize("n", [127, 128, 129, 300])
 @pytest.mark.parametrize("start_pos", [0, 70])
 def test_attend_matches_untiled_reference(n, start_pos):
@@ -232,22 +238,57 @@ def test_attend_matches_untiled_reference_at_any_scale(cfg, n):
     # that puts the largest c at 0.99 MAX_SHIFT rounds the folded shift most.
     m = build_model(cfg)
     x, pos, k_pre, v = _attend_inputs(n, 0, seed=n, cfg=cfg)
-
-    def shifts(x, k_pre):  # each row's largest c over the heads
-        q = np.linalg.norm(x @ m.wq[0], axis=-1) / np.sqrt(cfg.d_head)
-        return (q * np.linalg.norm(k_pre.astype(np.float64), axis=-1).max(axis=-1)[:, None]).max(axis=0)
-
-    worst = np.sqrt(0.99 * MAX_SHIFT / shifts(x, k_pre).max())
+    worst = np.sqrt(0.99 * MAX_SHIFT / _shifts(m, x, k_pre).max())
     cs = []
     for a in (1e-3, 1.0, worst, 30.0, 1e3, 1e5):
         xa, ka = a * x, (a * k_pre).astype(np.float32)
-        cs.append(shifts(xa, ka))
+        cs.append(_shifts(m, xa, ka))
         got = attend(m, 0, xa, pos, ka, v, pos)
         want = ref_attend(m, 0, xa, pos, ka, v, pos)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     # every row of some case folds its shift, and every row of another takes the exact max
     assert min(c.max() for c in cs) < MAX_SHIFT < max(c.min() for c in cs)
+
+
+@pytest.mark.parametrize("cfg", [ATTN_CFG, ModelConfig(1, 4, 16, 32)], ids=["2x4", "4x16"])
+@pytest.mark.parametrize("n, p", [(300, 200), (1024, 700)])
+def test_attend_future_keys_leak_nothing(cfg, n, p):
+    # the diagonal tile's future keys get weight exactly 0: new keys and
+    # values after position p leave every row at or before p bit for bit.
+    # Key 0 has the largest norm, so each row's shift c does not move either
+    m = build_model(cfg)
+    x, pos, k_pre, v = _attend_inputs(n, 0, seed=n, cfg=cfg)
+    k_pre[:, 0] = 8.0
+    assert _shifts(m, x, k_pre).max() < MAX_SHIFT  # the fast path, whose mask follows exp
+    before = attend(m, 0, x, pos, k_pre, v, pos)
+    other = np.random.default_rng(n + 1).standard_normal((2, cfg.n_heads, n - p - 1, cfg.d_head))
+    k_pre[:, p + 1 :], v[:, p + 1 :] = 0.5 * other
+    after = attend(m, 0, x, pos, k_pre, v, pos)
+    assert np.array_equal(after[: p + 1], before[: p + 1])
+    assert not np.array_equal(after[p + 1 :], before[p + 1 :])
+
+
+def test_attend_fallback_masks_before_its_row_max():
+    # a future key in row r's diagonal tile scores 1000 above every key r
+    # sees, which puts the group past MAX_SHIFT.  A row max taken over the
+    # unmasked scores would be that future score, and every visible weight
+    # exp(s - max) would underflow to 0: a 0/0 softmax
+    m = build_model(ATTN_CFG)
+    n, r, f = 300, 200, 230  # rows 128-255 are one group; key f is in its diagonal tile
+    x, pos, k_pre, v = _attend_inputs(n, 0, seed=n)
+    base, d = ATTN_CFG.rope_base, ATTN_CFG.d_head
+    q = x[r] @ m.wq[0]  # (head, dim), before rotation
+    # key f rotated to position f lines up with q rotated to position r
+    k_f = _rope_rows(q, np.full(len(q), r - f), base)
+    k_pre[:, f] = (1000.0 * np.sqrt(d) * k_f / (q**2).sum(axis=-1, keepdims=True)).astype(np.float32)
+    s = np.einsum("hd,hkd->hk", _rope_rows(q, np.full(len(q), r), base), _rope_rows(k_pre, pos, base)) / np.sqrt(d)
+    assert (s[:, f] - s[:, : r + 1].max(axis=-1) > 745).all()
+    assert _shifts(m, x, k_pre)[r] > MAX_SHIFT
+    got = attend(m, 0, x, pos, k_pre, v, pos)
+    want = ref_attend(m, 0, x, pos, k_pre, v, pos)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_attend_bits_do_not_depend_on_the_call_before():
