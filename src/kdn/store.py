@@ -161,15 +161,21 @@ class Store:
         self.root.mkdir(parents=True, exist_ok=True)
         self.blob_dir.mkdir(exist_ok=True)
         if self.manifest_path.exists():
-            with open(self.manifest_path, "r", encoding="utf-8") as f:
+            with open(self.manifest_path, "rb") as f:
                 for lineno, line in enumerate(f, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        self._replay(json.loads(line))
-                    except (*MALFORMED_DOCUMENT, StoreError) as e:
-                        log.warning("manifest line %d skipped: %s", lineno, e)
+                    if not line.endswith(b"\n"):
+                        # the last append, torn by a crash before its fsync returned:
+                        # cut it, or the next append would extend it into a line
+                        # that does not parse, losing that append's first record
+                        log.warning("manifest line %d torn; truncated", lineno)
+                        with open(self.manifest_path, "r+b") as w:
+                            w.truncate(f.tell() - len(line))
+                            os.fsync(w.fileno())
+                    elif line.strip():
+                        try:
+                            self._replay(json.loads(line))
+                        except (*MALFORMED_DOCUMENT, StoreError) as e:
+                            log.warning("manifest line %d skipped: %s", lineno, e)
         # entries whose blob vanished are dropped; blobs without entries are orphans
         for digest, entry in list(self.entries.items()):
             path = self.blob_dir / entry.file
@@ -360,7 +366,7 @@ class Store:
         model: Model,
         tokens: list[int],
         mode: str = MODE_CHAIN,
-        profile: codec.CodecProfile | None = None,
+        profile: codec.CodecProfile = codec.PROFILES["8bit-deflate"],
     ) -> list[ChunkKey]:
         """Prefill, chunk, compress and persist a token sequence.
 
@@ -381,7 +387,6 @@ class Store:
         if not tokens:
             raise StoreError("store_text requires a nonempty token list")
         _check_tokens(model, tokens)
-        profile = profile or codec.CodecProfile()
         full_cache = None
         keys: list[ChunkKey] = []
         with self._group_commit():

@@ -3,6 +3,7 @@ import hashlib
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,10 +525,11 @@ def test_older_container_blobs_are_frozen(profile):
     assert hashlib.sha256(blob).hexdigest() == FROZEN_BLOB_DIGESTS[profile.lossless_id]
 
 
-# SHA-256 of default-container blobs of the same fixture, at 8 and 4 bits
+# SHA-256 of default-container blobs of the same fixture, at 8 and 4 bits: codes
+# with no deltas (anchor_stride 1), params at DEFLATE level 1
 FROZEN_DEFAULT_BLOB_DIGESTS = {
-    "8bit-deflate": "41be37a4da15501295dc9c8d6b66ce4c9ebd171e93422276650b45037cb94a23",
-    "4bit-deflate": "a4043cf7ad948fef1562d51f5f67a271e8f2e7376d2510799fe8d075403706e3",
+    "8bit-deflate": "994eb5ce909fb5fe081ea36aa37bd343b5f8e2688de124c03ef76875c8b8db1d",
+    "4bit-deflate": "270aa46ce3bffda35dc194987ddbbf43f0b094e6c9afdade91133a43796027aa",
 }
 
 
@@ -537,29 +539,50 @@ def test_default_container_blobs_are_frozen(name):
     assert hashlib.sha256(blob).hexdigest() == FROZEN_DEFAULT_BLOB_DIGESTS[name]
 
 
+# The 8-bit default-container blob of the same fixture as written before id 3
+# dropped its deltas: anchor_stride 16, params at DEFLATE level 9.  Stores hold
+# such blobs, so they must keep decoding.
+OLD_DEFAULT_BLOB = Path(__file__).parent / "data" / "id3_stride16_level9.kdnc"
+
+
+def test_an_old_default_container_blob_decodes_bit_for_bit():
+    blob = OLD_DEFAULT_BLOB.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == "41be37a4da15501295dc9c8d6b66ce4c9ebd171e93422276650b45037cb94a23"
+    chunk = CompressedChunk.from_bytes(blob)
+    assert chunk.profile == CodecProfile(anchor_stride=16)
+    expected = dequantize(quantize(fixtures.random_cache(n_tokens=8, seed=2), chunk.profile))
+    assert np.array_equal(decompress_cache(chunk).kv.view(np.uint32), expected.kv.view(np.uint32))
+    # today's writer at that profile changes only the params' DEFLATE level
+    params_len = struct.unpack_from("<I", chunk.payload)[0]
+    today = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), chunk.profile).payload
+    assert today[8 + struct.unpack_from("<I", today)[0] :] == chunk.payload[8 + params_len :]
+
+
 # SHA-256 of the 8-bit blobs of fixtures.random_cache(n_tokens=40, seed=2) by
 # (group_size, lossless_id): at group size 16 the groups are 16/16/8 tokens, so
-# these pin multi-group and ragged grids in every container.  The codec calls
-# no BLAS, so the bytes are the same on every platform.
+# these pin multi-group and ragged grids in every container, ids 0-2 at anchor
+# stride 16 and id 3 at stride 1, as its named profiles write it.  The codec
+# calls no BLAS, so the bytes are the same on every platform.
 FROZEN_MULTI_GROUP_BLOB_DIGESTS = {
     (1, LOSSLESS_RAW): "8b18e0b5ddcc9ecd23062ca76956b7767d397030264c56a725407f70285558a3",
     (1, LOSSLESS_VARINT): "0e434b0419bd803dce5814506e6a3f3029b91b8117d8b1297519081090017a3c",
     (1, LOSSLESS_VARINT_DEFLATE): "4b5227f0b413e72e9e11e26c8b04811bcf47ebf34ddcac54123a53c1f81d388d",
-    (1, LOSSLESS_BYTE_DEFLATE): "4dc5f129b4416c1f0d8baac97acd21edd2053353dfa0325e671e5ddda839d32b",
+    (1, LOSSLESS_BYTE_DEFLATE): "d05e5efa44e99828b9802ee99ec26cfdb800ddff9ad8d5bbe1bca75115c35d64",
     (3, LOSSLESS_RAW): "987f7cbe7d738ad5f6aca3f6bdc34ab4e19149c11f4cc7d88a76767c33721ec9",
     (3, LOSSLESS_VARINT): "f84f476ae09b29f8171b8f1e75253820ea10dcce1bcd437840b8e0c115e46d40",
     (3, LOSSLESS_VARINT_DEFLATE): "b1654af55895db32b51664de430aa35750d2cb3e143fd796dab6161b35a8f536",
-    (3, LOSSLESS_BYTE_DEFLATE): "0fc30c26b2320e3782c94da92955fa060c3f91be72034387944d3db3325e35a2",
+    (3, LOSSLESS_BYTE_DEFLATE): "e4cd82cea6b41377278a4a221964a05916546755e011d3c39050bc56754e89e7",
     (16, LOSSLESS_RAW): "61277f651594465de22e03f9b2415b4ad511dbb5bf487a6652033969e4290e77",
     (16, LOSSLESS_VARINT): "49c66e3f91e712fe494cd10fdfa1c0efd8b40b6c3a67c3665374f7a08448b7fd",
     (16, LOSSLESS_VARINT_DEFLATE): "493f0e74a414916536320d5201fc0b9bbf5fcff0f138b47a1bd34a3dbc82e7ef",
-    (16, LOSSLESS_BYTE_DEFLATE): "5f5ac99cf4bee9258cb7cc9bd3cf681544fa2f0bc72abb4bbcc09e3cb919cade",
+    (16, LOSSLESS_BYTE_DEFLATE): "7364d71362cec085e007768e81d7385c7f032a0ae26c5637d65b9680b963546f",
 }
 
 
 @pytest.mark.parametrize("group_size, lid", sorted(FROZEN_MULTI_GROUP_BLOB_DIGESTS))
 def test_multi_group_blobs_are_frozen(group_size, lid):
-    profile = CodecProfile(group_size=group_size, lossless_id=lid)
+    stride = 1 if lid == LOSSLESS_BYTE_DEFLATE else 16
+    profile = CodecProfile(group_size=group_size, anchor_stride=stride, lossless_id=lid)
     blob = compress_cache(fixtures.random_cache(n_tokens=40, seed=2), profile).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == FROZEN_MULTI_GROUP_BLOB_DIGESTS[group_size, lid]
 

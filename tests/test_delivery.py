@@ -525,7 +525,7 @@ def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, mon
 
 
 def test_tcp_fetch_refuses_a_header_rewritten_at_rest(store, model):
-    # anchor_stride 16 -> 8: the chunk crc covers only the payload, so the blob
+    # anchor_stride 1 -> 8: the chunk crc covers only the payload, so the blob
     # is still a valid chunk and would decode to wrong K/V; the server checks
     # the header against the manifest entry and answers ERR instead
     tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]

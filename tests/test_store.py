@@ -110,7 +110,7 @@ def test_store_retrieve_chain_roundtrip(tmp_path, model):
     restored = concat_caches(
         [codec.decompress_cache(chunk) for _, chunk in hits], start_pos=0
     )
-    profile = codec.CodecProfile()
+    profile = codec.PROFILES["8bit-deflate"]
     expected_parts = []
     off = 0
     for k in keys:
@@ -229,7 +229,7 @@ def test_blob_is_canonical_chunk_bytes(tmp_path, model, profile):
 # is at byte 8, n_tokens at 17 and uncompressed_len at 29.  The chunk crc covers
 # only the payload, so the first two still parse as chunks.
 @pytest.mark.parametrize("rewrite", [
-    [(8, "<H", 8)],  # anchor_stride 16 -> 8: the wrong profile
+    [(8, "<H", 8)],  # anchor_stride 1 -> 8: the wrong profile
     [(17, "<I", 4), (29, "<Q", 8 * 4 * CFG.d_model * CFG.n_layers)],  # 4 of the entry's 8 tokens
     [(0, "<4s", b"XXXX")],  # no chunk header at all
 ], ids=["anchor-stride", "token-count", "magic"])
@@ -374,7 +374,7 @@ def test_a_re_put_rewrites_a_damaged_blob(tmp_path, model, damage, mode):
     path = st.blob_dir / st.entries[keys[1].digest].file
     blob = bytearray(path.read_bytes())
     if damage == "anchor-stride":
-        struct.pack_into("<H", blob, 8, 8)  # 16 -> 8, outside the crc
+        struct.pack_into("<H", blob, 8, 8)  # anchor_stride 1 -> 8, outside the crc
     elif damage == "payload-byte":
         blob[50] ^= 0xFF  # the header is 45 bytes
     elif damage == "codes-len":  # crc-valid, and get_chunk accepts it, but it does not decode
@@ -428,7 +428,7 @@ def test_store_text_blobs_are_compressed_prefill_slices(tmp_path, n_layers, mode
     for i, key in enumerate(keys):
         chunk = tokens[8 * i : 8 * i + 8]
         cache = full.slice_tokens(8 * i, 8 * i + len(chunk)) if mode == MODE_CHAIN else prefill(m, chunk)[0]
-        assert st.read_blob(key) == codec.compress_cache(cache, codec.CodecProfile()).to_bytes()
+        assert st.read_blob(key) == codec.compress_cache(cache, codec.PROFILES["8bit-deflate"]).to_bytes()
 
 
 def test_chain_put_prefills_only_at_a_missing_key(tmp_path, model, monkeypatch):
@@ -582,7 +582,7 @@ def test_capacity_error_partway_keeps_the_chunks_before_it(tmp_path, model):
 
 def _blob_size(model, tokens):
     cache, _ = prefill(model, tokens)
-    return len(codec.compress_cache(cache, codec.CodecProfile()).to_bytes())
+    return len(codec.compress_cache(cache, codec.PROFILES["8bit-deflate"]).to_bytes())
 
 
 def test_lru_eviction(tmp_path, model):
@@ -848,16 +848,17 @@ def test_reopen_preserves_entries(tmp_path, model):
     {"codec": {"foo": 1}},
     {"file": 7},
     "[" * 100_000,
+    b'{"op": "pin", "key": "\xff"}',
 ], ids=["not-json", "bad-key", "list", "string", "pin-key-int", "size-null", "size-inf",
-        "codec-list", "codec-unknown-field", "file-int", "deep-nesting"])
+        "codec-list", "codec-unknown-field", "file-int", "deep-nesting", "not-utf8"])
 def test_corrupt_manifest_line_skipped(tmp_path, model, line):
     st = _store(tmp_path)
     keys = st.store_text(model, [1, 2, 3])
     if isinstance(line, dict):
         rec = json.loads(st.manifest_path.read_text().splitlines()[0])
         line = json.dumps({**rec, "key": "ab" * 32, **line})
-    with open(st.manifest_path, "a") as f:
-        f.write(line + "\n")
+    with open(st.manifest_path, "ab") as f:
+        f.write((line if isinstance(line, bytes) else line.encode()) + b"\n")
     st2 = _store(tmp_path)
     assert set(st2.entries) == {k.digest for k in keys}
 
@@ -909,6 +910,24 @@ def test_crash_between_blob_and_manifest(tmp_path, model):
     assert list(st2.blob_dir.iterdir()) == []
     st2.store_text(model, [1, 2, 3])  # and the put can be replayed cleanly
     assert len(st2.entries) == 1
+
+
+def test_a_put_after_a_torn_manifest_tail_survives_the_next_reopen(tmp_path, model):
+    # a power loss mid-append leaves the last manifest line cut short; reopening
+    # drops that unacknowledged put, and must not let the next append extend the
+    # fragment into a line that does not parse
+    st = _store(tmp_path)
+    st.store_text(model, list(range(16)))
+    data = st.manifest_path.read_bytes()
+    assert data.count(b"\n") == 2
+    st.manifest_path.write_bytes(data[:-20])
+    doc = [(3 * i + 1) % 32 for i in range(16)]
+    keys = _store(tmp_path).store_text(model, doc)
+    reopened = _store(tmp_path)
+    hits, miss = reopened.retrieve_text(model.model_id, doc)
+    assert [k for k, _ in hits] == keys and miss == []
+    assert reopened.manifest_path.read_bytes().startswith(data[: data.index(b"\n") + 1])
+    _check_accounting(reopened)
 
 
 def test_crash_during_edit_keeps_old_content(tmp_path, model):
@@ -1005,13 +1024,18 @@ def test_apply_edit_errors(tmp_path, model):
     assert set(EDIT_TRANSFORMS) == {1}
 
 
-def test_a_store_of_the_older_container_reads_after_the_default_changed(tmp_path, model):
-    old = codec.CodecProfile(lossless_id=codec.LOSSLESS_VARINT_DEFLATE)
-    assert codec.CodecProfile() != old
+# the default before id 3 (id 2), and id 3 before it dropped its deltas (stride 16)
+@pytest.mark.parametrize("old", [codec.CodecProfile(lossless_id=codec.LOSSLESS_VARINT_DEFLATE),
+                                 codec.CodecProfile(anchor_stride=16)], ids=["id2", "id3-stride16"])
+def test_a_store_of_the_older_container_reads_after_the_default_changed(tmp_path, model, old):
+    assert codec.PROFILES["8bit-deflate"] != old
     tokens = [i % 32 for i in range(20)]
     keys = _store(tmp_path).store_text(model, tokens, mode=MODE_CHAIN, profile=old)
     st = _store(tmp_path)  # reopened: the manifest now meets today's default
     assert {e.codec_profile for e in st.entries.values()} == {old}
+    manifest, blobs = st.manifest_path.read_bytes(), sorted(st.blob_dir.iterdir())
+    assert st.store_text(model, tokens) == keys  # a default-profile re-put stores nothing
+    assert st.manifest_path.read_bytes() == manifest and sorted(st.blob_dir.iterdir()) == blobs
 
     hits, miss = st.retrieve_text(model.model_id, tokens)
     assert [k for k, _ in hits] == keys and miss == []
