@@ -8,9 +8,9 @@ and a lossless container.  The containers, by ``lossless_id``:
 - 2 ``LOSSLESS_VARINT_DEFLATE``: the varints of id 1, then DEFLATE.
 - 3 ``LOSSLESS_BYTE_DEFLATE`` (the default): deltas taken mod 256, one byte
   each, then DEFLATE; the quantizer params are byte-planed before a level-1
-  DEFLATE.  Its named profiles write ``anchor_stride`` 1: channel-major codes
-  with no deltas, since neighbouring tokens' codes are independent and a delta
-  costs more bytes than the code.  ``_anchor_deltas`` and ``_anchor_sums``
+  DEFLATE.  ``CodecProfile`` defaults to ``anchor_stride`` 1: channel-major
+  codes with no deltas, since neighbouring tokens' codes are independent and a
+  delta costs more bytes than the code.  ``_anchor_deltas`` and ``_anchor_sums``
   serve ids 1-2 and id-3 blobs of a larger stride, such as the stride-16 ones
   older stores hold.
 
@@ -161,7 +161,7 @@ def chunk_crc32c(blob: bytes, crc: int = 0) -> int:
 class CodecProfile:
     quant_bits: int = 8
     group_size: int = 16
-    anchor_stride: int = 16
+    anchor_stride: int = 1
     lossless_id: int = LOSSLESS_BYTE_DEFLATE
 
     def __post_init__(self) -> None:
@@ -184,7 +184,7 @@ class CodecProfile:
 # Named profiles for the bench subcommand and tests; 8bit-deflate is the default.
 PROFILES = {
     "8bit-raw": CodecProfile(quant_bits=8, anchor_stride=1, lossless_id=LOSSLESS_RAW),
-    "8bit-varint": CodecProfile(quant_bits=8, lossless_id=LOSSLESS_VARINT),
+    "8bit-varint": CodecProfile(quant_bits=8, anchor_stride=16, lossless_id=LOSSLESS_VARINT),
     "8bit-deflate": CodecProfile(quant_bits=8, anchor_stride=1, lossless_id=LOSSLESS_BYTE_DEFLATE),
     "4bit-deflate": CodecProfile(quant_bits=4, anchor_stride=1, lossless_id=LOSSLESS_BYTE_DEFLATE),
 }

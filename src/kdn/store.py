@@ -4,7 +4,8 @@ Layout on disk: ``root/manifest.jsonl`` plus ``root/blobs/<hex64>``.  The
 manifest is append-only JSON Lines; blobs are written to a temp file and
 renamed, and ``blobs/`` is fsynced, before the manifest lines naming them are
 appended, so a crash between the two leaves only orphan blobs, which are
-garbage-collected on open.
+garbage-collected on open.  Opening skips a last line a power loss tore, and
+the next ``_commit`` ends it: no code deletes manifest bytes.
 """
 
 from __future__ import annotations
@@ -158,20 +159,14 @@ class Store:
     # -- lifecycle ---------------------------------------------------------
 
     def _recover(self) -> None:
+        """Replay the manifest read-only, skipping what does not parse, such
+        as a line a power loss tore, and collect orphan blobs."""
         self.root.mkdir(parents=True, exist_ok=True)
         self.blob_dir.mkdir(exist_ok=True)
         if self.manifest_path.exists():
             with open(self.manifest_path, "rb") as f:
                 for lineno, line in enumerate(f, 1):
-                    if not line.endswith(b"\n"):
-                        # the last append, torn by a crash before its fsync returned:
-                        # cut it, or the next append would extend it into a line
-                        # that does not parse, losing that append's first record
-                        log.warning("manifest line %d torn; truncated", lineno)
-                        with open(self.manifest_path, "r+b") as w:
-                            w.truncate(f.tell() - len(line))
-                            os.fsync(w.fileno())
-                    elif line.strip():
+                    if line.strip():
                         try:
                             self._replay(json.loads(line))
                         except (*MALFORMED_DOCUMENT, StoreError) as e:
@@ -286,14 +281,17 @@ class Store:
         When a record puts a blob, ``blobs/`` is fsynced first, so a durable
         manifest line never names a blob whose rename a power loss could undo.
         The append that creates the manifest fsyncs the root directory too.
+        A last line without its newline is an append a power loss tore; the
+        write ends it first, so no record of this one extends it.
         """
         if not recs:
             return
         if any("file" in rec for rec in recs):
             _fsync_dir(self.blob_dir)
         new_manifest = not self.manifest_path.exists()
-        with open(self.manifest_path, "a", encoding="utf-8") as f:
-            f.write("".join(json.dumps(rec) + "\n" for rec in recs))
+        with open(self.manifest_path, "a+b") as f:
+            torn = f.tell() > 0 and os.pread(f.fileno(), 1, f.tell() - 1) != b"\n"
+            f.write(b"\n" * torn + "".join(json.dumps(rec) + "\n" for rec in recs).encode())
             f.flush()
             os.fsync(f.fileno())
         if new_manifest:

@@ -518,8 +518,9 @@ FROZEN_BLOB_DIGESTS = {
 }
 
 
+# id 2 at anchor stride 16, the stride the stores that hold it wrote it at
 @pytest.mark.parametrize("profile", [PROFILES["8bit-raw"], PROFILES["8bit-varint"],
-                                     CodecProfile(lossless_id=LOSSLESS_VARINT_DEFLATE)])
+                                     CodecProfile(anchor_stride=16, lossless_id=LOSSLESS_VARINT_DEFLATE)])
 def test_older_container_blobs_are_frozen(profile):
     blob = compress_cache(fixtures.random_cache(n_tokens=8, seed=2), profile).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == FROZEN_BLOB_DIGESTS[profile.lossless_id]
@@ -590,6 +591,12 @@ def test_multi_group_blobs_are_frozen(group_size, lid):
 def test_default_container_is_byte_deflate():
     assert CodecProfile().lossless_id == LOSSLESS_BYTE_DEFLATE
     assert PROFILES["8bit-deflate"].lossless_id == PROFILES["4bit-deflate"].lossless_id == LOSSLESS_BYTE_DEFLATE
+
+
+def test_the_default_profile_is_the_named_default():
+    # a profile that names only its bits, as a JSON --profile may, writes what the named profiles write
+    assert CodecProfile() == PROFILES["8bit-deflate"]
+    assert CodecProfile.from_dict({"quant_bits": 4}) == PROFILES["4bit-deflate"]
 
 
 @settings(max_examples=80, deadline=None)

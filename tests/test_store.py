@@ -930,6 +930,56 @@ def test_a_put_after_a_torn_manifest_tail_survives_the_next_reopen(tmp_path, mod
     _check_accounting(reopened)
 
 
+def test_opening_a_store_with_a_torn_manifest_tail_writes_no_manifest_byte(tmp_path, model):
+    st = _store(tmp_path)
+    first = st.store_text(model, list(range(16)))[0]
+    torn = st.manifest_path.read_bytes()[:-20]
+    st.manifest_path.write_bytes(torn)
+    reopened = _store(tmp_path)
+    assert list(reopened.entries) == [first.digest]
+    assert reopened.manifest_path.read_bytes() == torn
+
+
+def test_a_last_record_without_its_newline_is_replayed_and_the_next_put_starts_a_line(tmp_path, model):
+    st = _store(tmp_path)
+    first = st.store_text(model, list(range(16)))
+    data = st.manifest_path.read_bytes()
+    st.manifest_path.write_bytes(data[:-1])
+    reopened = _store(tmp_path)
+    assert list(reopened.entries) == [k.digest for k in first]
+    doc = [(3 * i + 1) % 32 for i in range(16)]
+    keys = reopened.store_text(model, doc)
+    again = _store(tmp_path)
+    assert list(again.entries) == [k.digest for k in first + keys]
+    assert again.manifest_path.read_bytes().startswith(data)
+    _check_accounting(again)
+
+
+def test_a_reader_open_does_not_cut_a_pin_whose_append_is_half_visible(tmp_path, model, monkeypatch):
+    st = _store(tmp_path)
+    key = st.store_text(model, [1, 2, 3])[0]
+    rec = (json.dumps({"op": "pin", "key": key.hex, "pinned": True}) + "\n").encode()
+    with open(st.manifest_path, "ab") as f:
+        f.write(rec[:20])  # the writer's append, half visible to the reader
+    rest = [rec[20:]]
+
+    def finish_the_write():
+        while rest:
+            with open(st.manifest_path, "ab") as f:
+                f.write(rest.pop())
+
+    def reader_open(path, mode="r", *args, **kwargs):
+        if mode == "r+b":  # the writer's write lands before any rewrite the reader makes
+            finish_the_write()
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "open", reader_open, raising=False)
+    _store(tmp_path)
+    monkeypatch.undo()
+    finish_the_write()
+    assert _store(tmp_path).entries[key.digest].pinned
+
+
 def test_crash_during_edit_keeps_old_content(tmp_path, model):
     st = _store(tmp_path)
     key = st.store_text(model, [1, 2, 3])[0]
@@ -1025,7 +1075,7 @@ def test_apply_edit_errors(tmp_path, model):
 
 
 # the default before id 3 (id 2), and id 3 before it dropped its deltas (stride 16)
-@pytest.mark.parametrize("old", [codec.CodecProfile(lossless_id=codec.LOSSLESS_VARINT_DEFLATE),
+@pytest.mark.parametrize("old", [codec.CodecProfile(anchor_stride=16, lossless_id=codec.LOSSLESS_VARINT_DEFLATE),
                                  codec.CodecProfile(anchor_stride=16)], ids=["id2", "id3-stride16"])
 def test_a_store_of_the_older_container_reads_after_the_default_changed(tmp_path, model, old):
     assert codec.PROFILES["8bit-deflate"] != old
