@@ -41,7 +41,7 @@ class Segment:
 
     @classmethod
     def from_tokens(cls, model: Model, tokens: list[int]) -> "Segment":
-        cache, states = prefill(model, tokens, start_pos=0)
+        cache, states = prefill(model, tokens)
         return cls(tokens, cache, states)
 
 
@@ -69,7 +69,7 @@ def concat_stale(model: Model, segments: list[Segment]) -> KvCache:
     if not segments:
         raise BlendError("need at least one segment")
     _check_geometry(model, [seg.stale_cache for seg in segments], "segment cache")
-    return concat_caches([seg.stale_cache for seg in segments], start_pos=0)
+    return concat_caches([seg.stale_cache for seg in segments])
 
 
 def _selection(scores: np.ndarray, ratio: float) -> list[int]:
@@ -166,5 +166,5 @@ def prefix_extend_path(
             raise BlendError("nothing to do: no hits and empty suffix")
         return prefill(model, list(miss_suffix))
     _check_geometry(model, [chunk for _, chunk in store_hits], "store hit")
-    prefix = concat_caches([codec.decompress_cache(chunk) for _, chunk in store_hits], start_pos=0)
+    prefix = concat_caches([codec.decompress_cache(chunk) for _, chunk in store_hits])
     return extend(model, prefix, None, list(miss_suffix))

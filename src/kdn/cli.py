@@ -158,7 +158,7 @@ def cmd_get(args) -> int:
         rows = [[i, c.n_tokens, c.start_pos] for i, c in enumerate(caches)]
         _emit_table(["chunk", "tokens", "start_pos"], rows, args.output)
     else:
-        st = _open_store(args)
+        st = _open_store(args, must_exist=True)
         hits, miss = st.retrieve_text(cfg.model_id, tokens, mode=args.mode)
         rows = [[i, key.hex, chunk.n_tokens] for i, (key, chunk) in enumerate(hits)]
         _emit_table(["chunk", "key", "tokens"], rows, args.output)
@@ -169,7 +169,7 @@ def cmd_get(args) -> int:
 def cmd_blend(args) -> int:
     mdl, segment_tokens, ratio = _read_doc(args.request, "bad blend request", lambda req: (
         model.build_model(model.ModelConfig.from_dict(req["model"])),
-        [[int(t) for t in toks] for toks in req["segments"]], float(req["ratio"])))
+        [[model.exact_int(t) for t in toks] for toks in req["segments"]], float(req["ratio"])))
     if not 0.0 <= ratio <= 1.0:
         raise UsageError(f"ratio {ratio} out of [0, 1]")
     segments = [blender.Segment.from_tokens(mdl, toks) for toks in segment_tokens]

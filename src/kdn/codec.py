@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import KvCache
+from .model import KvCache, exact_int
 
 CHUNK_MAGIC = b"KDNC"
 CHUNK_VERSION = 1
@@ -178,7 +178,7 @@ class CodecProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodecProfile":
-        return cls(**{k: int(v) for k, v in d.items()})
+        return cls(**{k: exact_int(v) for k, v in d.items()})
 
 
 # Named profiles for the bench subcommand and tests; 8bit-deflate is the default.
@@ -274,10 +274,10 @@ def _anchor_deltas(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int, dtype) -> np.ndarray:
-    """Inverse of ``_anchor_deltas`` in ``dtype``: the codes of a (..., T, D)
-    ``shape`` as a (B, T, D) array, B the product of the leading axes.  Sums
-    in a wider ``dtype`` than ``uint8`` must be byte codes.
+def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
+    """Inverse of ``_anchor_deltas`` in the stream's dtype: the codes of a
+    (..., T, D) ``shape`` as a (B, T, D) array, B the product of the leading
+    axes.  Sums in a wider dtype than ``uint8`` must be byte codes.
 
     Per run of ``_blocks`` of anchor windows, one ``cumsum`` down the window
     position, the outermost axis of a (window position, B, D, window) view of
@@ -289,15 +289,15 @@ def _anchor_sums(stream: np.ndarray, shape: tuple[int, ...], anchor_stride: int,
     if stream.size != math.prod(shape):
         raise DecodeError(f"delta stream has {stream.size} values, expected {math.prod(shape)}")
     B = math.prod(lead)
-    sums = np.empty((B, T, D), dtype)
+    sums = np.empty((B, T, D), stream.dtype)
     if anchor_stride == 1:  # windows of one token: no sums, only the transpose
         sums[...] = stream.reshape(B, D, T).swapaxes(1, 2)
     else:
         for tokens, _, n, w in _blocks(T, anchor_stride):
             # both as (window position, B, D, window)
             np.cumsum(stream.reshape(B, D, T)[..., tokens].reshape(B, D, n, w).transpose(3, 0, 1, 2), axis=0,
-                      dtype=dtype, out=sums[:, tokens].reshape(B, n, w, D).transpose(2, 0, 3, 1))
-    if dtype != np.uint8 and sums.size and (sums.min() < 0 or sums.max() > 255):
+                      dtype=stream.dtype, out=sums[:, tokens].reshape(B, n, w, D).transpose(2, 0, 3, 1))
+    if stream.dtype != np.uint8 and sums.size and (sums.min() < 0 or sums.max() > 255):
         raise DecodeError("decoded codes out of byte range")
     return sums
 
@@ -571,5 +571,5 @@ def decompress_cache(chunk: CompressedChunk) -> KvCache:
         codes = stream.reshape(shape)
     else:
         # ids 1-2 sum int64 deltas, id 3 sums bytes mod 256
-        codes = _anchor_sums(stream, shape, profile.anchor_stride, stream.dtype)
+        codes = _anchor_sums(stream, shape, profile.anchor_stride)
     return KvCache(_dequantize_tensor(codes, scale, zero, profile.group_size), start_pos=chunk.start_pos)

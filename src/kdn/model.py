@@ -55,6 +55,13 @@ class ModelError(ValueError):
     """Invalid model configuration or inputs."""
 
 
+def exact_int(v) -> int:
+    """``int(v)``, but a bool, or a number with a fraction or no finite value, is a ValueError."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_layers: int
@@ -99,10 +106,10 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(
-            n_layers=int(d["n_layers"]),
-            n_heads=int(d["n_heads"]),
-            d_head=int(d["d_head"]),
-            vocab_size=int(d["vocab_size"]),
+            n_layers=exact_int(d["n_layers"]),
+            n_heads=exact_int(d["n_heads"]),
+            d_head=exact_int(d["d_head"]),
+            vocab_size=exact_int(d["vocab_size"]),
             rope_base=float(d.get("rope_base", 10000.0)),
         )
 
@@ -153,13 +160,14 @@ class KvCache:
         return KvCache(self.kv.copy(), self.start_pos)
 
 
-def concat_caches(caches: list[KvCache], start_pos: int = 0) -> KvCache:
+def concat_caches(caches: list[KvCache]) -> KvCache:
+    """The caches' tokens in order, starting where the first cache does."""
     if not caches:
         raise ModelError("need at least one cache to concatenate")
     shapes = {(c.n_layers, c.n_heads, c.d_head) for c in caches}
     if len(shapes) != 1:
         raise ModelError("cache geometries do not match")
-    return KvCache(np.concatenate([c.kv for c in caches], axis=3), start_pos=start_pos)
+    return KvCache(np.concatenate([c.kv for c in caches], axis=3), caches[0].start_pos)
 
 
 @dataclass
@@ -176,12 +184,12 @@ class Model:
         return self.config.model_id
 
 
-def _weight_matrix(tag: np.ndarray, n_rows: int, n_cols: int, fan_in: int) -> np.ndarray:
-    """(..., n_rows, n_cols) weights, one matrix per entry of the integer ``tag`` array."""
+def _weight_matrix(tag: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """(..., n_rows, n_cols) weights of fan-in ``n_rows``, one matrix per entry of the integer ``tag`` array."""
     i = np.arange(n_rows, dtype=np.float64)[:, None]
     j = np.arange(n_cols, dtype=np.float64)[None, :]
     arg = _W_FREQ * (_W_TAG * tag[..., None, None] + _W_ROW * i + _W_COL * j + 1.0)
-    return 0.5 * np.sin(arg) / np.sqrt(float(fan_in))
+    return 0.5 * np.sin(arg) / np.sqrt(float(n_rows))
 
 
 def build_model(config: ModelConfig) -> Model:
@@ -195,8 +203,8 @@ def build_model(config: ModelConfig) -> Model:
     embed = np.sin(_E_FREQ * (_E_TOK * v + j + 1.0))
 
     tag = 64 * np.arange(config.n_layers)[:, None] + 4 * np.arange(config.n_heads)  # (layer, head)
-    wq, wk, wv = (_weight_matrix(tag + role, d_model, d_head, d_model) for role in (ROLE_Q, ROLE_K, ROLE_V))
-    wo = _weight_matrix(tag + ROLE_O, d_head, d_model, d_head)
+    wq, wk, wv = (_weight_matrix(tag + role, d_model, d_head) for role in (ROLE_Q, ROLE_K, ROLE_V))
+    wo = _weight_matrix(tag + ROLE_O, d_head, d_model)
     return Model(config=config, embed=embed, wq=wq, wk=wk, wv=wv, wo=wo)
 
 
@@ -225,15 +233,14 @@ def attend(
     q_positions: np.ndarray,
     k_pre: np.ndarray,
     v: np.ndarray,
-    k_positions: np.ndarray,
+    k0: int,
 ) -> np.ndarray:
     """One layer of multi-head causal attention for the given query rows.
 
     ``k_pre``/``v`` are (head, token, dim) and may mix freshly computed rows
-    with cache rows; accumulation is float64 throughout.  Keys must sit at
-    contiguous ascending positions ``k0, k0 + 1, ...`` and every query at a
-    position ``k0 <= p < k0 + n_keys``, inside the keys; anything else raises
-    ModelError, so the rotary table is sized by the keys alone.
+    with cache rows; accumulation is float64 throughout.  The keys sit at
+    positions ``k0 ... k0 + n_keys - 1``, and every query must lie among
+    them (else ModelError), so the rotary table is sized by the keys alone.
 
     Scores are computed in causal tiles: the row at ``p`` attends only
     ``keys[:min(n_keys, roundup(p - k0 + 1, TILE))]``, and rows with the same
@@ -250,20 +257,16 @@ def attend(
     each K and V row a 1, so Q.K^T yields the shifted scores and P.V yields
     the softmax's sum beside its weighted sum of V.  Besides the two products,
     exp is the one pass over the scores, and the diagonal tile's mask zeroes
-    future weights after it: the raw shifted scores lie in [-2c, 0], where
-    numpy's float64 exp took 1.3 ns a value, against 4.6 with a tenth of them
-    -inf and 18 in [-800, 0] (AVX-512, numpy 2.4).  A group past ``MAX_SHIFT``
-    masks to -inf first, so its row max sees no future key.  Queries and
-    keys take their rotary angles from one cos/sin table over the key
-    positions, shared by the layers of one ``_run_layers`` call.  Each call
-    allocates one float64 score workspace, sized for its largest group across
-    all heads, and every group's scores and softmax live in a view of it.
+    future weights after it, so exp meets only the raw shifted scores in
+    [-2c, 0]: numpy's exp is several times slower on -inf or far lower values.
+    A group past ``MAX_SHIFT`` masks to -inf first, so its row max sees none.
+    Queries and keys take their rotary angles from one cos/sin table over the
+    key positions, shared by the layers of one ``_run_layers`` call.  Each
+    call allocates one float64 score workspace, sized for its largest group
+    across all heads, and every group's scores and softmax live in a view of it.
     """
     cfg = model.config
-    n_keys = len(k_positions)
-    k0 = int(k_positions[0]) if n_keys else 0
-    if not np.array_equal(k_positions, np.arange(k0, k0 + n_keys)):
-        raise ModelError("key positions must be contiguous and ascending")
+    n_keys = k_pre.shape[1]
     n_rows = len(x_q)
     if n_rows and (np.min(q_positions) < k0 or np.max(q_positions) >= k0 + n_keys):
         raise ModelError(f"query positions must lie among the keys' [{k0}, {k0 + n_keys})")
@@ -359,13 +362,12 @@ def _run_layers(
     states after ``layers`` are returned; every K/V row is the same whatever
     ``read`` is.
     """
-    positions = cache.start_pos + np.arange(cache.n_tokens)
-    q_pos = positions[rows]
+    q_pos = (cache.start_pos + np.arange(cache.n_tokens))[rows]
     last = model.config.n_layers - 1
     for layer in layers:
         cache.kv[:, layer][:, :, rows] = _project_kv(model, layer, x)
         q = read if layer == last else slice(None)
-        x = x[q] + attend(model, layer, x[q], q_pos[q], cache.k_pre[layer], cache.v[layer], positions)
+        x = x[q] + attend(model, layer, x[q], q_pos[q], cache.k_pre[layer], cache.v[layer], cache.start_pos)
     return x
 
 
@@ -390,7 +392,7 @@ def extend(
     if cache.n_layers != cfg.n_layers or cache.n_heads != cfg.n_heads or cache.d_head != cfg.d_head:
         raise ModelError("cache geometry does not match the model")
     pad = KvCache(np.zeros((2, cfg.n_layers, cfg.n_heads, len(new_tokens), cfg.d_head), np.float32))
-    out = concat_caches([cache, pad], start_pos=cache.start_pos)
+    out = concat_caches([cache, pad])
     x = _run_layers(model, out, model.embed[new_tokens], slice(cache.n_tokens, None), range(cfg.n_layers))
     if prior_states is not None:
         return out, np.concatenate([prior_states, x], axis=0)

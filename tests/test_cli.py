@@ -163,12 +163,15 @@ def test_serve_exits_0_and_closes_its_socket_on_an_interrupt_before_it_serves(wo
     assert servers[0].socket.fileno() == -1
 
 
-def test_serve_missing_root_exits_1(tmp_path, capsys):
-    root = tmp_path / "missing"
-    code, _, err = _run(capsys, ["serve", "--root", str(root), "--port", "0"])
-    assert code == 1
-    assert "does not exist" in err
-    assert not root.exists()
+def test_serve_and_get_missing_root_exits_1(workspace, capsys):
+    # neither reader creates a store: a local get would report a full miss from an empty one
+    root = workspace / "missing"
+    for argv in (["serve", "--root", str(root), "--port", "0"],
+                 ["get", "--root", str(root), "--model", MODEL_JSON, "--tokens", str(workspace / "tokens.txt")]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"kdn: store root {root} does not exist\n"
+        assert not root.exists()
 
 
 def test_put_idempotent_message(workspace, capsys):
@@ -505,16 +508,18 @@ _WORDY = {"n_layers": 1, "n_heads": 1, "d_head": 2, "vocab_size": 4294967295}
 _JSON_FLAGS = {
     "model": (["put", "--root", "{w}/s", "--model", "{doc}", "--tokens", "{w}/tokens.txt"], "bad model config", True,
               {"container": [1], "not-a-number": {**_MODEL, "n_layers": "x"},
-               "400-digits": {**_MODEL, "rope_base": _HUGE}, "too-wide": _WIDE, "too-wordy": _WORDY}),
+               "400-digits": {**_MODEL, "rope_base": _HUGE}, "too-wide": _WIDE, "too-wordy": _WORDY,
+               "fraction": {**_MODEL, "n_layers": 2.9}, "bool": {**_MODEL, "n_layers": True}}),
     "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
                 {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
-                 "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536}}),
+                 "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536},
+                 "fraction": {"quant_bits": 8.9}}),
     # group size and anchor stride are u16s of the chunk header
     "put-profile": (["put", "--root", "{w}/s", "--model", "{w}/model.json", "--tokens", "{w}/tokens.txt",
                      "--profile", "{doc}"], "unknown codec profile", True, {"over-u16": {"group_size": 70000}}),
     "request": (["blend", "--request", "{doc}", "--out", "{w}/out"], "bad blend request", False,
                 {"container": [1], "not-a-number": {**_BLEND, "ratio": "x"}, "400-digits": {**_BLEND, "ratio": _HUGE},
-                 "too-wide": {**_BLEND, "model": _WIDE}}),
+                 "too-wide": {**_BLEND, "model": _WIDE}, "fraction": {**_BLEND, "segments": [[1.5, 2]]}}),
     "report-params": (["cost", "report", "--params", "{doc}"], "bad params file", False,
                       {"container": [1], "not-a-number": _measured_doc(cost="x"),
                        "400-digits": _measured_doc(cost=_HUGE)}),

@@ -363,7 +363,7 @@ def test_delta_constant_channel():
     codes = np.full((1, 1, 4, 1), 7, np.uint8)
     stream = _anchor_deltas(codes.astype(np.int64), anchor_stride=16)
     assert list(stream) == [7, 0, 0, 0]
-    assert np.array_equal(_anchor_sums(stream, (1, 1, 4, 1), 16, np.int64).reshape(codes.shape), codes)
+    assert np.array_equal(_anchor_sums(stream, (1, 1, 4, 1), 16).reshape(codes.shape), codes)
 
 
 def test_delta_stride_one_is_identity():
@@ -377,7 +377,7 @@ def test_delta_anchor_positions():
     stream = _anchor_deltas(codes.astype(np.int64), anchor_stride=2)
     # t=0 anchor, t=1 delta, t=2 anchor, t=3 delta, t=4 anchor
     assert list(stream) == [10, 2, 9, 0, 20]
-    assert np.array_equal(_anchor_sums(stream, (1, 1, 5, 1), 2, np.int64).reshape(codes.shape), codes)
+    assert np.array_equal(_anchor_sums(stream, (1, 1, 5, 1), 2).reshape(codes.shape), codes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,7 +390,7 @@ def test_delta_roundtrip(seed, stride, t):
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, 256, size=(2, 1, t, 3), dtype=np.uint8)
     stream = _anchor_deltas(codes.astype(np.int64), stride)
-    assert np.array_equal(_anchor_sums(stream, codes.shape, stride, np.int64).reshape(codes.shape), codes)
+    assert np.array_equal(_anchor_sums(stream, codes.shape, stride).reshape(codes.shape), codes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,16 +404,16 @@ def test_delta_decode_matches_reference(seed, shape, stride):
     expected = ref_delta_decode(stream, shape, stride)
     if expected.size and (expected.min() < 0 or expected.max() > 255):
         with pytest.raises(DecodeError):
-            _anchor_sums(stream, shape, stride, np.int64)
+            _anchor_sums(stream, shape, stride)
     else:
-        assert np.array_equal(_anchor_sums(stream, shape, stride, np.int64).reshape(shape), expected)
+        assert np.array_equal(_anchor_sums(stream, shape, stride).reshape(shape), expected)
 
 
 def test_delta_decode_bad_size():
     with pytest.raises(DecodeError):
-        _anchor_sums(np.zeros(5, np.int64), (1, 1, 2, 1), 16, np.int64)
+        _anchor_sums(np.zeros(5, np.int64), (1, 1, 2, 1), 16)
     with pytest.raises(DecodeError):
-        _anchor_sums(np.zeros(5, np.uint8), (1, 1, 2, 1), 16, np.uint8)
+        _anchor_sums(np.zeros(5, np.uint8), (1, 1, 2, 1), 16)
 
 
 def test_byte_delta_wraps_mod_256():
@@ -422,7 +422,7 @@ def test_byte_delta_wraps_mod_256():
     assert stream.dtype == np.uint8
     # t=0 anchor, 3 - 250 = 9, 255 - 3 = 252, 0 - 255 = 1, t=4 anchor
     assert stream.tolist() == [250, 9, 252, 1, 7]
-    assert np.array_equal(_anchor_sums(stream, codes.shape, 4, np.uint8).reshape(codes.shape), codes)
+    assert np.array_equal(_anchor_sums(stream, codes.shape, 4).reshape(codes.shape), codes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,7 +433,7 @@ def test_byte_delta_wraps_mod_256():
 )
 def test_byte_delta_decode_matches_reference(seed, shape, stride):
     stream = np.random.default_rng(seed).integers(0, 256, size=int(np.prod(shape)), dtype=np.uint8)
-    decoded = _anchor_sums(stream, shape, stride, np.uint8).reshape(shape)
+    decoded = _anchor_sums(stream, shape, stride).reshape(shape)
     assert decoded.dtype == np.uint8
     assert np.array_equal(decoded, ref_byte_delta_decode(stream, shape, stride))
     assert np.array_equal(_anchor_deltas(decoded, stride), stream)

@@ -93,6 +93,15 @@ def test_config_validation():
             ModelConfig(*fields)
 
 
+def test_config_from_dict_refuses_what_int_would_truncate():
+    # lossless spellings of an integer are taken; a bool, a fraction or a non-finite number is not
+    for n_layers in (2, 2.0, "2"):
+        assert ModelConfig.from_dict({"n_layers": n_layers, "n_heads": 2, "d_head": 4, "vocab_size": 32}) == CFG
+    for n_layers in (True, 2.9, "2.9", math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ModelConfig.from_dict({"n_layers": n_layers, "n_heads": 2, "d_head": 4, "vocab_size": 32})
+
+
 # -- golden prefill vs independent oracle ---------------------------------------
 
 
@@ -165,8 +174,7 @@ def test_attend_zero_rows(model):
     # no query rows means no span groups, and an empty score workspace
     full, _ = prefill(model, [1, 2, 3])
     for cache in (full, full.slice_tokens(0, 0)):
-        pos = np.arange(cache.n_tokens)
-        out = attend(model, 0, np.zeros((0, CFG.d_model)), pos[:0], cache.k_pre[0], cache.v[0], pos)
+        out = attend(model, 0, np.zeros((0, CFG.d_model)), np.arange(0), cache.k_pre[0], cache.v[0], cache.start_pos)
         assert out.shape == (0, CFG.d_model)
 
 
@@ -201,17 +209,17 @@ def _shifts(m, x, k_pre):
 def test_attend_matches_untiled_reference(n, start_pos):
     m = build_model(ATTN_CFG)
     x, pos, k_pre, v = _attend_inputs(n, start_pos)
-    got = attend(m, 0, x, pos, k_pre, v, pos)
+    got = attend(m, 0, x, pos, k_pre, v, pos[0])
     want = ref_attend(m, 0, x, pos, k_pre, v, pos)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     # queries that see every key: the extend shape
     tail = slice(n - 5, n)
-    got = attend(m, 0, x[tail], pos[tail], k_pre, v, pos)
+    got = attend(m, 0, x[tail], pos[tail], k_pre, v, pos[0])
     np.testing.assert_allclose(got, want[tail], rtol=0, atol=1e-12 * np.abs(want).max())
     # repeated positions make a span group of more than TILE rows; past the
     # first tile, the last row is a lone-row group, also as the widest one
     for rows in (np.r_[np.repeat(np.arange(min(n, TILE)), 2), n - 1], np.r_[0, n - 1]):
-        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
+        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos[0])
         np.testing.assert_allclose(got, want[rows], rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -225,7 +233,7 @@ def test_attend_matches_untiled_reference_at_1024_keys(cfg, start_pos):
     x, pos, k_pre, v = _attend_inputs(n, start_pos, seed=n, cfg=cfg)
     want = ref_attend(m, 0, x, pos, k_pre, v, pos)
     for rows in (slice(None), slice(n - 64, n)):
-        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
+        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos[0])
         np.testing.assert_allclose(got, want[rows], rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -243,7 +251,7 @@ def test_attend_matches_untiled_reference_at_any_scale(cfg, n):
     for a in (1e-3, 1.0, worst, 30.0, 1e3, 1e5):
         xa, ka = a * x, (a * k_pre).astype(np.float32)
         cs.append(_shifts(m, xa, ka))
-        got = attend(m, 0, xa, pos, ka, v, pos)
+        got = attend(m, 0, xa, pos, ka, v, pos[0])
         want = ref_attend(m, 0, xa, pos, ka, v, pos)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -261,10 +269,10 @@ def test_attend_future_keys_leak_nothing(cfg, n, p):
     x, pos, k_pre, v = _attend_inputs(n, 0, seed=n, cfg=cfg)
     k_pre[:, 0] = 8.0
     assert _shifts(m, x, k_pre).max() < MAX_SHIFT  # the fast path, whose mask follows exp
-    before = attend(m, 0, x, pos, k_pre, v, pos)
+    before = attend(m, 0, x, pos, k_pre, v, pos[0])
     other = np.random.default_rng(n + 1).standard_normal((2, cfg.n_heads, n - p - 1, cfg.d_head))
     k_pre[:, p + 1 :], v[:, p + 1 :] = 0.5 * other
-    after = attend(m, 0, x, pos, k_pre, v, pos)
+    after = attend(m, 0, x, pos, k_pre, v, pos[0])
     assert np.array_equal(after[: p + 1], before[: p + 1])
     assert not np.array_equal(after[p + 1 :], before[p + 1 :])
 
@@ -285,7 +293,7 @@ def test_attend_fallback_masks_before_its_row_max():
     s = np.einsum("hd,hkd->hk", _rope_rows(q, np.full(len(q), r), base), _rope_rows(k_pre, pos, base)) / np.sqrt(d)
     assert (s[:, f] - s[:, : r + 1].max(axis=-1) > 745).all()
     assert _shifts(m, x, k_pre)[r] > MAX_SHIFT
-    got = attend(m, 0, x, pos, k_pre, v, pos)
+    got = attend(m, 0, x, pos, k_pre, v, pos[0])
     want = ref_attend(m, 0, x, pos, k_pre, v, pos)
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -296,12 +304,12 @@ def test_attend_bits_do_not_depend_on_the_call_before():
     # over other keys builds it afresh, and the call after that reuses it
     m = build_model(ATTN_CFG)
     x, pos, k_pre, v = _attend_inputs(300, 70)
-    want = attend(m, 0, x, pos, k_pre, v, pos)
+    want = attend(m, 0, x, pos, k_pre, v, pos[0])
     for other in (slice(0, 200), slice(100, 300)):  # a shorter span, a later start
-        attend(m, 0, x[other], pos[other], k_pre[:, other], v[:, other], pos[other])
+        attend(m, 0, x[other], pos[other], k_pre[:, other], v[:, other], pos[other][0])
         before = _rope_table.cache_info()
-        miss = attend(m, 0, x, pos, k_pre, v, pos)
-        hit = attend(m, 0, x, pos, k_pre, v, pos)
+        miss = attend(m, 0, x, pos, k_pre, v, pos[0])
+        hit = attend(m, 0, x, pos, k_pre, v, pos[0])
         after = _rope_table.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
         assert np.array_equal(miss, want) and np.array_equal(hit, want)
@@ -320,8 +328,8 @@ def test_attend_rows_are_independent(data, n, start_pos):
     m = build_model(ATTN_CFG)
     x, pos, k_pre, v = _attend_inputs(n, start_pos, seed=n)
     rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted))
-    full = attend(m, 0, x, pos, k_pre, v, pos)
-    part = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
+    full = attend(m, 0, x, pos, k_pre, v, pos[0])
+    part = attend(m, 0, x[rows], pos[rows], k_pre, v, pos[0])
     assert np.array_equal(part, full[rows])
 
 
@@ -337,12 +345,12 @@ def test_attend_row_subsets_at_1024_keys():
     k_pre = rng.standard_normal((cfg.n_heads, n, cfg.d_head)).astype(np.float32)
     v = rng.standard_normal((cfg.n_heads, n, cfg.d_head)).astype(np.float32)
     pos = np.arange(n)
-    full = attend(m, 0, x, pos, k_pre, v, pos)
+    full = attend(m, 0, x, pos, k_pre, v, pos[0])
     for lo in (0, 512, n - TILE):
         rows = np.arange(lo, lo + TILE)
-        assert np.array_equal(attend(m, 0, x[rows], pos[rows], k_pre, v, pos), full[rows])
+        assert np.array_equal(attend(m, 0, x[rows], pos[rows], k_pre, v, pos[0]), full[rows])
     for rows in ([n - 1], np.arange(1000, n), [5, 700, n - 1], np.sort(rng.choice(n, 40, replace=False))):
-        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos)
+        got = attend(m, 0, x[rows], pos[rows], k_pre, v, pos[0])
         np.testing.assert_allclose(got, full[rows], rtol=0, atol=1e-12 * np.abs(full).max())
 
 
@@ -357,14 +365,12 @@ def test_prefill_rows_leave_the_cache_unchanged():
         assert np.array_equal(states, full_states[rows])
 
 
-def test_attend_rejects_unordered_keys():
+def test_attend_rejects_a_query_before_the_keys():
+    # a query before the first key sees nothing
     m = build_model(ATTN_CFG)
     x, pos, k_pre, v = _attend_inputs(6, 10)
-    for k_pos in (pos[::-1], np.array([10, 11, 12, 14, 15, 16]), np.array([10, 11, 11, 12, 13, 14])):
-        with pytest.raises(ModelError):
-            attend(m, 0, x, pos, k_pre, v, k_pos)
-    with pytest.raises(ModelError):  # a query before the first key sees nothing
-        attend(m, 0, x[:1], np.array([9]), k_pre, v, pos)
+    with pytest.raises(ModelError):
+        attend(m, 0, x[:1], np.array([9]), k_pre, v, pos[0])
 
 
 def test_attend_rejects_a_query_past_the_keys():
@@ -373,11 +379,11 @@ def test_attend_rejects_a_query_past_the_keys():
     m = build_model(ATTN_CFG)
     x, pos, k_pre, v = _attend_inputs(6, 10)
     with pytest.raises(ModelError):
-        attend(m, 0, x[:1], np.array([16]), k_pre, v, pos)
+        attend(m, 0, x[:1], np.array([16]), k_pre, v, pos[0])
     tracemalloc.start()
     try:
         with pytest.raises(ModelError):
-            attend(m, 0, x[:1], np.array([2**40]), k_pre, v, pos)
+            attend(m, 0, x[:1], np.array([2**40]), k_pre, v, pos[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -491,6 +497,12 @@ def test_slice_and_concat_roundtrip(model):
     assert np.array_equal(back.v, cache.v)
     with pytest.raises(ModelError):
         concat_caches([])
+
+
+def test_concat_caches_starts_where_its_first_cache_does(model):
+    cache, _ = prefill(model, [1, 2, 3, 4], start_pos=5)
+    back = concat_caches([cache.slice_tokens(0, 1), cache.slice_tokens(1, 4)])
+    assert back.start_pos == 5 and np.array_equal(back.kv, cache.kv)
 
 
 def test_cache_shape_validation():

@@ -107,9 +107,7 @@ def test_store_retrieve_chain_roundtrip(tmp_path, model):
     assert miss == []
     # decompressed chain equals the dequantized full prefill exactly
     full, _ = prefill(model, tokens)
-    restored = concat_caches(
-        [codec.decompress_cache(chunk) for _, chunk in hits], start_pos=0
-    )
+    restored = concat_caches([codec.decompress_cache(chunk) for _, chunk in hits])
     profile = codec.PROFILES["8bit-deflate"]
     expected_parts = []
     off = 0
@@ -119,7 +117,7 @@ def test_store_retrieve_chain_roundtrip(tmp_path, model):
             codec.dequantize(codec.quantize(full.slice_tokens(off, off + n), profile))
         )
         off += n
-    expected = concat_caches(expected_parts, start_pos=0)
+    expected = concat_caches(expected_parts)
     assert np.array_equal(restored.k_pre, expected.k_pre)
     assert np.array_equal(restored.v, expected.v)
 
@@ -1091,8 +1089,8 @@ def test_a_store_of_the_older_container_reads_after_the_default_changed(tmp_path
     assert [k for k, _ in hits] == keys and miss == []
     full, _ = prefill(model, tokens)
     expected = concat_caches([codec.dequantize(codec.quantize(full.slice_tokens(o, o + 8), old))
-                              for o in range(0, 20, 8)], start_pos=0)
-    restored = concat_caches([codec.decompress_cache(c) for _, c in hits], start_pos=0)
+                              for o in range(0, 20, 8)])
+    restored = concat_caches([codec.decompress_cache(c) for _, c in hits])
     assert np.array_equal(restored.k_pre, expected.k_pre) and np.array_equal(restored.v, expected.v)
 
     server = delivery.KdnServer(st, port=0)
@@ -1102,7 +1100,7 @@ def test_a_store_of_the_older_container_reads_after_the_default_changed(tmp_path
     finally:
         server.shutdown()
         server.server_close()
-    assert miss == [] and np.array_equal(concat_caches(caches, start_pos=0).k_pre, expected.k_pre)
+    assert miss == [] and np.array_equal(concat_caches(caches).k_pre, expected.k_pre)
 
     st.apply_edit(keys[0], 1, {"factor": 2.0, "tokens": [0]})
     reopened = _store(tmp_path)
