@@ -5,10 +5,11 @@ Wire layout per frame, little-endian:
     "KDN1" | type u8 | payload_len u32 | payload | crc32c u32
 
 The crc covers type byte plus payload.  A request's reply is
-``CHUNK* (END | ERR)``: compressed-chunk blobs as stored, in token (or key)
-order, then END carrying the miss-suffix token list.  The server reads each
+``CHUNK* (END | ERR)``: compressed-chunk blobs as stored, in token order,
+then END carrying the miss-suffix token list.  The server reads each
 blob as it sends its frame, so a blob that fails to read ends the reply with
-ERR after the CHUNK frames sent before it; a malformed request is one ERR.
+ERR after the CHUNK frames sent before it.  Any frame but a well-formed token
+request (type 1 is reserved) is answered with one ERR.
 
 A CHUNK frame's crc is built without reading its payload: CRC-32C values
 compose, and a chunk's payload followed by its stored payload crc has a fixed
@@ -36,7 +37,7 @@ from typing import Iterator
 
 from . import codec
 from .model import KvCache
-from .store import MODE_CHAIN, MODE_CODE, MODE_STANDALONE, ChunkKey, Store
+from .store import MODE_CHAIN, MODE_CODE, ChunkKey, Store
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +45,7 @@ FRAME_MAGIC = b"KDN1"
 MAX_PAYLOAD = 64 * 1024 * 1024
 _FRAME_OVERHEAD = 13  # magic + type + len + crc
 
-REQ_KEYS = 1
+REQ_KEYS = 1  # reserved: a request frame of this type is answered with ERR
 REQ_TOKENS = 2
 CHUNK = 3
 END = 4
@@ -176,13 +177,6 @@ def encode_token_request(model_id: int, mode: str, tokens: list[int]) -> Frame:
     return Frame(REQ_TOKENS, struct.pack("<Q", model_id) + bytes([MODE_CODE[mode]]) + packed)
 
 
-def encode_key_request(keys: list[ChunkKey]) -> Frame:
-    payload = struct.pack("<I", len(keys))
-    for k in keys:
-        payload += bytes([MODE_CODE[k.mode]]) + k.digest
-    return Frame(REQ_KEYS, payload)
-
-
 def _decode_token_list(data: bytes, offset: int) -> list[int]:
     if len(data) - offset < 4:
         raise ProtocolError("token list count truncated")
@@ -218,29 +212,21 @@ def _mode(byte: int) -> str:
 
 
 def _parse_request(store: Store, frame: Frame) -> tuple[list[ChunkKey], list[int]]:
-    """The stored keys a request frame asks for, in reply order, and its miss suffix."""
+    """The stored keys a token request asks for, in reply order, and its miss suffix."""
     payload = frame.payload
-    if frame.frame_type not in (REQ_TOKENS, REQ_KEYS):
+    if frame.frame_type != REQ_TOKENS:
         raise ProtocolError(f"unexpected frame type {frame.frame_type}")
-    if len(payload) < (13 if frame.frame_type == REQ_TOKENS else 4):
+    if len(payload) < 13:
         raise ProtocolError("request payload too short")
-    if frame.frame_type == REQ_TOKENS:
-        (model_id,) = struct.unpack_from("<Q", payload)
-        mode = _mode(payload[8])
-        return store.lookup(model_id, _decode_token_list(payload, 9), mode)
-    (n,) = struct.unpack_from("<I", payload)
-    if len(payload) != 4 + 33 * n:
-        raise ProtocolError("key list length mismatch")
-    keys = [ChunkKey(payload[off + 1 : off + 33], _mode(payload[off])) for off in range(4, len(payload), 33)]
-    if len({key.digest for key in keys}) != n:
-        raise ProtocolError("key list names a digest twice")
-    return [key for key in keys if key.digest in store.entries], []
+    (model_id,) = struct.unpack_from("<Q", payload)
+    mode = _mode(payload[8])
+    return store.lookup(model_id, _decode_token_list(payload, 9), mode)
 
 
 def _answer(store: Store, frame: Frame) -> Iterator[Frame]:
-    """The reply to one request frame, CHUNK* (blobs as stored) then END or
+    """The reply to one token request, CHUNK* (blobs as stored) then END or
     ERR, one frame at a time: each blob is read when its frame is taken, so
-    a sender holds one blob at a time.  A malformed request is a single ERR."""
+    a sender holds one blob at a time.  A malformed or non-token request is a single ERR."""
     try:
         keys, miss = _parse_request(store, frame)
         for key in keys:
@@ -336,35 +322,25 @@ class Client:
         """Retrieve-by-text: decode, crc-check and decompress.  The reply may
         hold at most one chunk per token, each within the tokens left, at its
         running offset in a chain reply and at 0 in a standalone one, and its
-        miss suffix must be the tokens left (chain) or as many tokens (standalone)."""
-        return self._fetch(encode_token_request(model_id, mode, tokens), len(tokens), tokens, mode)
-
-    def fetch_keys(self, keys: list[ChunkKey]) -> list[KvCache]:
-        """At most one chunk per key and no miss suffix; the server checks each chunk's position."""
-        caches, _ = self._fetch(encode_key_request(keys), len(keys))
-        return caches
-
-    def _fetch(self, request: Frame, n_chunks: int, tokens: list[int] | None = None,
-               mode: str | None = None) -> tuple[list[KvCache], list[int]]:
-        """A corrupt frame or chunk (crc or decode failure) is retried once before giving up;
+        miss suffix must be the tokens left (chain) or as many tokens (standalone).
+        A corrupt frame or chunk (crc or decode failure) is retried once before giving up;
         a connection refused, reset or timed out is not retried.  Either raises FetchError."""
+        request = encode_token_request(model_id, mode, tokens)
         last_err: Exception | None = None
         for _ in range(2):
             try:
-                return self._receive(request, n_chunks, tokens, mode)
+                return self._receive(request, tokens, mode)
             except (codec.CodecError, FrameDecodeError) as e:
                 last_err = e
             except OSError as e:
                 raise FetchError(f"fetch failed: {e}") from e
         raise FetchError(f"fetch failed after retry: {last_err}")
 
-    def _receive(self, request: Frame, n_chunks: int, tokens: list[int] | None,
-                 mode: str | None) -> tuple[list[KvCache], list[int]]:
+    def _receive(self, request: Frame, tokens: list[int], mode: str) -> tuple[list[KvCache], list[int]]:
         """Send ``request`` and decode its reply a frame at a time.  A CHUNK
         frame's crc is derived from its chunk header; the header must hold
         what the request expects, and the first chunk's geometry, before the
-        chunk crc check reads the payload once and the chunk is inflated.
-        ``tokens`` is None for a key request."""
+        chunk crc check reads the payload once and the chunk is inflated."""
         caches: list[KvCache] = []
         served, geometry = 0, None  # tokens received, (layer, head, dim) of the first chunk
         with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
@@ -380,16 +356,16 @@ class Client:
                             miss = _decode_token_list(frame.payload, 0)
                         except ProtocolError as e:
                             raise codec.DecodeError(f"malformed END frame: {e}") from e
-                        rest = [] if tokens is None else tokens[served:]
+                        rest = tokens[served:]
                         if len(miss) != len(rest) or (mode == MODE_CHAIN and miss != rest):
                             raise codec.DecodeError(f"miss suffix of {len(miss)} tokens does not match "
                                                     f"the {len(rest)} tokens left")
                         return caches, miss
-                    if len(caches) == n_chunks:  # any other frame is read as a CHUNK
-                        raise codec.DecodeError(f"reply holds more than {n_chunks} chunks")
+                    if len(caches) == len(tokens):  # any other frame is read as a CHUNK
+                        raise codec.DecodeError(f"reply holds more than {len(tokens)} chunks")
                     chunk = codec.CompressedChunk.from_bytes(
-                        frame.payload, start_pos={MODE_CHAIN: served, MODE_STANDALONE: 0}.get(mode),
-                        max_tokens=None if tokens is None else len(tokens) - served, geometry=geometry)
+                        frame.payload, start_pos=served if mode == MODE_CHAIN else 0,
+                        max_tokens=len(tokens) - served, geometry=geometry)
                     geometry = (chunk.n_layers, chunk.n_heads, chunk.d_head)
                     caches.append(codec.decompress_cache(chunk))
                     served += chunk.n_tokens

@@ -82,6 +82,8 @@ class ModelConfig:
             raise ModelError("vocab_size must be below 2**32")
         if self.d_head % 2 != 0:
             raise ModelError("d_head must be even (pairwise rotary rotation)")
+        if not 0 < self.rope_base < float("inf"):  # false for NaN too
+            raise ModelError(f"rope_base must be a positive finite number, got {self.rope_base!r}")
 
     @property
     def d_model(self) -> int:
@@ -105,6 +107,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if isinstance(d.get("rope_base"), bool):
+            raise ValueError(f"rope_base {d['rope_base']!r} is not a number")
         return cls(
             n_layers=exact_int(d["n_layers"]),
             n_heads=exact_int(d["n_heads"]),

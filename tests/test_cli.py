@@ -443,9 +443,14 @@ def test_cost_sweep_bad_spec(workspace, capsys):
     p.write_text(json.dumps(_params_doc()))
     code, _, err = _run(capsys, ["cost", "sweep", "--params", str(p), "--sweep", "r2=0:1:0.1"])
     assert code == 1 and "r1" in err
+    # a spec without its step is one line, not a traceback
+    code, out, err = _run(capsys, ["cost", "sweep", "--params", str(p), "--sweep", "r1=0:1"])
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: bad sweep spec 'r1=0:1'") and err.count("\n") == 1, err[:300]
 
 
-@pytest.mark.parametrize("spec", ["r1=0:1:1e-12", "r1=0:1:nan", "r1=0:inf:1"])
+# a step of 0 would divide by zero, and a negative one would print an empty table
+@pytest.mark.parametrize("spec", ["r1=0:1:1e-12", "r1=0:1:nan", "r1=0:inf:1", "r1=0:1:0", "r1=0:1:-0.25"])
 def test_cost_sweep_grid_not_finite_or_too_long_is_one_line_exit_1(workspace, capsys, spec):
     p = workspace / "params.json"
     p.write_text(json.dumps(_params_doc()))
@@ -509,7 +514,8 @@ _JSON_FLAGS = {
     "model": (["put", "--root", "{w}/s", "--model", "{doc}", "--tokens", "{w}/tokens.txt"], "bad model config", True,
               {"container": [1], "not-a-number": {**_MODEL, "n_layers": "x"},
                "400-digits": {**_MODEL, "rope_base": _HUGE}, "too-wide": _WIDE, "too-wordy": _WORDY,
-               "fraction": {**_MODEL, "n_layers": 2.9}, "bool": {**_MODEL, "n_layers": True}}),
+               "fraction": {**_MODEL, "n_layers": 2.9}, "bool": {**_MODEL, "n_layers": True},
+               "rope-nan": {**_MODEL, "rope_base": math.nan}}),
     "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
                 {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
                  "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536},

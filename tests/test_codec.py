@@ -792,8 +792,10 @@ def test_crc_corruption_detected():
 def test_truncated_chunk():
     cache = fixtures.random_cache(n_tokens=8, seed=2)
     data = compress_cache(cache, PROFILES["8bit-varint"]).to_bytes()
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="chunk shorter than header"):
         CompressedChunk.from_bytes(data[:10])
+    with pytest.raises(DecodeError, match="chunk payload truncated"):
+        CompressedChunk.from_bytes(data[:-1])
 
 
 def test_bad_magic_and_version():

@@ -31,7 +31,6 @@ from kdn.delivery import (
     decode_frame,
     encode_end,
     encode_frame,
-    encode_key_request,
     encode_token_request,
     handle_request,
     process_stream,
@@ -39,7 +38,7 @@ from kdn.delivery import (
     simulate_transfer,
 )
 from kdn.model import ModelConfig, build_model, prefill
-from kdn.store import MODE_CHAIN, MODE_STANDALONE, ChunkKey, StoreConfig, open_store
+from kdn.store import MODE_CHAIN, MODE_STANDALONE, StoreConfig, open_store
 
 CFG = ModelConfig(2, 2, 4, 32)
 
@@ -146,7 +145,7 @@ def test_decode_bad_magic_and_crc():
         decode_frame(bytes(wire))
 
 
-def test_decode_rejects_oversize_and_unknown_type():
+def test_decode_rejects_oversize_and_unknown_type(monkeypatch):
     bad_len = b"KDN1" + bytes([END]) + struct.pack("<I", 1 << 30) + b"\x00" * 16
     with pytest.raises(FrameDecodeError):
         decode_frame(bad_len)
@@ -156,6 +155,10 @@ def test_decode_rejects_oversize_and_unknown_type():
         decode_frame(wire)
     with pytest.raises(ProtocolError):
         encode_frame(Frame(42))
+    monkeypatch.setattr(delivery, "MAX_PAYLOAD", 4)
+    assert decode_frame(encode_frame(Frame(END, b"abcd")))[0] == Frame(END, b"abcd")
+    with pytest.raises(ProtocolError, match="payload exceeds"):
+        encode_frame(Frame(END, b"abcde"))
 
 
 
@@ -177,29 +180,6 @@ def test_handle_token_request(store, model):
     assert struct.unpack_from("<I", replies[-1].payload, 4)[0] == 31
 
 
-def test_handle_key_request(store, model):
-    hits, _ = store.retrieve_text(model.model_id, [1, 2, 3, 4, 5, 6, 7, 8])
-    keys = [k for k, _ in hits]
-    replies = handle_request(store, encode_key_request(keys))
-    assert [f.frame_type for f in replies] == [CHUNK, END]
-    # unknown keys are simply skipped
-    from kdn.store import make_key
-
-    replies = handle_request(store, encode_key_request([make_key(1, MODE_CHAIN, None, [0])]))
-    assert [f.frame_type for f in replies] == [END]
-
-
-def test_key_request_naming_a_digest_twice_is_bad_request_before_any_read(store, model):
-    # a repeated key would make the reply read and hold its blob once per repeat
-    keys, _ = store.lookup(model.model_id, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-    order = list(store.entries)
-    assert keys[0].digest == order[0]  # least recently used: a read would move it to the end
-    replies = handle_request(store, encode_key_request([keys[0]] * 3))
-    assert len(replies) == 1
-    assert decode_err(replies[0]) == (delivery.ERR_BAD_REQUEST, "key list names a digest twice")
-    assert list(store.entries) == order
-
-
 def test_handle_request_serves_blobs_as_stored(store, model, monkeypatch):
     def parse(cls, data):
         raise AssertionError("the server parsed a chunk")
@@ -208,10 +188,9 @@ def test_handle_request_serves_blobs_as_stored(store, model, monkeypatch):
     tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     keys, _ = store.lookup(model.model_id, tokens)
     on_disk = [(store.blob_dir / store.entries[k.digest].file).read_bytes() for k in keys]
-    for request in (encode_token_request(model.model_id, MODE_CHAIN, tokens), encode_key_request(keys)):
-        replies = handle_request(store, request)
-        assert [f.frame_type for f in replies] == [CHUNK, CHUNK, END]
-        assert [f.payload for f in replies[:-1]] == on_disk
+    replies = handle_request(store, encode_token_request(model.model_id, MODE_CHAIN, tokens))
+    assert [f.frame_type for f in replies] == [CHUNK, CHUNK, END]
+    assert [f.payload for f in replies[:-1]] == on_disk
 
 
 def test_handle_malformed_requests(store):
@@ -221,9 +200,7 @@ def test_handle_malformed_requests(store):
         (Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([0]) + struct.pack("<I", 99)), "token list truncated"),
         (Frame(REQ_TOKENS, struct.pack("<Q", 1) + bytes([0]) + struct.pack("<2I", 1, 5) + b"13 junk bytes"),
          "13 bytes after the token list"),
-        (Frame(REQ_KEYS, b"\x00\x00"), "request payload too short"),
-        (Frame(REQ_KEYS, struct.pack("<I", 2) + b"\x00" * 33), "key list length mismatch"),
-        (Frame(REQ_KEYS, struct.pack("<I", 1) + bytes([7]) + b"\x00" * 32), "unknown mode byte 7"),
+        (Frame(REQ_KEYS, struct.pack("<I", 1) + bytes([1]) + b"\x00" * 32), "unexpected frame type 1"),  # reserved
         (Frame(CHUNK, b"whatever"), "unexpected frame type 3"),  # not a request
     ):
         replies = handle_request(store, frame)
@@ -369,11 +346,6 @@ def test_tcp_end_to_end(store, model):
             want = codec.decompress_cache(chunk)
             assert np.array_equal(got.k_pre, want.k_pre)
             assert np.array_equal(got.v, want.v)
-        # fetch by key
-        keys = [k for k, _ in hits]
-        by_key = client.fetch_keys(keys)
-        assert len(by_key) == 2
-        assert np.array_equal(by_key[0].k_pre, caches[0].k_pre)
         # miss-only query
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, [30, 30])
         assert caches == [] and miss == [30, 30]
@@ -384,6 +356,18 @@ def test_tcp_end_to_end(store, model):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_fetch_from_a_closed_port_is_not_retried(store, model, monkeypatch):
+    server = KdnServer(store, port=0)
+    server.server_close()  # bound, never served: a connection to it is refused
+    client = Client(*server.server_address, timeout=10.0)
+    requests = []
+    receive = client._receive
+    monkeypatch.setattr(client, "_receive", lambda req, *expect: requests.append(req) or receive(req, *expect))
+    with pytest.raises(FetchError, match="^fetch failed: "):
+        client.fetch(model.model_id, MODE_CHAIN, [1, 2, 3])
+    assert len(requests) == 1
 
 
 def test_tcp_server_survives_garbage_then_serves(store, model):
@@ -514,11 +498,8 @@ def test_tcp_corrupt_blob_fails_fetch_and_server_serves_others(store, model, mon
         with pytest.raises(FetchError):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
         assert len(requests) == tries
-        with pytest.raises(FetchError):
-            client.fetch_keys(keys[1:])
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens[:8])
         assert [c.n_tokens for c in caches] == [8] and miss == []
-        assert len(client.fetch_keys(keys[:1])) == 1
     finally:
         server.shutdown()
         server.server_close()
@@ -541,8 +522,6 @@ def test_tcp_fetch_refuses_a_header_rewritten_at_rest(store, model):
         client = Client(*server.server_address, timeout=10.0)
         with pytest.raises(FetchError, match="server error"):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
-        with pytest.raises(FetchError, match="server error"):
-            client.fetch_keys(keys[1:])
     finally:
         server.shutdown()
         server.server_close()
@@ -550,8 +529,7 @@ def test_tcp_fetch_refuses_a_header_rewritten_at_rest(store, model):
 
 def test_tcp_fetch_refuses_a_chain_chunk_whose_start_pos_was_rewritten_at_rest(store, model):
     # start_pos is outside the chunk crc; the server checks it against the
-    # position in the chunk's manifest entry and answers ERR, to a token
-    # request and to a key request alike
+    # position in the chunk's manifest entry and answers ERR
     tokens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     keys, _ = store.lookup(model.model_id, tokens)
     path = store.blob_dir / store.entries[keys[1].digest].file
@@ -564,8 +542,6 @@ def test_tcp_fetch_refuses_a_chain_chunk_whose_start_pos_was_rewritten_at_rest(s
         client = Client(*server.server_address, timeout=10.0)
         with pytest.raises(FetchError, match="server error .* at position 100, expected 8"):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
-        with pytest.raises(FetchError, match="server error .* at position 100, expected 8"):
-            client.fetch_keys(keys[1:])
         caches, miss = client.fetch(model.model_id, MODE_CHAIN, tokens[:8])
         assert [c.start_pos for c in caches] == [0] and miss == []
     finally:
@@ -593,8 +569,6 @@ def test_tcp_fetch_refuses_a_chunk_whose_sections_do_not_frame_its_payload(store
         client = Client(*server.server_address, timeout=10.0)
         with pytest.raises(FetchError, match="section lengths"):
             client.fetch(model.model_id, MODE_CHAIN, tokens)
-        with pytest.raises(FetchError, match="section lengths"):
-            client.fetch_keys(keys[1:])
     finally:
         server.shutdown()
         server.server_close()
@@ -647,22 +621,23 @@ def reply_chunks(model):
         "65536 tokens": _zero_chunk(CFG.n_layers, CFG.n_heads, CFG.d_head, 65536),
         # would decode to 4 MB of K/V
         "32x32x64 at 8": _zero_chunk(32, 32, 64, 8, start_pos=8),
+        "0 tokens": _zero_chunk(CFG.n_layers, CFG.n_heads, CFG.d_head, 0),
     }
 
 
-# (mode and token count of a token request, or None for a one-key request;
-# the chunks of the reply and its END suffix; the refusal)
+# (mode and token count of the request; the chunks of the reply and its END
+# suffix; the refusal)
 @pytest.mark.parametrize("request_, reply, suffix, match", [
     ((MODE_CHAIN, 16), ["at 0", "at 0"], [], "at position 0, expected 8"),
     ((MODE_STANDALONE, 8), ["at 8"], [], "at position 8, expected 0"),
     ((MODE_CHAIN, 10), ["at 0", "at 8"], [], "chunk of 8 tokens, expected at most 2"),
     ((MODE_CHAIN, 10), ["65536 tokens"], [], "chunk of 65536 tokens, expected at most 10"),
     ((MODE_CHAIN, 16), ["at 0", "32x32x64 at 8"], [], r"geometry \(32, 32, 64\), expected \(2, 2, 4\)"),
-    (None, ["at 0", "at 8"], [], "more than 1 chunks"),
+    # zero-token chunks are the one way a reply meets its cap of one chunk per token
+    ((MODE_CHAIN, 1), ["0 tokens", "0 tokens"], [], "reply holds more than 1 chunks"),
     ((MODE_CHAIN, 16), ["at 0"], list(range(8, 20)), "miss suffix of 12 tokens does not match the 8 tokens left"),
     ((MODE_CHAIN, 16), ["at 0"], list(range(9, 17)), "miss suffix of 8 tokens does not match the 8 tokens left"),
     ((MODE_STANDALONE, 16), ["at 0"], [0, 1, 2, 3], "miss suffix of 4 tokens does not match the 8 tokens left"),
-    (None, ["at 0"], [5], "miss suffix of 1 tokens does not match the 0 tokens left"),
     # an END payload as raw bytes: a count cut short, a count of 5 with no tokens, and bytes after an empty list
     ((MODE_CHAIN, 8), [], b"\x01", "malformed END frame: token list count truncated"),
     ((MODE_CHAIN, 8), [], b"\x05\x00\x00\x00", "malformed END frame: token list truncated"),
@@ -670,8 +645,8 @@ def reply_chunks(model):
     # the last frame whole: an ERR frame too short for its code
     ((MODE_CHAIN, 8), [], Frame(ERR, b"\x01"), "malformed ERR frame: error code truncated"),
 ], ids=["chain-off-position", "standalone-off-position", "past-the-tokens-left", "claims-65536-tokens",
-        "geometry-of-another-model", "more-chunks-than-keys", "chain-suffix-past-the-request",
-        "chain-suffix-of-other-tokens", "standalone-suffix-short", "key-request-with-a-suffix",
+        "geometry-of-another-model", "more-chunks-than-tokens", "chain-suffix-past-the-request",
+        "chain-suffix-of-other-tokens", "standalone-suffix-short",
         "end-count-cut", "end-tokens-cut", "end-trailing-bytes", "err-code-cut"])
 def test_fetch_refuses_a_reply_it_did_not_ask_for_before_inflating_it(
     model, reply_chunks, monkeypatch, request_, reply, suffix, match
@@ -690,10 +665,7 @@ def test_fetch_refuses_a_reply_it_did_not_ask_for_before_inflating_it(
         tracemalloc.start()
         try:
             with pytest.raises(FetchError, match=match):
-                if request_ is None:
-                    client.fetch_keys([ChunkKey(bytes(32), MODE_STANDALONE)])
-                else:
-                    client.fetch(model.model_id, request_[0], list(range(request_[1])))
+                client.fetch(model.model_id, request_[0], list(range(request_[1])))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -100,6 +100,10 @@ def test_config_from_dict_refuses_what_int_would_truncate():
     for n_layers in (True, 2.9, "2.9", math.inf, math.nan):
         with pytest.raises(ValueError):
             ModelConfig.from_dict({"n_layers": n_layers, "n_heads": 2, "d_head": 4, "vocab_size": 32})
+    # a rotary base that is not a positive finite number gives NaN angles; true is not 1.0
+    for rope_base in (math.nan, math.inf, 0, -5, True):
+        with pytest.raises(ValueError):
+            ModelConfig.from_dict({"n_layers": 2, "n_heads": 2, "d_head": 4, "vocab_size": 32, "rope_base": rope_base})
 
 
 # -- golden prefill vs independent oracle ---------------------------------------
@@ -497,6 +501,8 @@ def test_slice_and_concat_roundtrip(model):
     assert np.array_equal(back.v, cache.v)
     with pytest.raises(ModelError):
         concat_caches([])
+    with pytest.raises(ModelError, match="cache geometries do not match"):
+        concat_caches([left, KvCache(np.zeros((2, 1, 2, 3, 4), np.float32))])
 
 
 def test_concat_caches_starts_where_its_first_cache_does(model):

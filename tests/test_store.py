@@ -210,6 +210,12 @@ def test_get_chunk_unknown_key(tmp_path, model):
         st.get_chunk(make_key(model.model_id, MODE_CHAIN, None, [9]))
     with pytest.raises(StoreError):
         st.read_blob(make_key(model.model_id, MODE_CHAIN, None, [9]))
+    # a pin of a key not in the store records nothing
+    st.store_text(model, [1, 2, 3])
+    manifest = st.manifest_path.read_bytes()
+    with pytest.raises(StoreError, match="not in store"):
+        st.pin(make_key(model.model_id, MODE_CHAIN, None, [9]))
+    assert st.manifest_path.read_bytes() == manifest
 
 
 @pytest.mark.parametrize("profile", sorted(codec.PROFILES))
