@@ -33,7 +33,7 @@ _E_TOK = 31
 ROLE_Q, ROLE_K, ROLE_V, ROLE_O = 0, 1, 2, 3
 
 # keys per causal score tile in ``attend``
-TILE = 128
+TILE = 64
 
 # Largest softmax shift ``attend`` folds into Q.K^T alone.  A row's shift is
 # c = |q| max|k| over its head's keys; by Cauchy-Schwarz each of its scores s
@@ -42,7 +42,8 @@ TILE = 128
 # row's sum, at least exp(-2c), stays nonzero.  The shift adds one term of
 # size c to each product, whose own terms reach |q||k| <= c, so it rounds each
 # exponent by about eps * c, 8e-14 at c = 350: inside attend's 1e-12 bound.  A
-# span group whose largest c is past this also subtracts each row's exact max.
+# head of a span group whose largest c is past this also subtracts each row's
+# exact max.
 MAX_SHIFT = 350.0
 
 MAX_WEIGHTS = 1 << 27  # float64 weights ``build_model`` allocates at most: 1 GiB
@@ -82,8 +83,9 @@ class ModelConfig:
             raise ModelError("vocab_size must be below 2**32")
         if self.d_head % 2 != 0:
             raise ModelError("d_head must be even (pairwise rotary rotation)")
-        if not 0 < self.rope_base < float("inf"):  # false for NaN too
-            raise ModelError(f"rope_base must be a positive finite number, got {self.rope_base!r}")
+        # at a base of at least 1 every rotary frequency base ** (-2i / d_head) is at most 1
+        if not 1 <= self.rope_base < float("inf"):  # false for NaN too
+            raise ModelError(f"rope_base must be a finite number of at least 1, got {self.rope_base!r}")
 
     @property
     def d_model(self) -> int:
@@ -263,11 +265,15 @@ def attend(
     exp is the one pass over the scores, and the diagonal tile's mask zeroes
     future weights after it, so exp meets only the raw shifted scores in
     [-2c, 0]: numpy's exp is several times slower on -inf or far lower values.
-    A group past ``MAX_SHIFT`` masks to -inf first, so its row max sees none.
-    Queries and keys take their rotary angles from one cos/sin table over the
-    key positions, shared by the layers of one ``_run_layers`` call.  Each
-    call allocates one float64 score workspace, sized for its largest group
-    across all heads, and every group's scores and softmax live in a view of it.
+    The shift is decided per head of a group: a head whose shifts pass
+    ``MAX_SHIFT`` masks to -inf first, so its row max sees none, and the
+    group's other heads keep the fast path.  Queries and keys take their
+    rotary angles from one cos/sin table over the key positions, shared by
+    the layers of one ``_run_layers`` call.  Each group runs one head at a
+    time, the same 2-D products numpy's batched matmul makes per head, so its
+    scores and softmax live in one float64 workspace sized for one head's
+    largest group, which stays in a core's L2 cache between the passes: a
+    prefill's is TILE x n_keys values, 512 KB at 1024 keys.
     """
     cfg = model.config
     n_keys = k_pre.shape[1]
@@ -298,26 +304,30 @@ def attend(
     ctx = np.empty((cfg.n_heads, len(x_q), d))
     spans = np.minimum(n_keys, (offsets // TILE + 1) * TILE)
     groups, counts = np.unique(spans, return_counts=True)
-    # a lone row runs twice (gemm, as above)
-    work = np.empty(cfg.n_heads * int(np.max(groups * np.maximum(counts, 2))))
+    # one head's scores at a time, so they stay in cache; a lone row runs twice (gemm, as above)
+    n_rows_run = np.maximum(counts, 2)
+    work = np.empty(int(np.max(groups * n_rows_run)))
+    pv = np.empty((int(np.max(n_rows_run)), d + 1))
     for m in groups:
         rows = np.flatnonzero(spans == m)
         if len(rows) == 1:
             rows = np.repeat(rows, 2)
         # consecutive rows (every group of a prefill) are a view, not a gather
         sel = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
-        scores = work[: cfg.n_heads * len(rows) * m].reshape(cfg.n_heads, len(rows), m)
-        np.matmul(q[:, sel], k[:, :m].transpose(0, 2, 1), out=scores)
+        scores, pv_m = work[: len(rows) * m].reshape(len(rows), m), pv[: len(rows)]
         lo = (m - 1) // TILE * TILE
         future = np.arange(lo, m) > offsets[sel, None]
-        if q[:, sel, d].min() < -MAX_SHIFT:  # the row max must not see future keys
-            np.copyto(scores[..., lo:], -np.inf, where=future)
-            scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        np.copyto(scores[..., lo:], 0.0, where=future)
-        pv = scores @ v1[:, :m]
-        ctx[:, sel] = pv[..., :d] / pv[..., d:]
-    del q, k, v1, work, scores  # the output projection allocates after they are gone
+        for h in range(cfg.n_heads):
+            q_h = q[h, sel]
+            np.matmul(q_h, k[h, :m].T, out=scores)
+            if q_h[:, d].min() < -MAX_SHIFT:  # the row max must not see future keys
+                np.copyto(scores[:, lo:], -np.inf, where=future)
+                scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            np.copyto(scores[:, lo:], 0.0, where=future)
+            np.matmul(scores, v1[h, :m], out=pv_m)
+            ctx[h, sel] = pv_m[:, :d] / pv_m[:, d:]
+    del q, k, v1, work, scores, pv, pv_m  # the output projection allocates after they are gone
     # one product per head: a batched (head, row, d_model) product and a sum
     # over heads gave the same bits but a slower, larger `blend` op
     out = np.zeros((x_q.shape[0], cfg.d_model), dtype=np.float64)

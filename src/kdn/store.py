@@ -152,6 +152,7 @@ class Store:
         self.entries: OrderedDict[bytes, StoreEntry] = OrderedDict()  # LRU first; reads reorder it, so iterate a list() copy
         self._total_size = 0  # sum of entry sizes, kept by _index/_unindex
         self._file_refs: Counter[str] = Counter()  # live entries per blob file
+        self._chain_lengths: set[int] = set()  # token counts of every chain entry indexed; only grows
         self._group: tuple[list[dict], list[str]] | None = None  # the open group commit's records and the blob files they freed
         self._crash_hook = None  # test hook at each crash point: after a blob write, after a commit's append
         self._recover()
@@ -225,6 +226,8 @@ class Store:
         recently used."""
         self._unindex(entry.key.digest)
         self.entries[entry.key.digest] = entry
+        if entry.key.mode == MODE_CHAIN:
+            self._chain_lengths.add(len(entry.tokens))
         self._total_size += entry.size
         self._file_refs[entry.file] += 1
 
@@ -468,9 +471,11 @@ class Store:
         self, model_id: int, parent: ChunkKey | None, tokens: list[int], pos: int
     ) -> tuple[ChunkKey, int] | None:
         """Longest stored chain chunk whose tokens prefix ``tokens[pos:]``;
-        slices only the tokens it hashes."""
-        # full chunk first: the common case needs one hash, not a scan
-        for n in range(min(self.config.chunk_size, len(tokens) - pos), 0, -1):
+        slices only the tokens it hashes, and hashes only lengths some chain
+        entry has had, longest first: a full chunk is one hash, a miss one per
+        length, not one per token count up to ``chunk_size``."""
+        limit = min(self.config.chunk_size, len(tokens) - pos)
+        for n in sorted((n for n in self._chain_lengths if n <= limit), reverse=True):
             key = make_key(model_id, MODE_CHAIN, parent, tokens[pos : pos + n])
             if key.digest in self.entries:
                 return key, n

@@ -515,7 +515,7 @@ _JSON_FLAGS = {
               {"container": [1], "not-a-number": {**_MODEL, "n_layers": "x"},
                "400-digits": {**_MODEL, "rope_base": _HUGE}, "too-wide": _WIDE, "too-wordy": _WORDY,
                "fraction": {**_MODEL, "n_layers": 2.9}, "bool": {**_MODEL, "n_layers": True},
-               "rope-nan": {**_MODEL, "rope_base": math.nan}}),
+               "rope-nan": {**_MODEL, "rope_base": math.nan}, "rope-tiny": {**_MODEL, "rope_base": 1e-300}}),
     "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
                 {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
                  "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536},

@@ -100,8 +100,9 @@ def test_config_from_dict_refuses_what_int_would_truncate():
     for n_layers in (True, 2.9, "2.9", math.inf, math.nan):
         with pytest.raises(ValueError):
             ModelConfig.from_dict({"n_layers": n_layers, "n_heads": 2, "d_head": 4, "vocab_size": 32})
-    # a rotary base that is not a positive finite number gives NaN angles; true is not 1.0
-    for rope_base in (math.nan, math.inf, 0, -5, True):
+    # a rotary base that is not a finite number gives NaN angles, and one below 1
+    # frequencies past 1 (an overflow at 5e-324); true is not 1.0
+    for rope_base in (math.nan, math.inf, 0, -5, True, 5e-324, 1e-300, 0.5):
         with pytest.raises(ValueError):
             ModelConfig.from_dict({"n_layers": 2, "n_heads": 2, "d_head": 4, "vocab_size": 32, "rope_base": rope_base})
 
@@ -202,10 +203,15 @@ def _attend_inputs(n, start_pos, seed=0, cfg=ATTN_CFG):
     return x, start_pos + np.arange(n), k_pre, v
 
 
-def _shifts(m, x, k_pre):
-    """Each query row's largest softmax shift c = |q| max|k| over the heads."""
+def _head_shifts(m, x, k_pre):
+    """Each (head, query row)'s softmax shift c = |q| max|k| over the head's keys."""
     q = np.linalg.norm(x @ m.wq[0], axis=-1) / np.sqrt(m.config.d_head)
-    return (q * np.linalg.norm(k_pre.astype(np.float64), axis=-1).max(axis=-1)[:, None]).max(axis=0)
+    return q * np.linalg.norm(k_pre.astype(np.float64), axis=-1).max(axis=-1)[:, None]
+
+
+def _shifts(m, x, k_pre):
+    """Each query row's largest softmax shift over the heads."""
+    return _head_shifts(m, x, k_pre).max(axis=0)
 
 
 @pytest.mark.parametrize("n", [127, 128, 129, 300])
@@ -281,26 +287,66 @@ def test_attend_future_keys_leak_nothing(cfg, n, p):
     assert not np.array_equal(after[p + 1 :], before[p + 1 :])
 
 
+def _spike_future_key(m, x, k_pre, pos, r, f, heads):
+    """Make key ``f`` score 1000 above every key row ``r`` sees, in ``heads``."""
+    base, d = ATTN_CFG.rope_base, ATTN_CFG.d_head
+    q = (x[r] @ m.wq[0])[heads]  # (head, dim), before rotation
+    # key f rotated to position f lines up with q rotated to position r
+    k_f = _rope_rows(q, np.full(len(q), r - f), base)
+    k_pre[heads, f] = (1000.0 * np.sqrt(d) * k_f / (q**2).sum(axis=-1, keepdims=True)).astype(np.float32)
+    s = np.einsum("hd,hkd->hk", _rope_rows(q, np.full(len(q), r), base), _rope_rows(k_pre[heads], pos, base)) / np.sqrt(d)
+    assert (s[:, f] - s[:, : r + 1].max(axis=-1) > 745).all()
+
+
 def test_attend_fallback_masks_before_its_row_max():
     # a future key in row r's diagonal tile scores 1000 above every key r
     # sees, which puts the group past MAX_SHIFT.  A row max taken over the
     # unmasked scores would be that future score, and every visible weight
     # exp(s - max) would underflow to 0: a 0/0 softmax
     m = build_model(ATTN_CFG)
-    n, r, f = 300, 200, 230  # rows 128-255 are one group; key f is in its diagonal tile
+    n, r, f = 300, 200, 230  # rows 192-255 are one group; key f is in its diagonal tile
     x, pos, k_pre, v = _attend_inputs(n, 0, seed=n)
-    base, d = ATTN_CFG.rope_base, ATTN_CFG.d_head
-    q = x[r] @ m.wq[0]  # (head, dim), before rotation
-    # key f rotated to position f lines up with q rotated to position r
-    k_f = _rope_rows(q, np.full(len(q), r - f), base)
-    k_pre[:, f] = (1000.0 * np.sqrt(d) * k_f / (q**2).sum(axis=-1, keepdims=True)).astype(np.float32)
-    s = np.einsum("hd,hkd->hk", _rope_rows(q, np.full(len(q), r), base), _rope_rows(k_pre, pos, base)) / np.sqrt(d)
-    assert (s[:, f] - s[:, : r + 1].max(axis=-1) > 745).all()
+    _spike_future_key(m, x, k_pre, pos, r, f, heads=[0, 1])
     assert _shifts(m, x, k_pre)[r] > MAX_SHIFT
     got = attend(m, 0, x, pos, k_pre, v, pos[0])
     want = ref_attend(m, 0, x, pos, k_pre, v, pos)
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_attend_fallback_is_decided_per_head():
+    # the spike is in head 0's keys alone: head 0 of the group takes the
+    # exact row max, while head 1, whose shifts all stay under MAX_SHIFT,
+    # keeps its shift folded into Q.K^T
+    m = build_model(ATTN_CFG)
+    n, r, f = 300, 200, 230
+    x, pos, k_pre, v = _attend_inputs(n, 0, seed=n)
+    _spike_future_key(m, x, k_pre, pos, r, f, heads=[0])
+    group = (pos // TILE) == r // TILE
+    c = _head_shifts(m, x, k_pre)[:, group]
+    assert c[0].max() > MAX_SHIFT > c[1].max()
+    got = attend(m, 0, x, pos, k_pre, v, pos[0])
+    want = ref_attend(m, 0, x, pos, k_pre, v, pos)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_attend_scores_one_head_at_a_time():
+    # a 1,024-row call over 1,024 keys of 4 heads: one head's scores of one
+    # span group (64 rows x 1,024 keys, 512 KB) are live at a time, not all
+    # four heads' (2 MB at 64-key tiles, 4 MB at 128)
+    cfg = ModelConfig(1, 4, 16, 32)
+    m = build_model(cfg)
+    n = 1024
+    x, pos, k_pre, v = _attend_inputs(n, 0, seed=n, cfg=cfg)
+    attend(m, 0, x[:2], pos[:2], k_pre, v, pos[0])  # builds the rotary table outside the trace
+    tracemalloc.start()
+    try:
+        attend(m, 0, x, pos, k_pre, v, pos[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_attend_bits_do_not_depend_on_the_call_before():

@@ -143,7 +143,7 @@ def test_lookup_copies_only_the_tokens_it_hashes(tmp_path, model, monkeypatch):
     tokens = _SliceCountingList(doc + [31] * 10_000)
     assert st.lookup(model.model_id, tokens) == (keys, [31] * 10_000)
     # each hash copies at most one chunk, and the miss suffix is copied once
-    assert len(hashed) == 3 + 8  # the three hits, then every length of a fourth chunk
+    assert len(hashed) == 3 + 1  # the three hits, then the one stored length for a fourth chunk
     assert tokens.sliced <= len(tokens) + st.config.chunk_size * len(hashed)
 
 
@@ -169,6 +169,53 @@ def test_retrieve_short_chain_chunk(tmp_path, model):
     st.store_text(model, tokens, mode=MODE_CHAIN)
     hits, miss = st.retrieve_text(model.model_id, tokens, mode=MODE_CHAIN)
     assert [c.n_tokens for _, c in hits] == [8, 2] and miss == []
+
+
+def _scan_every_length(store, model_id, tokens):
+    """Chain lookup that hashes every length from ``chunk_size`` down to 1 at each position."""
+    keys, parent, pos = [], None, 0
+    while pos < len(tokens):
+        for n in range(min(store.config.chunk_size, len(tokens) - pos), 0, -1):
+            key = make_key(model_id, MODE_CHAIN, parent, tokens[pos : pos + n])
+            if key.digest in store.entries:
+                break
+        else:
+            break
+        keys.append(key)
+        parent, pos = key, pos + n
+    return keys, tokens[pos:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    docs=st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=1, max_size=11),
+                            st.sampled_from([MODE_CHAIN, MODE_STANDALONE])), min_size=1, max_size=4),
+    tails=st.lists(st.lists(st.integers(0, 2), max_size=6), min_size=1, max_size=3),
+    keep=st.integers(0, 4),
+    reopen_chunk=st.integers(2, 5),
+)
+def test_chain_lookup_equals_a_scan_of_every_length(model, docs, tails, keep, reopen_chunk):
+    # ragged last chunks give chain entries of several lengths; an eviction
+    # leaves lengths no live entry has, and a reopen may index entries longer
+    # than its chunk_size, which a lookup must not match
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        store = open_store(StoreConfig(root=root, chunk_size=4))
+        for doc, mode in docs:
+            store.store_text(model, doc, mode=mode)
+        queries = [doc[:cut] + tail for doc, _ in docs for cut in (len(doc) // 2, len(doc)) for tail in tails]
+
+        def check():
+            for q in queries:
+                assert store.lookup(model.model_id, q) == _scan_every_length(store, model.model_id, q)
+
+        check()
+        store.evict_to(store.total_size * keep // 4)
+        check()
+        store = open_store(StoreConfig(root=root, chunk_size=reopen_chunk))
+        check()
+        store.store_text(model, docs[0][0] + tails[0])
+        check()
 
 
 def test_standalone_mode(tmp_path, model):
