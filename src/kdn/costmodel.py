@@ -16,6 +16,7 @@ the compute and network rows.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -140,32 +141,30 @@ def validate_trace(trace: list[tuple[float, str]]) -> None:
         last = t
 
 
-def _period(t: float, refresh_period: float) -> float:
-    """The index of the refresh period that holds time ``t``."""
-    p = t // refresh_period
-    if math.isinf(p):
-        raise CostModelError(f"trace time {t} is not a finite number of refresh periods of {refresh_period} s")
-    return p
-
-
-def empirical_mix(trace: list[tuple[float, str]], refresh_period: float) -> WorkloadMix:
-    """(r1, r2) observed by replaying the trace's per-period bookkeeping."""
+def _walk(trace: list[tuple[float, str]], refresh_period: float) -> Iterator[tuple[bool, bool]]:
+    """For each query of the validated trace: whether its context came
+    earlier in the same refresh period, and whether it came at all before."""
     validate_trace(trace)
     seen_ever: set[str] = set()
     seen_this_period: set[str] = set()
     period = None
-    n1 = n2 = 0
     for t, ctx in trace:
-        p = _period(t, refresh_period)
+        p = t // refresh_period
+        if math.isinf(p):
+            raise CostModelError(f"trace time {t} is not a finite number of refresh periods of {refresh_period} s")
         if p != period:
-            period = p
-            seen_this_period = set()
-        if ctx in seen_this_period:
-            n1 += 1
-        elif ctx not in seen_ever:
-            n2 += 1
+            period, seen_this_period = p, set()
+        yield ctx in seen_this_period, ctx in seen_ever
         seen_ever.add(ctx)
         seen_this_period.add(ctx)
+
+
+def empirical_mix(trace: list[tuple[float, str]], refresh_period: float) -> WorkloadMix:
+    """(r1, r2) observed by replaying the trace's per-period bookkeeping."""
+    n1 = n2 = 0
+    for this_period, before in _walk(trace, refresh_period):
+        n1 += this_period
+        n2 += not before
     n = len(trace)
     if n == 0:
         return WorkloadMix(0.0, 0.0)
@@ -185,23 +184,15 @@ def simulate_trace(
     per object per period.  Fine-tuning happens at a context's first-ever
     occurrence.
     """
-    validate_trace(trace)
     if not trace:
         raise CostModelError("trace is empty")
     tq = params.t_query
     gpu = storage = network = delay = 0.0
-    seen_ever: set[str] = set()
-    stored_this_period: set[str] = set()
-    period = None
-    for t, ctx in trace:
-        p = _period(t, params.refresh_period)
-        if p != period:
-            period = p
-            stored_this_period = set()
+    for this_period, before in _walk(trace, params.refresh_period):
         gpu += tq
         delay += tq
         if system is System.FT:
-            if ctx not in seen_ever:
+            if not before:
                 gpu += params.t_finetune
                 delay += params.t_finetune
                 storage += params.s_model
@@ -211,18 +202,15 @@ def simulate_trace(
             delay += params.t_prefill
             network += params.s_text
         elif system is System.KV:
-            hit = ctx in stored_this_period
-            if hit:
+            if this_period:
                 network += params.s_kv
                 delay += params.t_prefill if paper_delay_kv else params.s_kv / params.bandwidth
             else:
                 gpu += params.t_prefill
                 storage += params.s_kv
                 delay += params.s_kv / params.bandwidth if paper_delay_kv else params.t_prefill
-                stored_this_period.add(ctx)
         else:
             raise CostModelError(f"unknown system {system}")
-        seen_ever.add(ctx)
     n = len(trace)
     return CostBreakdown.priced(params, gpu / n, storage / n, network / n, delay / n)
 

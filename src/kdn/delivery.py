@@ -170,6 +170,8 @@ class FrameReader:
 
 
 def encode_token_request(model_id: int, mode: str, tokens: list[int]) -> Frame:
+    if mode not in MODE_CODE:
+        raise ProtocolError(f"unknown mode {mode!r}")
     try:
         packed = struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens)
     except struct.error as e:

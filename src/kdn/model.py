@@ -413,13 +413,19 @@ def extend(
     return out, x
 
 
+def fixture_fields(config: ModelConfig, n_tokens: int, start_pos: int) -> tuple[int, ...]:
+    """The u16 header fields of a golden fixture of ``n_tokens`` tokens from
+    ``start_pos``; ModelError if one does not fit."""
+    fields = (config.n_layers, config.n_heads, config.d_head, config.vocab_size, n_tokens, start_pos)
+    if not all(0 <= f <= 0xFFFF for f in fields):
+        raise ModelError(f"fixture header fields {fields} do not all fit in u16")
+    return fields
+
+
 def save_fixture(path, config: ModelConfig, cache: KvCache, states: np.ndarray) -> None:
     """Golden-fixture file: "KDNF" header, u16 config fields, then as f32 the
     cache's ``kv`` (K or V, layer, head, token, dim) and the (token, d_model) states."""
-    fields = (config.n_layers, config.n_heads, config.d_head, config.vocab_size, cache.n_tokens, int(cache.start_pos))
-    if not all(0 <= f <= 0xFFFF for f in fields):
-        raise ModelError(f"fixture header fields {fields} do not all fit in u16")
-    header = FIXTURE_MAGIC + struct.pack("<6H", *fields)
+    header = FIXTURE_MAGIC + struct.pack("<6H", *fixture_fields(config, cache.n_tokens, int(cache.start_pos)))
     with open(path, "wb") as f:
         f.write(header)
         f.write(np.ascontiguousarray(cache.kv, "<f4"))

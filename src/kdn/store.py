@@ -1,15 +1,17 @@
 """Content-addressed, persisted, evictable storage of compressed KV chunks.
 
-Layout on disk: ``root/manifest.jsonl`` plus ``root/blobs/<hex64>``.  The
-manifest is append-only JSON Lines; blobs are written to a temp file and
-renamed, and ``blobs/`` is fsynced, before the manifest lines naming them are
-appended, so a crash between the two leaves only orphan blobs, which are
-garbage-collected on open.  Opening skips a last line a power loss tore, and
-the next ``_commit`` ends it: no code deletes manifest bytes.
+Layout on disk: ``root/manifest.jsonl`` plus ``root/blobs/<hex64>`` and the
+writer lock ``root/lock``.  The manifest is append-only JSON Lines; blobs are
+written to a temp file and renamed, and ``blobs/`` is fsynced, before the
+manifest lines naming them are appended, so a crash between the two leaves
+only orphan blobs, which an open collects if no writer holds the lock.
+Opening skips a last line a power loss tore, and the next ``_commit`` ends
+it: no code deletes manifest bytes.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -17,14 +19,14 @@ import os
 import re
 import struct
 from collections import Counter, OrderedDict
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import codec
-from .model import KvCache, Model, _check_tokens, prefill
+from .model import KvCache, Model, _check_tokens, exact_int, prefill
 
 log = logging.getLogger(__name__)
 
@@ -122,12 +124,15 @@ class StoreConfig:
 # ids mapping to fn(cache, params) -> cache.
 def _scale_v_rows(cache: KvCache, params: dict) -> KvCache:
     factor = float(params["factor"])
-    indices = params["tokens"]
+    try:
+        indices = [exact_int(i) for i in params["tokens"]]
+    except (ValueError, TypeError) as e:
+        raise StoreError(f"edit token indices must be integers: {e}") from e
     for i in indices:
-        if not 0 <= int(i) < cache.n_tokens:
+        if not 0 <= i < cache.n_tokens:
             raise StoreError(f"edit token index {i} out of range")
     out = cache.copy()
-    out.v[:, :, list(map(int, indices))] *= np.float32(factor)
+    out.v[:, :, indices] *= np.float32(factor)
     return out
 
 
@@ -161,27 +166,48 @@ class Store:
 
     def _recover(self) -> None:
         """Replay the manifest read-only, skipping what does not parse, such
-        as a line a power loss tore, and collect orphan blobs."""
+        as a line a power loss tore.  An open that takes the writer lock
+        without waiting replays under it and collects orphan blobs, since no
+        put is then in flight; any other open only replays."""
         self.root.mkdir(parents=True, exist_ok=True)
         self.blob_dir.mkdir(exist_ok=True)
-        if self.manifest_path.exists():
-            with open(self.manifest_path, "rb") as f:
-                for lineno, line in enumerate(f, 1):
-                    if line.strip():
-                        try:
-                            self._replay(json.loads(line))
-                        except (*MALFORMED_DOCUMENT, StoreError) as e:
-                            log.warning("manifest line %d skipped: %s", lineno, e)
-        # entries whose blob vanished are dropped; blobs without entries are orphans
-        for digest, entry in list(self.entries.items()):
-            path = self.blob_dir / entry.file
-            if not path.exists() or path.stat().st_size != entry.size:
-                log.warning("dropping entry %s: blob missing or truncated", entry.key.hex[:12])
-                self._unindex(digest)
-        for blob in self.blob_dir.iterdir():
-            if blob.name not in self._file_refs:
-                log.warning("collecting orphan blob %s", blob.name)
-                blob.unlink()
+        with self._writer_lock(wait=False) as locked:
+            if self.manifest_path.exists():
+                with open(self.manifest_path, "rb") as f:
+                    for lineno, line in enumerate(f, 1):
+                        if line.strip():
+                            try:
+                                self._replay(json.loads(line))
+                            except (*MALFORMED_DOCUMENT, StoreError) as e:
+                                log.warning("manifest line %d skipped: %s", lineno, e)
+            # entries whose blob vanished are dropped; blobs without entries are orphans
+            for digest, entry in list(self.entries.items()):
+                path = self.blob_dir / entry.file
+                if not path.exists() or path.stat().st_size != entry.size:
+                    log.warning("dropping entry %s: blob missing or truncated", entry.key.hex[:12])
+                    self._unindex(digest)
+            if locked:
+                for blob in self.blob_dir.iterdir():
+                    if blob.name not in self._file_refs:
+                        log.warning("collecting orphan blob %s", blob.name)
+                        blob.unlink()
+
+    @contextmanager
+    def _writer_lock(self, wait: bool = True):
+        """Hold an exclusive ``flock`` on ``root/lock`` for the block and
+        yield True.  Without ``wait``, yield False at once instead if another
+        open file holds it or the root is read-only."""
+        with ExitStack() as stack:
+            try:
+                f = stack.enter_context(open(self.root / "lock", "ab"))
+                fcntl.flock(f, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:  # another open file holds it, or the root is read-only
+                if wait:
+                    raise
+                locked = False
+            else:
+                locked = True
+            yield locked
 
     def _replay(self, rec: dict) -> None:
         """Apply one manifest record to the index: reopening replays every
@@ -253,7 +279,8 @@ class Store:
     @contextmanager
     def _group_commit(self):
         """Collect the manifest records made in the block, and the blob files
-        they free, for one ``_commit`` at its end.
+        they free, for one ``_commit`` at its end, holding the writer lock
+        throughout: a second writer waits for it.
 
         A block inside another joins the outer one.  A ``CapacityError``
         commits the records made before it, then propagates; any other error
@@ -263,19 +290,20 @@ class Store:
         if self._group is not None:
             yield
             return
-        recs, dead = self._group = ([], [])
-        saved = self.entries.copy(), self._total_size, self._file_refs.copy()
-        try:
-            yield
-        except CapacityError:
+        with self._writer_lock():
+            recs, dead = self._group = ([], [])
+            saved = self.entries.copy(), self._total_size, self._file_refs.copy()
+            try:
+                yield
+            except CapacityError:
+                self._commit(recs, dead)
+                raise
+            except BaseException:
+                self.entries, self._total_size, self._file_refs = saved
+                raise
+            finally:
+                self._group = None
             self._commit(recs, dead)
-            raise
-        except BaseException:
-            self.entries, self._total_size, self._file_refs = saved
-            raise
-        finally:
-            self._group = None
-        self._commit(recs, dead)
 
     def _commit(self, recs: list[dict], dead: list[str]) -> None:
         """Append one JSON line per record in one write with one fsync, then
@@ -349,18 +377,19 @@ class Store:
 
     def _put(self, key: ChunkKey, tokens: list[int], pos: int, blob: bytes, profile: codec.CodecProfile,
              pinned: bool) -> None:
-        """Write ``blob`` and index ``key`` on it, committing the put record
-        with the enclosing group commit, if any."""
-        self._record({
-            "key": key.hex,
-            "mode": key.mode,
-            "file": self._write_blob(blob),
-            "tokens": tokens,
-            "pos": pos,
-            "codec": profile.to_dict(),
-            "size": len(blob),
-            "pinned": pinned,
-        })
+        """Write ``blob`` and index ``key`` on it in a group commit, the
+        enclosing one if any, so the writer lock covers the blob write."""
+        with self._group_commit():
+            self._record({
+                "key": key.hex,
+                "mode": key.mode,
+                "file": self._write_blob(blob),
+                "tokens": tokens,
+                "pos": pos,
+                "codec": profile.to_dict(),
+                "size": len(blob),
+                "pinned": pinned,
+            })
 
     def store_text(
         self,

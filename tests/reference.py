@@ -8,9 +8,12 @@ untiled attention kernel the tiled one replaced; ``ref_project_kv``,
 per-group loops that the package's single array operations must reproduce
 bit for bit.  ``ref_threshold_bisection`` solves for the cost model's
 break-even r1 by bisection, with no use of the line's closed form.
+``ref_classify`` reads a trace's workload mix from each context's last
+refresh period, counted in exact rationals, with no per-period set to reset.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -267,3 +270,20 @@ def ref_threshold_bisection(params, objective, paper_delay_kv=False) -> float:
         else:
             lo = mid
     return hi
+
+
+def ref_classify(trace, refresh_period) -> tuple[float, float]:
+    """(r1, r2) of a nondecreasing trace: a query whose context last came in
+    the same refresh period is an r1 event, one whose context never came an
+    r2 event.  A time's period is the floor of its exact quotient."""
+    last_period = {}
+    n1 = n2 = 0
+    for t, ctx in trace:
+        period = Fraction(t) // Fraction(refresh_period)
+        if last_period.get(ctx) == period:
+            n1 += 1
+        elif ctx not in last_period:
+            n2 += 1
+        last_period[ctx] = period
+    n = len(trace)
+    return (n1 / n, n2 / n) if n else (0.0, 0.0)

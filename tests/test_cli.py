@@ -286,6 +286,23 @@ def test_blend_unwritable_fixture_is_operational_error(workspace, capsys, monkey
     assert "u16" in err
 
 
+@pytest.mark.parametrize("model_doc, segments", [
+    ({**json.loads(MODEL_JSON), "vocab_size": 65536}, [[1, 2], [3, 4, 5]]),
+    ({"n_layers": 1, "n_heads": 1, "d_head": 2, "vocab_size": 32}, [[0] * 65536]),
+])
+def test_blend_past_the_fixture_header_is_refused_before_any_prefill(workspace, capsys, monkeypatch,
+                                                                     model_doc, segments):
+    def no_prefill(*args, **kwargs):
+        raise AssertionError("a segment was prefilled")
+
+    monkeypatch.setattr(blender, "prefill", no_prefill)
+    req = workspace / "blend.json"
+    req.write_text(json.dumps({"model": model_doc, "segments": segments, "ratio": 0.5}))
+    code, _, err = _run(capsys, ["blend", "--request", str(req), "--out", str(workspace / "o")])
+    assert code == 1 and "do not all fit in u16" in err and err.count("\n") == 1
+    assert not (workspace / "o").exists()
+
+
 def test_blend_bad_request_file(workspace, capsys):
     code, _, err = _run(capsys, ["blend", "--request", str(workspace / "nope.json")])
     assert code == 1 and "bad blend request" in err

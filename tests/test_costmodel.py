@@ -2,7 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import ref_threshold_bisection
+from reference import ref_classify, ref_threshold_bisection
 
 from kdn.costmodel import (
     PUBLISHED_MEASUREMENTS,
@@ -239,6 +239,19 @@ def test_trace_property(seed, n, n_ctx, case):
         trace.append((t, f"c{rng.randrange(n_ctx)}"))
     params, paper_delay_kv = case
     _assert_sim_matches_closed(trace, params, paper_delay_kv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    refresh_period=st.one_of(st.sampled_from([1e-3, 0.1, 1.0, 3600.0, 1e4]), st.floats(1e-3, 1e4)),
+    # (whole periods, fraction of a period, context): a fraction of 0 lands on a boundary
+    queries=st.lists(st.tuples(st.integers(0, 12), st.sampled_from([0.0, 0.0, 0.5, 0.999]), st.integers(0, 4)),
+                     max_size=40),
+)
+def test_empirical_mix_matches_an_independent_classifier(refresh_period, queries):
+    trace = sorted(((k + frac) * refresh_period, f"c{c}") for k, frac, c in queries)
+    mix = empirical_mix(trace, refresh_period)
+    assert (mix.r1, mix.r2) == ref_classify(trace, refresh_period)
 
 
 def test_trace_validation():

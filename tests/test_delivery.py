@@ -168,6 +168,12 @@ def test_token_request_rejects_ids_outside_u32(bad):
         encode_token_request(1, MODE_CHAIN, [1, bad, 2])
 
 
+def test_fetch_of_an_unknown_mode_is_a_protocol_error():
+    # refused before any connection: nothing listens on this client's port
+    with pytest.raises(ProtocolError, match="unknown mode 'bogus'"):
+        Client("127.0.0.1", 0).fetch(1, "bogus", [1, 2, 3])
+
+
 # -- request handling ----------------------------------------------------------------
 
 

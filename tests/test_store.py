@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -939,6 +940,44 @@ def test_orphan_blob_collected(tmp_path, model):
     assert len(st2.entries) == 1
 
 
+def test_an_open_during_a_put_deletes_none_of_its_blobs(tmp_path, model, caplog):
+    # a second open from the first blob write of a two-chunk put: the writer
+    # holds the lock, so that open replays only and collects nothing
+    st = _store(tmp_path)
+    opened = []
+    st._crash_hook = lambda: opened or opened.append(_store(tmp_path))
+    keys = st.store_text(model, list(range(16)))
+    assert len(keys) == 2 and opened[0].entries == {}
+    assert "collecting orphan blob" not in caplog.text
+    reopened = _store(tmp_path)
+    assert reopened.lookup(model.model_id, list(range(16))) == (keys, [])
+
+
+def test_a_second_writer_waits_for_the_first(tmp_path, model):
+    first, second = _store(tmp_path), _store(tmp_path)
+    in_put, release, done = threading.Event(), threading.Event(), []
+
+    def hold():
+        if not in_put.is_set():
+            in_put.set()
+            release.wait(10)
+
+    first._crash_hook = hold
+    writers = [threading.Thread(target=lambda: done.append(first.store_text(model, [1, 2, 3]))),
+               threading.Thread(target=lambda: (in_put.wait(10), done.append(second.store_text(model, [4, 5]))))]
+    for w in writers:
+        w.start()
+    assert in_put.wait(10)
+    writers[1].join(0.3)
+    assert writers[1].is_alive() and done == []  # the second put waits on the lock the first holds
+    release.set()
+    for w in writers:
+        w.join(10)
+    assert len(done) == 2
+    reopened = _store(tmp_path)
+    assert reopened.lookup(model.model_id, [1, 2, 3])[1] == reopened.lookup(model.model_id, [4, 5])[1] == []
+
+
 def test_missing_blob_drops_entry(tmp_path, model):
     st = _store(tmp_path)
     keys = st.store_text(model, [1, 2, 3])
@@ -1120,6 +1159,12 @@ def test_apply_edit_errors(tmp_path, model):
         st.apply_edit(key, 99, {})
     with pytest.raises(StoreError):
         st.apply_edit(key, 1, {"factor": 2.0, "tokens": [5]})
+    # an index that is not an integer edits no row, not the row it truncates to
+    blob = st.read_blob(key)
+    for bad in ([1.9], [True], [None], 1):
+        with pytest.raises(StoreError, match="must be integers"):
+            st.apply_edit(key, 1, {"factor": 2.0, "tokens": bad})
+    assert st.read_blob(key) == blob
     with pytest.raises(StoreError):
         st.apply_edit(make_key(1, MODE_CHAIN, None, [8]), 1, {"factor": 2.0, "tokens": [0]})
     assert set(EDIT_TRANSFORMS) == {1}
