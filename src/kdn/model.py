@@ -403,8 +403,6 @@ def extend(
     """
     _check_tokens(model, new_tokens)
     cfg = model.config
-    if cache.n_layers != cfg.n_layers or cache.n_heads != cfg.n_heads or cache.d_head != cfg.d_head:
-        raise ModelError("cache geometry does not match the model")
     pad = KvCache(np.zeros((2, cfg.n_layers, cfg.n_heads, len(new_tokens), cfg.d_head), np.float32))
     out = concat_caches([cache, pad])
     x = _run_layers(model, out, model.embed[new_tokens], slice(cache.n_tokens, None), range(cfg.n_layers))

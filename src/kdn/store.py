@@ -6,7 +6,9 @@ written to a temp file and renamed, and ``blobs/`` is fsynced, before the
 manifest lines naming them are appended, so a crash between the two leaves
 only orphan blobs, which an open collects if no writer holds the lock.
 Opening skips a last line a power loss tore, and the next ``_commit`` ends
-it: no code deletes manifest bytes.
+it: no code deletes manifest bytes.  The index learns the manifest one way,
+``_catch_up`` from the offset it last reached: when a ``Store`` opens and
+each time a writer takes the lock, so every write sees every commit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import re
 import struct
 from collections import Counter, OrderedDict
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -159,27 +161,20 @@ class Store:
         self._file_refs: Counter[str] = Counter()  # live entries per blob file
         self._chain_lengths: set[int] = set()  # token counts of every chain entry indexed; only grows
         self._group: tuple[list[dict], list[str]] | None = None  # the open group commit's records and the blob files they freed
+        self._replayed = 0  # manifest bytes replayed into the index: whole lines only
         self._crash_hook = None  # test hook at each crash point: after a blob write, after a commit's append
         self._recover()
 
     # -- lifecycle ---------------------------------------------------------
 
     def _recover(self) -> None:
-        """Replay the manifest read-only, skipping what does not parse, such
-        as a line a power loss tore.  An open that takes the writer lock
+        """Replay the manifest read-only.  An open that takes the writer lock
         without waiting replays under it and collects orphan blobs, since no
         put is then in flight; any other open only replays."""
         self.root.mkdir(parents=True, exist_ok=True)
         self.blob_dir.mkdir(exist_ok=True)
         with self._writer_lock(wait=False) as locked:
-            if self.manifest_path.exists():
-                with open(self.manifest_path, "rb") as f:
-                    for lineno, line in enumerate(f, 1):
-                        if line.strip():
-                            try:
-                                self._replay(json.loads(line))
-                            except (*MALFORMED_DOCUMENT, StoreError) as e:
-                                log.warning("manifest line %d skipped: %s", lineno, e)
+            self._catch_up()
             # entries whose blob vanished are dropped; blobs without entries are orphans
             for digest, entry in list(self.entries.items()):
                 path = self.blob_dir / entry.file
@@ -191,6 +186,21 @@ class Store:
                     if blob.name not in self._file_refs:
                         log.warning("collecting orphan blob %s", blob.name)
                         blob.unlink()
+
+    def _catch_up(self) -> None:
+        """Replay the manifest lines past byte ``_replayed``, skipping what
+        does not parse.  The offset passes only lines that end in a newline,
+        so a last line without one, torn or still being appended, is reread."""
+        with suppress(FileNotFoundError), open(self.manifest_path, "rb") as f:
+            f.seek(self._replayed)
+            for line in f:
+                if line.strip():
+                    try:
+                        self._replay(json.loads(line))
+                    except (*MALFORMED_DOCUMENT, StoreError) as e:
+                        log.warning("manifest line at byte %d skipped: %s", self._replayed, e)
+                if line.endswith(b"\n"):
+                    self._replayed += len(line)
 
     @contextmanager
     def _writer_lock(self, wait: bool = True):
@@ -210,8 +220,8 @@ class Store:
             yield locked
 
     def _replay(self, rec: dict) -> None:
-        """Apply one manifest record to the index: reopening replays every
-        line, and ``_record`` each new one."""
+        """Apply one manifest record to the index: ``_catch_up`` replays each
+        manifest line, and ``_record`` each new record."""
         op = rec.get("op", "put")
         if op == "del":
             self._unindex(bytes.fromhex(rec["key"]))
@@ -270,17 +280,16 @@ class Store:
                     self._group[1].append(entry.file)
 
     def _record(self, rec: dict) -> None:
-        """Apply ``rec`` to the index with ``_replay`` and commit it with the
-        enclosing group commit, or with one of its own."""
-        with self._group_commit():
-            self._replay(rec)
-            self._group[0].append(rec)
+        """Apply ``rec`` with ``_replay`` and commit it with the open group commit."""
+        self._replay(rec)
+        self._group[0].append(rec)
 
     @contextmanager
     def _group_commit(self):
         """Collect the manifest records made in the block, and the blob files
         they free, for one ``_commit`` at its end, holding the writer lock
-        throughout: a second writer waits for it.
+        throughout: a second writer waits for it.  It first catches up, so the
+        block decides on what other writers committed, and frees none of it.
 
         A block inside another joins the outer one.  A ``CapacityError``
         commits the records made before it, then propagates; any other error
@@ -291,6 +300,7 @@ class Store:
             yield
             return
         with self._writer_lock():
+            self._catch_up()
             recs, dead = self._group = ([], [])
             saved = self.entries.copy(), self._total_size, self._file_refs.copy()
             try:
@@ -312,8 +322,8 @@ class Store:
         When a record puts a blob, ``blobs/`` is fsynced first, so a durable
         manifest line never names a blob whose rename a power loss could undo.
         The append that creates the manifest fsyncs the root directory too.
-        A last line without its newline is an append a power loss tore; the
-        write ends it first, so no record of this one extends it.
+        Bytes past ``_replayed`` are an append a power loss tore; the write
+        ends them first, so no record of this one extends that line.
         """
         if not recs:
             return
@@ -321,10 +331,11 @@ class Store:
             _fsync_dir(self.blob_dir)
         new_manifest = not self.manifest_path.exists()
         with open(self.manifest_path, "a+b") as f:
-            torn = f.tell() > 0 and os.pread(f.fileno(), 1, f.tell() - 1) != b"\n"
+            torn = f.tell() != self._replayed
             f.write(b"\n" * torn + "".join(json.dumps(rec) + "\n" for rec in recs).encode())
             f.flush()
             os.fsync(f.fileno())
+            self._replayed = f.tell()
         if new_manifest:
             _fsync_dir(self.root)
         if self._crash_hook is not None:
@@ -377,19 +388,17 @@ class Store:
 
     def _put(self, key: ChunkKey, tokens: list[int], pos: int, blob: bytes, profile: codec.CodecProfile,
              pinned: bool) -> None:
-        """Write ``blob`` and index ``key`` on it in a group commit, the
-        enclosing one if any, so the writer lock covers the blob write."""
-        with self._group_commit():
-            self._record({
-                "key": key.hex,
-                "mode": key.mode,
-                "file": self._write_blob(blob),
-                "tokens": tokens,
-                "pos": pos,
-                "codec": profile.to_dict(),
-                "size": len(blob),
-                "pinned": pinned,
-            })
+        """Write ``blob`` and index ``key`` on it in the open group commit."""
+        self._record({
+            "key": key.hex,
+            "mode": key.mode,
+            "file": self._write_blob(blob),
+            "tokens": tokens,
+            "pos": pos,
+            "codec": profile.to_dict(),
+            "size": len(blob),
+            "pinned": pinned,
+        })
 
     def store_text(
         self,
@@ -520,30 +529,27 @@ class Store:
         a crash in between leaves only orphan blobs.  An unreachable
         ``capacity`` raises before anything is evicted.
         """
-        if self.total_size <= capacity:
-            return []
-        # one call copies the order, so no concurrent read moves an entry mid-walk
-        snapshot = list(self.entries.values())
-        pinned_bytes = sum(e.size for e in snapshot if e.pinned)
-        if pinned_bytes > capacity:
-            raise CapacityError(f"cannot reach {capacity} bytes: {pinned_bytes} bytes pinned")
-        victims: list[ChunkKey] = []
-        size = self.total_size
-        for entry in snapshot:
-            if size <= capacity:
-                break
-            if not entry.pinned:
-                victims.append(entry.key)
-                size -= entry.size
         with self._group_commit():
+            victims: list[ChunkKey] = []
+            size = self.total_size
+            # one call copies the order, so no concurrent read moves an entry mid-walk
+            for entry in list(self.entries.values()):
+                if size <= capacity:
+                    break
+                if not entry.pinned:
+                    victims.append(entry.key)
+                    size -= entry.size
+            if size > capacity:  # every unpinned entry is a victim, so ``size`` is what is pinned
+                raise CapacityError(f"cannot reach {capacity} bytes: {size} bytes pinned")
             for key in victims:
                 self._record({"op": "del", "key": key.hex})
         return victims
 
     def pin(self, key: ChunkKey, pinned: bool = True) -> None:
-        if key.digest not in self.entries:
-            raise StoreError(f"key {key.hex[:12]} not in store")
-        self._record({"op": "pin", "key": key.hex, "pinned": pinned})
+        with self._group_commit():
+            if key.digest not in self.entries:
+                raise StoreError(f"key {key.hex[:12]} not in store")
+            self._record({"op": "pin", "key": key.hex, "pinned": pinned})
 
     # -- offline editing -----------------------------------------------------
 
@@ -555,11 +561,12 @@ class Store:
         transform = EDIT_TRANSFORMS.get(transform_id)
         if transform is None:
             raise StoreError(f"unknown transform id {transform_id}")
-        chunk = self.get_chunk(key)  # the one check that ``key`` is stored
-        entry = self.entries[key.digest]
-        edited = transform(codec.decompress_cache(chunk), params)
-        blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
-        self._put(key, entry.tokens, entry.pos, blob, entry.codec_profile, pinned=entry.pinned)
+        with self._group_commit():
+            chunk = self.get_chunk(key)  # the one check that ``key`` is stored
+            entry = self.entries[key.digest]
+            edited = transform(codec.decompress_cache(chunk), params)
+            blob = codec.compress_cache(edited, entry.codec_profile).to_bytes()
+            self._put(key, entry.tokens, entry.pos, blob, entry.codec_profile, pinned=entry.pinned)
 
 
 def open_store(config: StoreConfig) -> Store:

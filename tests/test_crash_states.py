@@ -56,15 +56,19 @@ def _calls(st, model):
 
 
 class _RecordedFile:
-    def __init__(self, f, path, events):
-        self._f, self._path, self._events = f, path, events
+    def __init__(self, f, path, record):
+        self._f, self._path, self._record = f, path, record
 
     def write(self, data):
-        self._events.append(("write", self._path, data.encode() if isinstance(data, str) else bytes(data)))
-        return self._f.write(data)
+        n = self._f.write(data)
+        self._record("write", self._path, data.encode() if isinstance(data, str) else bytes(data))
+        return n
 
     def __getattr__(self, name):
         return getattr(self._f, name)
+
+    def __iter__(self):
+        return iter(self._f)
 
     def __enter__(self):
         return self
@@ -74,19 +78,32 @@ class _RecordedFile:
 
 
 @contextmanager
-def _recording(root: Path, events: list):
+def _recording(root: Path, events: list, after=lambda: None):
     """Append each file operation ``kdn.store`` makes under ``root`` to
-    ``events`` as (op, path relative to root, argument)."""
+    ``events`` as (op, path relative to root, argument), and call ``after``
+    once each is made; the operations ``after`` makes are recorded too, but
+    call it again no more."""
     fds = {}  # open descriptor -> relative path
+    in_after = []
+
+    def record(*event):
+        events.append(event)
+        if not in_after:
+            in_after.append(True)
+            try:
+                after()
+            finally:
+                in_after.clear()
 
     def rel(path) -> str:
         return Path(path).relative_to(root).as_posix()
 
     def open_file(path, mode="r", **kwargs):
-        if "w" in mode or "a" in mode and not Path(path).exists():
-            events.append(("create", rel(path), None))
-        f = _RecordedFile(open(path, mode, **kwargs), rel(path), events)
+        created = "w" in mode or "a" in mode and not Path(path).exists()
+        f = _RecordedFile(open(path, mode, **kwargs), rel(path), record)
         fds[f.fileno()] = rel(path)
+        if created:
+            record("create", rel(path), None)
         return f
 
     class Os:
@@ -101,19 +118,19 @@ def _recording(root: Path, events: list):
 
         @staticmethod
         def fsync(fd):
-            events.append(("fsync", fds[fd], None))
             os.fsync(fd)
+            record("fsync", fds[fd], None)
 
         @staticmethod
         def replace(src, dst):
-            events.append(("replace", rel(src), rel(dst)))
             os.replace(src, dst)
+            record("replace", rel(src), rel(dst))
 
     unlink = Path.unlink
 
     def recorded_unlink(path, missing_ok=False):
-        events.append(("unlink", rel(path), None))
         unlink(path, missing_ok=missing_ok)
+        record("unlink", rel(path), None)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(store_module, "open", open_file, raising=False)
@@ -262,9 +279,23 @@ def test_every_power_loss_state_of_put_pin_edit_and_evict_reopens_consistently(t
 
     root = tmp_path / "store"
     st, events = _open(root, capacity), []
-    with _recording(root, events):
+
+    def second_open():
+        """Open the live root once more: that open unlinks no file and writes
+        no byte, so it makes no file operation of the record."""
+        n, manifest = len(events), _read(root / MANIFEST)
+        opened = _open(root, capacity)
+        assert events[n:] == [] and _read(root / MANIFEST) == manifest
+        return opened
+
+    # a second open at every operation of the live run, and after each call
+    # returns, one that finds every record whole and every blob in place
+    with _recording(root, events, after=second_open):
         for _ in _calls(st, model):
             events.append(("ack", None, None))
+            opened = second_open()
+            assert _index(opened) == _replayed((root / MANIFEST).read_bytes())
+            _check_blobs(opened)
     ops = [(r.get("op", "put"), r["key"]) for r in map(json.loads, (root / MANIFEST).read_bytes().splitlines())]
     a0, a1, b0, b1 = (k for op, k in dict.fromkeys(ops) if op == "put")
     assert ops == [("put", a0), ("put", a1), ("pin", a0), ("put", a1), ("put", b0), ("del", a1),

@@ -6,10 +6,12 @@ import struct
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from kdn import codec, delivery
 from kdn import store as store_module
@@ -976,6 +978,113 @@ def test_a_second_writer_waits_for_the_first(tmp_path, model):
     assert len(done) == 2
     reopened = _store(tmp_path)
     assert reopened.lookup(model.model_id, [1, 2, 3])[1] == reopened.lookup(model.model_id, [4, 5])[1] == []
+
+
+def test_a_writer_unlinks_no_blob_another_writers_entry_shares(tmp_path, model, caplog):
+    # a chain chunk at position 0 and the standalone chunk of the same tokens
+    # are the same bytes, so one blob file; the second writer's eviction sees
+    # the first writer's entry on it, so it drops both before the unlink
+    first, second = _store(tmp_path), _store(tmp_path)
+    first.store_text(model, list(range(8)), mode=MODE_STANDALONE)
+    second.store_text(model, list(range(8)), mode=MODE_CHAIN)
+    assert len(second.evict_to(0)) == 2
+    reopened = _store(tmp_path)
+    assert "dropping entry" not in caplog.text
+    assert reopened.entries == {}
+    _check_accounting(reopened)
+
+
+def test_an_eviction_counts_another_writers_chunks(tmp_path, model):
+    first, second = _store(tmp_path), _store(tmp_path)
+    first.store_text(model, [1, 2, 3])
+    second.store_text(model, [4, 5, 6])
+    # the first writer's own chunk is the least recently put, so it goes, and the other one fits
+    capacity = _blob_size(model, [4, 5, 6])
+    assert first.evict_to(capacity) == [make_key(model.model_id, MODE_CHAIN, None, [1, 2, 3])]
+    assert _store(tmp_path).total_size == capacity
+
+
+def test_an_edit_reads_the_blob_another_writer_just_wrote(tmp_path, model):
+    edit = (1, {"factor": 2.0, "tokens": [0]})
+    first = _store(tmp_path)
+    key = first.store_text(model, [1, 2, 3])[0]
+    second = _store(tmp_path)
+    first.apply_edit(key, *edit)
+    second.apply_edit(key, *edit)  # the blob it opened on is gone: it must read the first writer's
+    one_writer = open_store(StoreConfig(root=tmp_path / "one", chunk_size=8))
+    one_writer.store_text(model, [1, 2, 3])
+    one_writer.apply_edit(key, *edit)
+    one_writer.apply_edit(key, *edit)
+    assert _store(tmp_path).read_blob(key) == one_writer.read_blob(key)
+
+
+def _doc_keys(model_id, doc, mode, chunk_size=4):
+    keys, parent = [], None
+    for i in range(0, len(doc), chunk_size):
+        parent = make_key(model_id, mode, parent, doc[i : i + chunk_size])
+        keys.append(parent)
+    return keys
+
+
+class TwoWritersOnOneRoot(RuleBasedStateMachine):
+    """Two ``Store``s on one root take turns to write.  After each step a
+    fresh open warns of nothing (no dropped entry, no orphan), its totals
+    match its entries, and its index is the one the writer that acted holds."""
+
+    model = build_model(CFG)
+    keys = [k for doc in _DOCS for mode in (MODE_CHAIN, MODE_STANDALONE) for k in _doc_keys(CFG.model_id, doc, mode)]
+    writer = st.integers(0, 1)
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.one = _blob_size(self.model, [1, 2, 3, 4])
+        self.config = StoreConfig(root=Path(self.tmp.name), capacity=5 * self.one, chunk_size=4)
+        self.stores = [open_store(self.config), open_store(self.config)]
+        self.acted = 0
+
+    def teardown(self):
+        self.tmp.cleanup()
+
+    def _act(self, w, fn, *args):
+        self.acted = w
+        try:
+            fn(*args)
+        except StoreError:  # a capacity every pin makes unreachable, or a key no writer holds
+            pass
+
+    @rule(w=writer, doc=st.integers(0, len(_DOCS) - 1), mode=st.sampled_from([MODE_CHAIN, MODE_STANDALONE]))
+    def put(self, w, doc, mode):
+        self._act(w, self.stores[w].store_text, self.model, _DOCS[doc], mode)
+
+    @rule(w=writer, n=st.integers(0, 4))
+    def evict(self, w, n):
+        self._act(w, self.stores[w].evict_to, n * self.one)
+
+    @rule(w=writer, i=st.integers(0, len(keys) - 1), pinned=st.booleans())
+    def pin(self, w, i, pinned):
+        self._act(w, self.stores[w].pin, self.keys[i], pinned)
+
+    @rule(w=writer, i=st.integers(0, len(keys) - 1), factor=st.sampled_from([0.5, 2.0]))
+    def edit(self, w, i, factor):
+        self._act(w, self.stores[w].apply_edit, self.keys[i], 1, {"factor": factor, "tokens": [0]})
+
+    @rule(w=writer)
+    def reopen(self, w):
+        self.acted = w
+        self.stores[w] = open_store(self.config)
+
+    @invariant()
+    def a_fresh_open_finds_what_the_writer_committed(self):
+        with mock.patch.object(store_module.log, "warning") as warned:
+            fresh = open_store(self.config)
+        assert warned.call_args_list == []
+        _check_accounting(fresh)
+        assert _entry_fields(fresh) == _entry_fields(self.stores[self.acted])
+
+
+TestTwoWritersOnOneRoot = TwoWritersOnOneRoot.TestCase
+TestTwoWritersOnOneRoot.settings = settings(max_examples=30, stateful_step_count=12, deadline=None)
 
 
 def test_missing_blob_drops_entry(tmp_path, model):
