@@ -27,11 +27,10 @@ class BlendError(ValueError):
 
 @dataclass
 class Segment:
-    """One piece of knowledge: tokens plus its standalone (position-0) cache and final states."""
+    """One piece of knowledge: tokens plus its standalone (position-0) cache."""
 
     tokens: list[int]
     stale_cache: KvCache
-    stale_states: np.ndarray
 
     def __post_init__(self) -> None:
         if self.stale_cache.n_tokens != len(self.tokens):
@@ -41,8 +40,8 @@ class Segment:
 
     @classmethod
     def from_tokens(cls, model: Model, tokens: list[int]) -> "Segment":
-        cache, states = prefill(model, tokens)
-        return cls(tokens, cache, states)
+        # only the cache is kept, so the final layer attends no row
+        return cls(tokens, prefill(model, tokens, rows=[])[0])
 
 
 @dataclass
@@ -93,20 +92,39 @@ def _selection(scores: np.ndarray, ratio: float) -> list[int]:
     return sorted(selected)
 
 
+def _max_abs_error(got: np.ndarray, want: np.ndarray) -> float:
+    """``max |got - want|`` of two float32 arrays, as float64 computes it.
+
+    Rounding is monotonic, so the elements whose float32 difference is the
+    largest hold the largest float64 one too, and only they are widened.  A
+    largest difference of 0 (the arrays are equal) or NaN is float64's too.
+    """
+    with np.errstate(over="ignore"):  # an overflowed difference is widened below
+        diff = np.abs(got - want)
+    top = diff.max()
+    if not top > 0:
+        return float(top)
+    hit = diff == top
+    return float(np.abs(got[hit].astype(np.float64) - want[hit].astype(np.float64)).max())
+
+
 def selective_blend(
     model: Model, segments: list[Segment], ratio: float
 ) -> tuple[KvCache, np.ndarray, BlendReport]:
-    """Blend segments with a fresh recompute of a ``ratio`` fraction of tokens."""
+    """Blend segments with a fresh recompute of a ``ratio`` fraction of tokens.
+
+    Returns the blended cache, the final states of the recomputed rows in
+    ``report.selected`` order (every row at ratio 1, none at ratio 0) and
+    the report.
+    """
     if not 0.0 <= ratio <= 1.0:
         raise BlendError(f"recompute ratio {ratio} out of [0, 1]")
     cfg = model.config
     # the blend writes into the concatenation's fresh arrays, never into a
-    # segment's own cache or states
+    # segment's own cache
     blended = concat_stale(model, segments)
     tokens = [t for seg in segments for t in seg.tokens]
     n = len(tokens)
-
-    out_states = np.concatenate([seg.stale_states for seg in segments], axis=0)
 
     # the oracle is a full prefill.  Its layer 0 runs first: K/V for every
     # token are plain projections of the embeddings, so a full causal pass
@@ -116,36 +134,43 @@ def selective_blend(
 
     # deviation score: how far the first layer's recomputation moves each
     # token's next-layer value rows away from the stale cache, summed over
-    # channels, then over heads in head order
+    # channels, then over heads in head order; squared in place, so the one
+    # float64 (head, row, dim) temporary is the product's
     if cfg.n_layers > 1:
-        scores = np.sqrt(((h1 @ model.wv[1] - blended.v[1].astype(np.float64)) ** 2).sum(axis=2).sum(axis=0))
+        dev = h1 @ model.wv[1]
+        dev -= blended.v[1]
+        scores = np.sqrt(np.square(dev, out=dev).sum(axis=2).sum(axis=0))
     else:
         scores = np.zeros(n)
 
     selected = _selection(scores, ratio) if ratio > 0.0 else []
 
-    if selected:
-        sel = np.array(selected, dtype=int)
-        blended.kv[:, 0][:, :, sel] = oracle_cache.kv[:, 0][:, :, sel]
-        out_states[sel] = _run_layers(model, blended, h1[sel], sel, range(1, cfg.n_layers))
+    sel = np.array(selected, dtype=int)
+    blended.kv[:, 0][:, :, sel] = oracle_cache.kv[:, 0][:, :, sel]
+    states = _run_layers(model, blended, h1[sel], sel, range(1, cfg.n_layers))
 
     # only the oracle's last row's final state is read, so its final layer
     # attends only that row's span group, the rows a full call would run
     # with it (see attend)
     last_group = np.arange(max(n - 1, 0) // TILE * TILE, n)
     oracle_states = _run_layers(model, oracle_cache, h1, slice(None), range(1, cfg.n_layers), last_group)
-    kv_error = 0.0
+    kv_error = final_state_error = 0.0
     if n:
-        # K, then V: one half's float64 temporaries at a time
-        kv_error = max(
-            float(np.abs(got.astype(np.float64) - want.astype(np.float64)).max())
-            for got, want in zip(blended.kv, oracle_cache.kv)
-        )
-    final_state_error = float(np.linalg.norm(out_states[-1] - oracle_states[-1])) if n else 0.0
+        # K, then V: one half's float32 temporaries at a time
+        kv_error = max(_max_abs_error(got, want) for got, want in zip(blended.kv, oracle_cache.kv))
+        # the last row is selected whenever any row is; at ratio 0 its stale
+        # state is the last non-empty segment's, from a prefill whose final
+        # layer attends only that row's span group
+        if selected:
+            last = states[-1]
+        else:
+            tail = next(seg.tokens for seg in reversed(segments) if seg.tokens)
+            last = prefill(model, tail, rows=slice((len(tail) - 1) // TILE * TILE, None))[1][-1]
+        final_state_error = float(np.linalg.norm(last - oracle_states[-1]))
 
     report = BlendReport(recompute_ratio=ratio, selected=selected, scores=scores,
                          final_state_error=final_state_error, kv_error=kv_error)
-    return blended, out_states, report
+    return blended, states, report
 
 
 def prefix_extend_path(

@@ -169,7 +169,7 @@ def cmd_get(args) -> int:
 def cmd_blend(args) -> int:
     mdl, segment_tokens, ratio = _read_doc(args.request, "bad blend request", lambda req: (
         model.build_model(model.ModelConfig.from_dict(req["model"])),
-        [[model.exact_int(t) for t in toks] for toks in req["segments"]], float(req["ratio"])))
+        [[model.exact_int(t) for t in toks] for toks in req["segments"]], model.exact_float(req["ratio"])))
     model.fixture_fields(mdl.config, sum(map(len, segment_tokens)), 0)  # the blended cache starts at position 0
     if not 0.0 <= ratio <= 1.0:
         raise UsageError(f"ratio {ratio} out of [0, 1]")

@@ -63,6 +63,13 @@ def exact_int(v) -> int:
     return int(v)
 
 
+def exact_float(v) -> float:
+    """``float(v)`` of an int or a float; a bool, a string or any other value is a ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{v!r} is not a number")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_layers: int
@@ -109,14 +116,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        if isinstance(d.get("rope_base"), bool):
-            raise ValueError(f"rope_base {d['rope_base']!r} is not a number")
         return cls(
             n_layers=exact_int(d["n_layers"]),
             n_heads=exact_int(d["n_heads"]),
             d_head=exact_int(d["d_head"]),
             vocab_size=exact_int(d["vocab_size"]),
-            rope_base=float(d.get("rope_base", 10000.0)),
+            rope_base=exact_float(d.get("rope_base", 10000.0)),
         )
 
 
@@ -422,7 +427,8 @@ def fixture_fields(config: ModelConfig, n_tokens: int, start_pos: int) -> tuple[
 
 def save_fixture(path, config: ModelConfig, cache: KvCache, states: np.ndarray) -> None:
     """Golden-fixture file: "KDNF" header, u16 config fields, then as f32 the
-    cache's ``kv`` (K or V, layer, head, token, dim) and the (token, d_model) states."""
+    cache's ``kv`` (K or V, layer, head, token, dim) and the (row, d_model)
+    states of at most ``cache.n_tokens`` rows."""
     header = FIXTURE_MAGIC + struct.pack("<6H", *fixture_fields(config, cache.n_tokens, int(cache.start_pos)))
     with open(path, "wb") as f:
         f.write(header)
@@ -439,11 +445,14 @@ def load_fixture(path) -> tuple[dict, KvCache, np.ndarray]:
         raise ModelError(f"fixture header cut at {len(data)} of 16 bytes")
     n_layers, n_heads, d_head, vocab, n_tokens, start_pos = struct.unpack_from("<6H", data, 4)
     d_model = n_heads * d_head
-    expected = 16 + 4 * (2 * n_layers + 1) * n_tokens * d_model  # header, K/V and the states' rows
-    if len(data) != expected:
-        raise ModelError(f"fixture of {len(data)} bytes, its header asks for {expected}")
+    # the header and every K/V row, then whole state rows, at most one per token
+    kv_end = 16 + 8 * n_layers * n_tokens * d_model
+    n_rows, cut = divmod(len(data) - kv_end, 4 * d_model) if d_model else (0, len(data) - kv_end)
+    if len(data) < kv_end or cut or n_rows > n_tokens:
+        raise ModelError(f"fixture of {len(data)} bytes, its header asks for {kv_end} "
+                         f"and then at most {n_tokens} state rows of {4 * d_model} bytes")
     kv = np.frombuffer(data, "<f4", 2 * n_layers * n_tokens * d_model, 16)
-    states = np.frombuffer(data, "<f4", n_tokens * d_model, 16 + kv.nbytes).reshape(n_tokens, d_model)
+    states = np.frombuffer(data, "<f4", n_rows * d_model, kv_end).reshape(n_rows, d_model)
     meta = {
         "n_layers": n_layers,
         "n_heads": n_heads,

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kdn.model
 from kdn import codec
 from kdn.blender import (
     BlendError,
     Segment,
+    _max_abs_error,
     _selection,
     concat_stale,
     prefix_extend_path,
     selective_blend,
 )
-from kdn.model import KvCache, ModelConfig, _run_layers, build_model, prefill
+from kdn.model import TILE, KvCache, ModelConfig, _run_layers, build_model, prefill
 from kdn.store import StoreConfig, open_store
 
 from reference import ref_blend_scores
@@ -41,12 +43,12 @@ def segments(model):
 
 
 def test_segment_validation(model):
-    cache, states = prefill(model, [1, 2, 3])
+    cache, _ = prefill(model, [1, 2, 3])
     with pytest.raises(BlendError):
-        Segment([1, 2], cache, states)  # token count mismatch
-    off, states = prefill(model, [1, 2, 3], start_pos=4)
+        Segment([1, 2], cache)  # token count mismatch
+    off, _ = prefill(model, [1, 2, 3], start_pos=4)
     with pytest.raises(BlendError):
-        Segment([1, 2, 3], off, states)  # not standalone
+        Segment([1, 2, 3], off)  # not standalone
 
 
 def test_concat_stale_layout(model, segments):
@@ -133,10 +135,33 @@ def test_full_recompute_is_bit_equal_to_prefill(cfg):
     assert np.array_equal(states, oracle_states)
 
 
+def test_a_blend_attends_only_the_rows_whose_states_it_reads(monkeypatch):
+    # a segment keeps only its cache, so its prefill's final layer attends
+    # no row; the recompute runs the selected rows and the oracle's final
+    # layer the last row's span group
+    cfg = ModelConfig(4, 4, 16, 256)
+    m = build_model(cfg)
+    seg_tokens = [[(s * 53 + 29 * i) % 256 for i in range(256)] for s in range(4)]
+    rows = []
+    real_attend = kdn.model.attend
+
+    def counting_attend(mdl, layer, x_q, *args):
+        rows.append(len(x_q))
+        return real_attend(mdl, layer, x_q, *args)
+
+    monkeypatch.setattr(kdn.model, "attend", counting_attend)
+    segs = [Segment.from_tokens(m, t) for t in seg_tokens]
+    _, _, report = selective_blend(m, segs, 0.15)
+    L, n = cfg.n_layers, 1024
+    want = (sum((L - 1) * len(t) for t in seg_tokens) + n + (L - 1) * len(report.selected)
+            + (L - 2) * n + n - (n - 1) // TILE * TILE)
+    assert sum(rows) == want == 6670
+
+
 def test_blend_leaves_segments_unchanged(model, segments):
     # the blend writes into fresh arrays, never into a segment's
     for segs in (segments, segments[:1]):
-        inputs = [a for s in segs for a in (s.stale_cache.k_pre, s.stale_cache.v, s.stale_states)]
+        inputs = [a for s in segs for a in (s.stale_cache.k_pre, s.stale_cache.v)]
         before = [a.copy() for a in inputs]
         for r in (0.15, 1.0):
             blended, states, _ = selective_blend(model, segs, r)
@@ -232,6 +257,27 @@ def test_scores_are_bit_equal_to_per_head_accumulation(data, n, n_heads):
     h1 = _run_layers(m, zero_cache, m.embed[tokens], slice(None), range(1))
     stale_v1 = np.concatenate([seg.stale_cache.v[1] for seg in segs], axis=1)
     assert np.array_equal(report.scores, ref_blend_scores(m, h1, stale_v1))
+
+
+def _float64_max_abs_error(got, want):
+    return float(np.abs(got.astype(np.float64) - want.astype(np.float64)).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(width=32, allow_infinity=False), st.floats(width=32, allow_infinity=False)),
+                min_size=1, max_size=40))
+def test_max_abs_error_is_the_float64_maximum(pairs):
+    # the float32 pass only narrows the elements that float64 then compares,
+    # so the result is the float64 maximum bit for bit, overflow and NaN included
+    got, want = (np.array(col, dtype=np.float32) for col in zip(*pairs))
+    assert str(_max_abs_error(got, want)) == str(_float64_max_abs_error(got, want))
+
+
+def test_max_abs_error_breaks_a_float32_tie_in_float64():
+    # 1 - 2**-26 and 1 - 2**-27 both round to 1.0 in float32; the second is larger
+    got = np.ones(2, np.float32)
+    want = np.array([2.0**-26, 2.0**-27], np.float32)
+    assert _max_abs_error(got, want) == 1 - 2.0**-27 == _float64_max_abs_error(got, want)
 
 
 @settings(max_examples=15, deadline=None)

@@ -261,6 +261,23 @@ def test_blend_writes_outputs(workspace, capsys):
     np.testing.assert_allclose(cache.k_pre, oracle_cache.k_pre, atol=1e-6)
 
 
+def test_blended_fixture_holds_the_states_of_the_recomputed_rows(workspace, capsys):
+    segments = [[(7 * i + 3) % 32 for i in range(20)], [(5 * i + 1) % 32 for i in range(20)]]
+    req = workspace / "blend.json"
+    req.write_text(json.dumps({"model": json.loads(MODEL_JSON), "segments": segments, "ratio": 0.15}))
+    out_dir = workspace / "out"
+    assert _run(capsys, ["blend", "--request", str(req), "--out", str(out_dir)])[0] == 0
+    selected = json.loads((out_dir / "blend_report.json").read_text())["selected"]
+    _, cache, states = load_fixture(out_dir / "blended.kdnf")
+    model = build_model(ModelConfig.from_dict(json.loads(MODEL_JSON)))
+    segs = [blender.Segment.from_tokens(model, t) for t in segments]
+    blended, want, report = blender.selective_blend(model, segs, 0.15)
+    assert selected == report.selected and len(selected) == 6
+    assert np.array_equal(cache.kv, blended.kv)
+    assert states.shape == (len(selected), model.config.d_model)
+    assert np.array_equal(states, want.astype(np.float32))
+
+
 def test_blend_ratio_out_of_range_is_usage_error(workspace, capsys):
     req = workspace / "blend.json"
     req.write_text(json.dumps({
@@ -532,7 +549,8 @@ _JSON_FLAGS = {
               {"container": [1], "not-a-number": {**_MODEL, "n_layers": "x"},
                "400-digits": {**_MODEL, "rope_base": _HUGE}, "too-wide": _WIDE, "too-wordy": _WORDY,
                "fraction": {**_MODEL, "n_layers": 2.9}, "bool": {**_MODEL, "n_layers": True},
-               "rope-nan": {**_MODEL, "rope_base": math.nan}, "rope-tiny": {**_MODEL, "rope_base": 1e-300}}),
+               "rope-nan": {**_MODEL, "rope_base": math.nan}, "rope-tiny": {**_MODEL, "rope_base": 1e-300},
+               "rope-string": {**_MODEL, "rope_base": "20000"}}),
     "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
                 {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
                  "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536},
@@ -542,7 +560,8 @@ _JSON_FLAGS = {
                      "--profile", "{doc}"], "unknown codec profile", True, {"over-u16": {"group_size": 70000}}),
     "request": (["blend", "--request", "{doc}", "--out", "{w}/out"], "bad blend request", False,
                 {"container": [1], "not-a-number": {**_BLEND, "ratio": "x"}, "400-digits": {**_BLEND, "ratio": _HUGE},
-                 "too-wide": {**_BLEND, "model": _WIDE}, "fraction": {**_BLEND, "segments": [[1.5, 2]]}}),
+                 "too-wide": {**_BLEND, "model": _WIDE}, "fraction": {**_BLEND, "segments": [[1.5, 2]]},
+                 "ratio-bool": {**_BLEND, "ratio": True}, "ratio-string": {**_BLEND, "ratio": "0.5"}}),
     "report-params": (["cost", "report", "--params", "{doc}"], "bad params file", False,
                       {"container": [1], "not-a-number": _measured_doc(cost="x"),
                        "400-digits": _measured_doc(cost=_HUGE)}),

@@ -601,8 +601,15 @@ def test_fixture_of_any_other_length_is_model_error(tmp_path, model):
     save_fixture(path, CFG, cache, states)
     data = path.read_bytes()
     kv_end = 16 + cache.kv.nbytes
-    # cut inside the header, the K/V and the states, and one byte past the states
-    for bad in (data[:10], data[:16], data[: kv_end - 6], data[:kv_end], data[:-1], data + b"\0"):
+    row = 4 * CFG.d_model
+    # every K/V row and no state row is a fixture of zero state rows
+    path.write_bytes(data[:kv_end])
+    _, cache2, states2 = load_fixture(path)
+    assert np.array_equal(cache2.kv, cache.kv) and states2.shape == (0, CFG.d_model)
+    # cut inside the header, the K/V, the second state row and the last one; one
+    # byte past the states; a state row more than the tokens
+    for bad in (data[:10], data[:16], data[: kv_end - 6], data[: kv_end + row + 6], data[:-1], data + b"\0",
+                data + data[kv_end: kv_end + row]):
         path.write_bytes(bad)
         with pytest.raises(ModelError, match="fixture"):
             load_fixture(path)
