@@ -3,7 +3,8 @@ and cost-model reports.
 
 JSON documents are files (``--request``, ``--params``, ``--trace``) or, for
 ``--model`` and ``--profile``, a file or inline text; one that cannot be read,
-parsed or built into its values is one ``kdn:`` line and exit 1.
+parsed or built into its values is one ``kdn:`` line and exit 1.  A number in
+a document must be a JSON number: ``"2"`` and ``true`` are not numbers.
 
 Exit codes: 0 success, 1 operational error, 2 usage error.
 """
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import time
@@ -54,10 +56,12 @@ def _load_tokens(path: str) -> list[int]:
         text = Path(path).read_text()
     except OSError as e:
         raise CliError(f"cannot read token file: {e}") from e
-    try:
-        tokens = [int(tok) for tok in text.split()]
-    except ValueError as e:
-        raise CliError(f"token file must hold whitespace-separated integers: {e}") from e
+    words = text.split()
+    # int() also takes a plus sign, "_" and other scripts' digits
+    bad = next((w for w in words if not re.fullmatch("-?[0-9]+", w)), None)
+    if bad is not None:
+        raise CliError(f"token file must hold whitespace-separated integers, got {bad!r}")
+    tokens = [int(w) for w in words]
     # token ids are u32 on the wire and in keys
     bad = next((t for t in tokens if not 0 <= t < 1 << 32), None)
     if bad is not None:
@@ -66,7 +70,7 @@ def _load_tokens(path: str) -> list[int]:
 
 
 def _port(text: str) -> int:  # an argparse type: a TCP port, 0 to 65535
-    if not text.isdecimal() or int(text) > 0xFFFF:
+    if not re.fullmatch("[0-9]+", text) or int(text) > 0xFFFF:
         raise argparse.ArgumentTypeError(f"port {text!r} is not an integer in [0, 65535]")
     return int(text)
 
@@ -218,7 +222,7 @@ def _measured_rows(doc: dict) -> dict[str, costmodel.SystemMeasurement]:
     if given is None:
         return costmodel.PUBLISHED_MEASUREMENTS
     return {
-        name: costmodel.SystemMeasurement(float(m["inject_time"]), float(m["cost"]), float(m["delay"]))
+        name: costmodel.SystemMeasurement(*(model.exact_float(m[f]) for f in ("inject_time", "cost", "delay")))
         for name, m in given.items()
     }
 
@@ -259,7 +263,7 @@ def _parse_sweep(spec: str) -> np.ndarray:
 
 def cmd_cost_sweep(args) -> int:
     params, r2 = _read_doc(args.params, "bad params file",
-                           lambda doc: (costmodel.CostParams.from_dict(doc), float(doc.get("r2", 0.0))))
+                           lambda doc: (costmodel.CostParams.from_dict(doc), model.exact_float(doc.get("r2", 0.0))))
     objective = costmodel.Objective(args.objective)
     grid = _parse_sweep(args.sweep)
     threshold = costmodel.threshold_r1(params, objective, paper_delay_kv=args.paper_delay)
@@ -281,9 +285,16 @@ def cmd_cost_sweep(args) -> int:
     return 0
 
 
+def _trace_events(raw: list) -> list[tuple[float, str]]:
+    """A trace document's (time, context) events: a JSON number and a JSON string each."""
+    if not all(isinstance(c, str) for _, c in raw):
+        raise ValueError("a trace context must be a string")
+    return [(model.exact_float(t), c) for t, c in raw]
+
+
 def cmd_cost_simulate(args) -> int:
     params = _read_doc(args.params, "bad params file", costmodel.CostParams.from_dict)
-    trace = _read_doc(args.trace, "bad trace file", lambda raw: [(float(t), str(c)) for t, c in raw])
+    trace = _read_doc(args.trace, "bad trace file", _trace_events)
     mix = costmodel.empirical_mix(trace, params.refresh_period)
     rows = []
     for system in costmodel.System:

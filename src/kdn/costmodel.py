@@ -20,6 +20,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 
+from .model import exact_float
+
 
 class CostModelError(ValueError):
     pass
@@ -62,17 +64,17 @@ class CostParams:
     @classmethod
     def from_dict(cls, d: dict) -> "CostParams":
         return cls(
-            refresh_period=float(d["T"]),
-            c_gpu=float(d["C_gpu"]),
-            c_store=float(d["C_store"]),
-            c_net=float(d["C_net"]),
-            s_model=float(d["S_model"]),
-            s_kv=float(d["S_kv"]),
-            s_text=float(d["S_text"]),
-            t_prefill=float(d["T_prefill"]),
-            t_query=float(d.get("T_Q", 0.0)),
-            t_finetune=float(d["T_finetune"]),
-            bandwidth=float(d["B"]),
+            refresh_period=exact_float(d["T"]),
+            c_gpu=exact_float(d["C_gpu"]),
+            c_store=exact_float(d["C_store"]),
+            c_net=exact_float(d["C_net"]),
+            s_model=exact_float(d["S_model"]),
+            s_kv=exact_float(d["S_kv"]),
+            s_text=exact_float(d["S_text"]),
+            t_prefill=exact_float(d["T_prefill"]),
+            t_query=exact_float(d.get("T_Q", 0.0)),
+            t_finetune=exact_float(d["T_finetune"]),
+            bandwidth=exact_float(d["B"]),
         )
 
 

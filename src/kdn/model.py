@@ -57,14 +57,18 @@ class ModelError(ValueError):
 
 
 def exact_int(v) -> int:
-    """``int(v)``, but a bool, or a number with a fraction or no finite value, is a ValueError."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    """The integer a JSON document or manifest record gives: ``int(v)`` of an int or
+    of a float with no fraction, such as ``3.0``.  A bool, a string, a fraction, a
+    non-finite float or any other value is a ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
 
 
 def exact_float(v) -> float:
-    """``float(v)`` of an int or a float; a bool, a string or any other value is a ValueError."""
+    """The number a JSON document or manifest record gives: ``float(v)`` of an int
+    or a float.  A bool, a string or any other value is a ValueError, and an int
+    past the float range an OverflowError."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{v!r} is not a number")
     return float(v)

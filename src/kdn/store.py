@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .model import KvCache, Model, _check_tokens, exact_int, prefill
+from .model import KvCache, Model, _check_tokens, exact_float, exact_int, prefill
 
 log = logging.getLogger(__name__)
 
@@ -125,7 +125,7 @@ class StoreConfig:
 # Built-in offline edit transforms.  The registry is open: callers may add
 # ids mapping to fn(cache, params) -> cache.
 def _scale_v_rows(cache: KvCache, params: dict) -> KvCache:
-    factor = float(params["factor"])
+    factor = exact_float(params["factor"])
     try:
         indices = [exact_int(i) for i in params["tokens"]]
     except (ValueError, TypeError) as e:
@@ -139,6 +139,13 @@ def _scale_v_rows(cache: KvCache, params: dict) -> KvCache:
 
 
 EDIT_TRANSFORMS = {1: _scale_v_rows}
+
+
+def _flag(v) -> bool:
+    """A record's JSON bool; any other value, ``"false"`` or 0 too, is a ValueError."""
+    if not isinstance(v, bool):
+        raise ValueError(f"{v!r} is not a bool")
+    return v
 
 
 def _fsync_dir(path: Path) -> None:
@@ -227,9 +234,9 @@ class Store:
             self._unindex(bytes.fromhex(rec["key"]))
             return
         if op == "pin":
-            digest = bytes.fromhex(rec["key"])
+            digest, pinned = bytes.fromhex(rec["key"]), _flag(rec["pinned"])
             if digest in self.entries:
-                self.entries[digest].pinned = bool(rec["pinned"])
+                self.entries[digest].pinned = pinned
             return
         if not re.fullmatch("[0-9a-f]{64}", rec["file"]):
             raise StoreError(f"blob name {rec['file']!r} is not a digest")
@@ -242,12 +249,12 @@ class Store:
             pos = up.pos + len(up.tokens)
         entry = StoreEntry(
             key=key,
-            tokens=[int(t) for t in rec["tokens"]],
-            pos=int(pos or 0),
+            tokens=[exact_int(t) for t in rec["tokens"]],
+            pos=0 if pos is None else exact_int(pos),
             file=rec["file"],
-            size=int(rec["size"]),
+            size=exact_int(rec["size"]),
             codec_profile=codec.CodecProfile.from_dict(rec["codec"]),
-            pinned=bool(rec.get("pinned", False)),
+            pinned=_flag(rec.get("pinned", False)),
         )
         self._index(entry)
 

@@ -226,10 +226,12 @@ def test_bad_model_config(workspace, capsys):
 
 
 def test_bad_token_file(workspace, capsys):
-    (workspace / "bad.txt").write_text("1 two 3")
-    code, _, err = _run(capsys, ["put", "--root", str(workspace / "s"),
-                                 "--model", MODEL_JSON, "--tokens", str(workspace / "bad.txt")])
-    assert code == 1 and "integers" in err
+    # a token is an optional minus sign and ASCII digits: int() also takes a plus sign, "_" and other scripts' digits
+    for bad in ("two", "+1", "2_0", "\uff13"):
+        (workspace / "bad.txt").write_text(f"1 {bad} 3")
+        code, _, err = _run(capsys, ["put", "--root", str(workspace / "s"),
+                                     "--model", MODEL_JSON, "--tokens", str(workspace / "bad.txt")])
+        assert code == 1 and "integers" in err and repr(bad) in err and err.count("\n") == 1, (bad, err)
 
 
 def test_unknown_profile(workspace, capsys):
@@ -550,31 +552,34 @@ _JSON_FLAGS = {
                "400-digits": {**_MODEL, "rope_base": _HUGE}, "too-wide": _WIDE, "too-wordy": _WORDY,
                "fraction": {**_MODEL, "n_layers": 2.9}, "bool": {**_MODEL, "n_layers": True},
                "rope-nan": {**_MODEL, "rope_base": math.nan}, "rope-tiny": {**_MODEL, "rope_base": 1e-300},
-               "rope-string": {**_MODEL, "rope_base": "20000"}}),
+               "rope-string": {**_MODEL, "rope_base": "20000"}, "int-string": {**_MODEL, "n_layers": "2"}}),
     "profile": (["bench", "codec", "--profile", "{doc}"], "unknown codec profile", True,
                 {"container": [1], "not-a-number": {"quant_bits": "x"}, "400-digits": {"quant_bits": _HUGE},
                  "inf": {"quant_bits": 1e400}, "over-u16": {"anchor_stride": 65536},
-                 "fraction": {"quant_bits": 8.9}}),
+                 "fraction": {"quant_bits": 8.9}, "int-string": {"quant_bits": "8"}}),
     # group size and anchor stride are u16s of the chunk header
     "put-profile": (["put", "--root", "{w}/s", "--model", "{w}/model.json", "--tokens", "{w}/tokens.txt",
                      "--profile", "{doc}"], "unknown codec profile", True, {"over-u16": {"group_size": 70000}}),
     "request": (["blend", "--request", "{doc}", "--out", "{w}/out"], "bad blend request", False,
                 {"container": [1], "not-a-number": {**_BLEND, "ratio": "x"}, "400-digits": {**_BLEND, "ratio": _HUGE},
                  "too-wide": {**_BLEND, "model": _WIDE}, "fraction": {**_BLEND, "segments": [[1.5, 2]]},
-                 "ratio-bool": {**_BLEND, "ratio": True}, "ratio-string": {**_BLEND, "ratio": "0.5"}}),
+                 "ratio-bool": {**_BLEND, "ratio": True}, "ratio-string": {**_BLEND, "ratio": "0.5"},
+                 "token-string": {**_BLEND, "segments": [["1", "2"], [3, 4]]}}),
     "report-params": (["cost", "report", "--params", "{doc}"], "bad params file", False,
                       {"container": [1], "not-a-number": _measured_doc(cost="x"),
-                       "400-digits": _measured_doc(cost=_HUGE)}),
+                       "400-digits": _measured_doc(cost=_HUGE), "bool": _measured_doc(cost=True)}),
     "sweep-params": (["cost", "sweep", "--params", "{doc}"], "bad params file", False,
                      {"container": [1], "not-a-number": {**_params_doc(), "r2": "x"},
-                      "400-digits": {**_params_doc(), "T": _HUGE}}),
+                      "400-digits": {**_params_doc(), "T": _HUGE}, "string": {**_params_doc(), "T": "3600"},
+                      "bool": {**_params_doc(), "C_gpu": True}}),
     "simulate-params": (["cost", "simulate", "--params", "{doc}", "--trace", "{w}/trace.json"],
                         "bad params file", False,
                         {"container": [1], "not-a-number": {**_params_doc(), "T": "x"},
                          "400-digits": {**_params_doc(), "B": _HUGE}}),
     # a trace is a list, so its wrong container is an object
     "trace": (["cost", "simulate", "--params", "{w}/params.json", "--trace", "{doc}"], "bad trace file", False,
-              {"container": {"0": [0.0, "a"]}, "not-a-number": [["x", "a"]], "400-digits": [[_HUGE, "a"]]}),
+              {"container": {"0": [0.0, "a"]}, "not-a-number": [["x", "a"]], "400-digits": [[_HUGE, "a"]],
+               "time-string": [[0.0, "a"], ["5", "b"]], "context-number": [[0.0, 7], [5.0, "7"]]}),
 }
 
 
@@ -629,7 +634,7 @@ def test_usage_error_from_argparse(capsys):
 
 
 @pytest.mark.parametrize("command", ["serve", "get"])
-@pytest.mark.parametrize("port", ["70000", "-1", "x"])
+@pytest.mark.parametrize("port", ["70000", "-1", "x", "\uff17\uff13\uff11\uff11"])
 def test_port_not_in_0_to_65535_is_usage_error(workspace, capsys, command, port):
     more = ["--model", MODEL_JSON, "--tokens", str(workspace / "tokens.txt")] if command == "get" else []
     with pytest.raises(SystemExit) as exc:

@@ -14,6 +14,8 @@ from kdn.model import (
     attend,
     build_model,
     concat_caches,
+    exact_float,
+    exact_int,
     extend,
     load_fixture,
     prefill,
@@ -94,10 +96,10 @@ def test_config_validation():
 
 
 def test_config_from_dict_refuses_what_int_would_truncate():
-    # lossless spellings of an integer are taken; a bool, a fraction or a non-finite number is not
-    for n_layers in (2, 2.0, "2"):
+    # a JSON number with no fraction is taken; a bool, a string, a fraction or a non-finite number is not
+    for n_layers in (2, 2.0):
         assert ModelConfig.from_dict({"n_layers": n_layers, "n_heads": 2, "d_head": 4, "vocab_size": 32}) == CFG
-    for n_layers in (True, 2.9, "2.9", math.inf, math.nan):
+    for n_layers in (True, "2", 2.9, "2.9", math.inf, math.nan):
         with pytest.raises(ValueError):
             ModelConfig.from_dict({"n_layers": n_layers, "n_heads": 2, "d_head": 4, "vocab_size": 32})
     # a rotary base that is not a finite number gives NaN angles, and one below 1
@@ -105,6 +107,31 @@ def test_config_from_dict_refuses_what_int_would_truncate():
     for rope_base in (math.nan, math.inf, 0, -5, True, 5e-324, 1e-300, 0.5):
         with pytest.raises(ValueError):
             ModelConfig.from_dict({"n_layers": 2, "n_heads": 2, "d_head": 4, "vocab_size": 32, "rope_base": rope_base})
+
+
+# any value json.loads returns; its strings include spellings of numbers, which int() and float() take
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.integers().map(str) | st.floats().map(str),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_JSON_VALUES)
+def test_exact_int_and_exact_float_take_json_numbers_only(v):
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number and (isinstance(v, int) or v.is_integer()):
+        assert type(exact_int(v)) is int and exact_int(v) == int(v)
+    else:
+        with pytest.raises(ValueError):
+            exact_int(v)
+    if number:
+        assert type(exact_float(v)) is float and repr(exact_float(v)) == repr(float(v))
+    else:
+        with pytest.raises(ValueError):
+            exact_float(v)
 
 
 # -- golden prefill vs independent oracle ---------------------------------------

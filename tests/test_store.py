@@ -889,7 +889,10 @@ def test_reopen_preserves_entries(tmp_path, model):
     assert _entry_fields(_store(tmp_path)) == _entry_fields(st2)
 
 
-# each line replaces fields of a valid put record under a fresh key, or is the whole line
+# each line replaces fields of a valid put record under a fresh key, or is the whole
+# line; a function builds either from that record.  A field of the wrong JSON type
+# is refused, not cast: 0.5 is not truncated, "1" is no token, true no position,
+# and "false" pins nothing
 @pytest.mark.parametrize("line", [
     "{not json",
     json.dumps({"op": "put", "key": "zz"}),
@@ -903,18 +906,29 @@ def test_reopen_preserves_entries(tmp_path, model):
     {"file": 7},
     "[" * 100_000,
     b'{"op": "pin", "key": "\xff"}',
+    lambda rec: {"size": rec["size"] + 0.5},
+    {"tokens": ["1", "2", "3"]},
+    {"pos": True},
+    {"pinned": "false"},
+    lambda rec: json.dumps({"op": "pin", "key": rec["key"], "pinned": "false"}),
 ], ids=["not-json", "bad-key", "list", "string", "pin-key-int", "size-null", "size-inf",
-        "codec-list", "codec-unknown-field", "file-int", "deep-nesting", "not-utf8"])
-def test_corrupt_manifest_line_skipped(tmp_path, model, line):
+        "codec-list", "codec-unknown-field", "file-int", "deep-nesting", "not-utf8",
+        "size-fraction", "tokens-string", "pos-bool", "pinned-string", "pin-pinned-string"])
+def test_corrupt_manifest_line_skipped(tmp_path, model, line, caplog):
     st = _store(tmp_path)
     keys = st.store_text(model, [1, 2, 3])
+    rec = json.loads(st.manifest_path.read_text().splitlines()[0])
+    if callable(line):
+        line = line(rec)
     if isinstance(line, dict):
-        rec = json.loads(st.manifest_path.read_text().splitlines()[0])
         line = json.dumps({**rec, "key": "ab" * 32, **line})
     with open(st.manifest_path, "ab") as f:
         f.write((line if isinstance(line, bytes) else line.encode()) + b"\n")
+    caplog.clear()
     st2 = _store(tmp_path)
     assert set(st2.entries) == {k.digest for k in keys}
+    assert not any(e.pinned for e in st2.entries.values())
+    assert caplog.text.count("skipped") == 1, caplog.text
 
 
 def test_a_put_record_naming_a_file_outside_the_blobs_is_skipped(tmp_path, model):
@@ -1270,9 +1284,13 @@ def test_apply_edit_errors(tmp_path, model):
         st.apply_edit(key, 1, {"factor": 2.0, "tokens": [5]})
     # an index that is not an integer edits no row, not the row it truncates to
     blob = st.read_blob(key)
-    for bad in ([1.9], [True], [None], 1):
+    for bad in ([1.9], [True], [None], ["0"], 1):
         with pytest.raises(StoreError, match="must be integers"):
             st.apply_edit(key, 1, {"factor": 2.0, "tokens": bad})
+    # nor is a factor that is not a number read as one
+    for factor in ("2", True):
+        with pytest.raises(ValueError, match="is not a number"):
+            st.apply_edit(key, 1, {"factor": factor, "tokens": [0]})
     assert st.read_blob(key) == blob
     with pytest.raises(StoreError):
         st.apply_edit(make_key(1, MODE_CHAIN, None, [8]), 1, {"factor": 2.0, "tokens": [0]})
