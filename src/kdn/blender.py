@@ -49,8 +49,9 @@ class BlendReport:
     recompute_ratio: float
     selected: list[int]
     scores: np.ndarray = field(repr=False)
-    final_state_error: float
-    kv_error: float
+    # None when the blend ran unverified (see selective_blend)
+    final_state_error: float | None
+    kv_error: float | None
 
 
 def _check_geometry(model: Model, caches: list, what: str) -> None:
@@ -109,13 +110,16 @@ def _max_abs_error(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def selective_blend(
-    model: Model, segments: list[Segment], ratio: float
+    model: Model, segments: list[Segment], ratio: float, *, verify: bool = True
 ) -> tuple[KvCache, np.ndarray, BlendReport]:
     """Blend segments with a fresh recompute of a ``ratio`` fraction of tokens.
 
     Returns the blended cache, the final states of the recomputed rows in
     ``report.selected`` order (every row at ratio 1, none at ratio 0) and
-    the report.
+    the report.  With ``verify`` the report's errors compare the blend with
+    an oracle prefill of the whole concatenation.  Without it no oracle runs
+    and they are None, except for a blend that recomputes every row: that
+    blend is the prefill, so both are 0.0.
     """
     if not 0.0 <= ratio <= 1.0:
         raise BlendError(f"recompute ratio {ratio} out of [0, 1]")
@@ -126,10 +130,11 @@ def selective_blend(
     tokens = [t for seg in segments for t in seg.tokens]
     n = len(tokens)
 
-    # the oracle is a full prefill.  Its layer 0 runs first: K/V for every
-    # token are plain projections of the embeddings, so a full causal pass
-    # here is cheap and seeds the fresh states
-    oracle_cache = KvCache(np.zeros_like(blended.kv))
+    # layer 0 runs first over every token: its K/V are plain projections of
+    # the embeddings, so a full causal pass here is cheap and seeds the fresh
+    # states.  It writes into the oracle's zero cache, or, unverified, into
+    # a zero cache of layer 0 alone
+    oracle_cache = KvCache(np.zeros_like(blended.kv if verify else blended.kv[:, :1]))
     h1 = _run_layers(model, oracle_cache, model.embed[tokens], slice(None), range(1))
 
     # deviation score: how far the first layer's recomputation moves each
@@ -149,13 +154,15 @@ def selective_blend(
     blended.kv[:, 0][:, :, sel] = oracle_cache.kv[:, 0][:, :, sel]
     states = _run_layers(model, blended, h1[sel], sel, range(1, cfg.n_layers))
 
-    # only the oracle's last row's final state is read, so its final layer
-    # attends only that row's span group, the rows a full call would run
-    # with it (see attend)
-    last_group = np.arange(max(n - 1, 0) // TILE * TILE, n)
-    oracle_states = _run_layers(model, oracle_cache, h1, slice(None), range(1, cfg.n_layers), last_group)
-    kv_error = final_state_error = 0.0
-    if n:
+    # unverified, no oracle runs; a blend that recomputes every row is the
+    # oracle prefill itself
+    kv_error = final_state_error = 0.0 if len(selected) == n else None
+    if verify and n:
+        # only the oracle's last row's final state is read, so its final layer
+        # attends only that row's span group, the rows a full call would run
+        # with it (see attend)
+        last_group = np.arange((n - 1) // TILE * TILE, n)
+        oracle_states = _run_layers(model, oracle_cache, h1, slice(None), range(1, cfg.n_layers), last_group)
         # K, then V: one half's float32 temporaries at a time
         kv_error = max(_max_abs_error(got, want) for got, want in zip(blended.kv, oracle_cache.kv))
         # the last row is selected whenever any row is; at ratio 0 its stale

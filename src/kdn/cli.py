@@ -30,6 +30,9 @@ from . import blender, codec, costmodel, delivery, fixtures, model, store
 DEFAULT_SEED = 20240901
 BENCH_REPEATS = 5  # ``bench codec`` times are medians of this many encodes and decodes
 MAX_SWEEP_POINTS = 10_001  # ``cost sweep`` grid points: a step of 1e-4 over [0, 1]
+# a ``cost sweep`` bound or step: a decimal number in ASCII, or a non-finite
+# one for the finiteness check to name
+ASCII_FLOAT = r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?(inf|nan)"
 
 
 class CliError(Exception):
@@ -56,17 +59,24 @@ def _load_tokens(path: str) -> list[int]:
         text = Path(path).read_text()
     except OSError as e:
         raise CliError(f"cannot read token file: {e}") from e
-    words = text.split()
-    # int() also takes a plus sign, "_" and other scripts' digits
-    bad = next((w for w in words if not re.fullmatch("-?[0-9]+", w)), None)
-    if bad is not None:
-        raise CliError(f"token file must hold whitespace-separated integers, got {bad!r}")
-    tokens = [int(w) for w in words]
+    tokens = [_ascii_int(w, "token file must hold whitespace-separated integers") for w in text.split()]
     # token ids are u32 on the wire and in keys
     bad = next((t for t in tokens if not 0 <= t < 1 << 32), None)
     if bad is not None:
         raise CliError(f"token id {bad} out of range [0, 2**32)")
     return tokens
+
+
+def _ascii_int(text: str, what: str) -> int:
+    """``text`` as an integer if it is an optional minus sign and ASCII
+    digits, else the error ``what, got text``: int() also takes a plus sign,
+    "_" and other scripts' digits."""
+    try:
+        if re.fullmatch("-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # past the interpreter's limit on integer digits
+        pass
+    raise CliError(f"{what}, got {text!r}")
 
 
 def _port(text: str) -> int:  # an argparse type: a TCP port, 0 to 65535
@@ -142,7 +152,7 @@ def cmd_put(args) -> int:
     mdl = _read_doc(args.model, f"bad model config {args.model!r}",
                     lambda doc: model.build_model(model.ModelConfig.from_dict(doc)), inline=True)
     tokens = _load_tokens(args.tokens)
-    st = _open_store(args, capacity=args.capacity)
+    st = _open_store(args, capacity=_ascii_int(args.capacity, "--capacity must be an integer"))
     before = set(st.entries)
     keys = st.store_text(mdl, tokens, mode=args.mode, profile=_resolve_profile(args.profile))
     fresh = sum(1 for k in keys if k.digest not in before)
@@ -178,7 +188,7 @@ def cmd_blend(args) -> int:
     if not 0.0 <= ratio <= 1.0:
         raise UsageError(f"ratio {ratio} out of [0, 1]")
     segments = [blender.Segment.from_tokens(mdl, toks) for toks in segment_tokens]
-    blended, states, report = blender.selective_blend(mdl, segments, ratio)
+    blended, states, report = blender.selective_blend(mdl, segments, ratio, verify=args.verify)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / "blended.kdnf"
@@ -186,8 +196,9 @@ def cmd_blend(args) -> int:
     model.save_fixture(cache_path, mdl.config, blended, states)
     report_path.write_text(json.dumps(dataclasses.asdict(report), indent=2, default=np.ndarray.tolist))
     print(f"blended cache -> {cache_path}")
-    print(f"report -> {report_path} (kv_error={report.kv_error:.3e}, "
-          f"final_state_error={report.final_state_error:.3e})")
+    kv_error, state_error = ("unverified" if e is None else f"{e:.3e}"
+                             for e in (report.kv_error, report.final_state_error))
+    print(f"report -> {report_path} (kv_error={kv_error}, final_state_error={state_error})")
     return 0
 
 
@@ -246,7 +257,11 @@ def cmd_cost_report(args) -> int:
 def _parse_sweep(spec: str) -> np.ndarray:
     try:
         name, grid = spec.split("=", 1)
-        lo, hi, step = (float(x) for x in grid.split(":"))
+        bounds = grid.split(":")
+        # float() also takes a plus sign, "_" and other scripts' digits
+        if not all(re.fullmatch(ASCII_FLOAT, x) for x in bounds):
+            raise ValueError(grid)
+        lo, hi, step = map(float, bounds)
     except ValueError as e:
         raise CliError(f"bad sweep spec {spec!r}, expected name=lo:hi:step") from e
     if name != "r1":
@@ -333,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tokens", required=True, help="whitespace-separated token id file")
         p.add_argument("--mode", choices=[store.MODE_CHAIN, store.MODE_STANDALONE], default=store.MODE_CHAIN)
         if name == "put":
-            p.add_argument("--capacity", type=int, default=store.StoreConfig.capacity)
+            p.add_argument("--capacity", default=str(store.StoreConfig.capacity), help="store size cap in bytes")
             p.add_argument("--profile", default="8bit-deflate")
         else:
             p.add_argument("--host", help="fetch from a server instead of a local store")
@@ -343,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blend", help="run a selective blend request")
     p.add_argument("--request", required=True, help="JSON blend request")
     p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--verify", action="store_true",
+                   help="also prefill the whole prompt to report the blend's errors (null without it)")
     p.set_defaults(func=cmd_blend)
 
     p = sub.add_parser("bench", help="benchmarks")

@@ -230,6 +230,8 @@ class Store:
         """Apply one manifest record to the index: ``_catch_up`` replays each
         manifest line, and ``_record`` each new record."""
         op = rec.get("op", "put")
+        if op not in ("put", "del", "pin"):
+            raise StoreError(f"unknown manifest op {op!r}")
         if op == "del":
             self._unindex(bytes.fromhex(rec["key"]))
             return

@@ -158,6 +158,52 @@ def test_a_blend_attends_only_the_rows_whose_states_it_reads(monkeypatch):
     assert sum(rows) == want == 6670
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.15, 1.0])
+def test_an_unverified_blend_runs_no_oracle(monkeypatch, ratio):
+    # unverified, a blend attends layer 0 over every row and the later
+    # layers over the selected ones; verified, the oracle's layers 1.. and,
+    # at ratio 0, a prefill of the last segment come on top
+    cfg = ModelConfig(4, 4, 16, 256)
+    m = build_model(cfg)
+    segs = [Segment.from_tokens(m, [(s * 53 + 29 * i) % 256 for i in range(256)]) for s in range(4)]
+    rows = []
+    real_attend = kdn.model.attend
+
+    def counting_attend(mdl, layer, x_q, *args):
+        rows.append(len(x_q))
+        return real_attend(mdl, layer, x_q, *args)
+
+    monkeypatch.setattr(kdn.model, "attend", counting_attend)
+    L, n = cfg.n_layers, 1024
+    counts = {}
+    for verify in (False, True):
+        rows.clear()
+        _, _, report = selective_blend(m, segs, ratio, verify=verify)
+        counts[verify] = sum(rows)
+    blend_rows = n + (L - 1) * len(report.selected)
+    oracle_rows = (L - 2) * n + n - (n - 1) // TILE * TILE
+    tail_rows = (L - 1) * 256 + 256 - 255 // TILE * TILE if ratio == 0.0 else 0
+    assert counts[False] == blend_rows
+    assert counts[True] == blend_rows + oracle_rows + tail_rows
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_an_unverified_blend_differs_only_in_its_errors(n_layers):
+    m = build_model(ModelConfig(n_layers, 2, 4, 32))
+    segs = [Segment.from_tokens(m, TOKENS_A), Segment.from_tokens(m, TOKENS_B)]
+    for r in (0.0, 0.15, 0.5, 1.0):
+        blended, states, report = selective_blend(m, segs, r, verify=False)
+        want_blended, want_states, want = selective_blend(m, segs, r)
+        assert np.array_equal(blended.kv, want_blended.kv) and np.array_equal(states, want_states)
+        assert report.selected == want.selected and np.array_equal(report.scores, want.scores)
+        if r == 1.0:  # a blend that recomputes every row is the oracle prefill itself
+            assert report.kv_error == report.final_state_error == want.kv_error == want.final_state_error == 0.0
+        else:
+            assert report.kv_error is None and report.final_state_error is None
+    _, _, report = selective_blend(m, [Segment.from_tokens(m, [])], 0.15, verify=False)
+    assert report.kv_error == report.final_state_error == 0.0
+
+
 def test_blend_leaves_segments_unchanged(model, segments):
     # the blend writes into fresh arrays, never into a segment's
     for segs in (segments, segments[:1]):

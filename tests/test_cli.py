@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -280,6 +281,32 @@ def test_blended_fixture_holds_the_states_of_the_recomputed_rows(workspace, caps
     assert np.array_equal(states, want.astype(np.float32))
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.15, 1.0])
+def test_blend_verify_changes_only_the_report(workspace, capsys, ratio):
+    segments = [[(7 * i + 3 + 50 * s) % 32 for i in range(50)] for s in range(3)]
+    req = workspace / "blend.json"
+    req.write_text(json.dumps({"model": json.loads(MODEL_JSON), "segments": segments, "ratio": ratio}))
+    reports, printed = {}, {}
+    for flags in ([], ["--verify"]):
+        out_dir = workspace / f"out{len(flags)}"
+        code, printed[bool(flags)], _ = _run(capsys, ["blend", "--request", str(req), "--out", str(out_dir), *flags])
+        assert code == 0
+        reports[bool(flags)] = json.loads((out_dir / "blend_report.json").read_text())
+    assert (workspace / "out0" / "blended.kdnf").read_bytes() == (workspace / "out1" / "blended.kdnf").read_bytes()
+    # the --verify report is the library's, whose default verifies
+    model = build_model(ModelConfig.from_dict(json.loads(MODEL_JSON)))
+    _, _, want = blender.selective_blend(model, [blender.Segment.from_tokens(model, t) for t in segments], ratio)
+    assert reports[True] == json.loads(json.dumps(dataclasses.asdict(want), default=np.ndarray.tolist))
+    # unverified, the errors are null, except at ratio 1, where the blend is the prefill
+    plain = reports[False]
+    errors = 0.0 if ratio == 1.0 else None
+    assert list(plain) == list(reports[True]) == ["recompute_ratio", "selected", "scores", "final_state_error",
+                                                  "kv_error"]
+    assert plain == {**reports[True], "final_state_error": errors, "kv_error": errors}
+    assert f"kv_error={'unverified' if errors is None else '0.000e+00'}," in printed[False]
+    assert re.search(r"kv_error=\d\.\d{3}e[-+]\d\d,", printed[True])
+
+
 def test_blend_ratio_out_of_range_is_usage_error(workspace, capsys):
     req = workspace / "blend.json"
     req.write_text(json.dumps({
@@ -483,6 +510,30 @@ def test_cost_sweep_bad_spec(workspace, capsys):
     code, out, err = _run(capsys, ["cost", "sweep", "--params", str(p), "--sweep", "r1=0:1"])
     assert code == 1 and out == ""
     assert err.startswith("kdn: bad sweep spec 'r1=0:1'") and err.count("\n") == 1, err[:300]
+
+
+# a number in a flag is ASCII digits: int() and float() also take "_", a plus
+# sign and other scripts' digits, and int() refuses more than 4,300 digits
+_PUT = ["put", "--root", "{w}/s", "--model", MODEL_JSON, "--tokens"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_PUT, "{w}/tokens.txt", "--capacity", "\uff11_\uff10\uff10\uff10"],
+    [*_PUT, "{w}/tokens.txt", "--capacity", "+1000000"],
+    [*_PUT, "{w}/tokens.txt", "--capacity", "9" * 5000],
+    [*_PUT, "{w}/long.txt"],
+    ["cost", "sweep", "--params", "{w}/params.json", "--sweep", "r1=\uff10:1:0.5"],
+    ["cost", "sweep", "--params", "{w}/params.json", "--sweep", "r1=0:1_0:0.5"],
+    ["cost", "sweep", "--params", "{w}/params.json", "--sweep", "r1=+0:1:0.5"],
+], ids=["capacity-fullwidth", "capacity-plus", "capacity-digit-limit", "token-digit-limit",
+        "sweep-fullwidth", "sweep-underscore", "sweep-plus"])
+def test_numbers_in_flags_are_ascii_digits_only(workspace, capsys, argv):
+    (workspace / "params.json").write_text(json.dumps(_params_doc()))
+    (workspace / "long.txt").write_text("9" * 5000)
+    code, out, err = _run(capsys, [a.replace("{w}", str(workspace)) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("kdn: ") and err.count("\n") == 1, err[:300]
+    assert not (workspace / "s").exists()
 
 
 # a step of 0 would divide by zero, and a negative one would print an empty table

@@ -911,9 +911,10 @@ def test_reopen_preserves_entries(tmp_path, model):
     {"pos": True},
     {"pinned": "false"},
     lambda rec: json.dumps({"op": "pin", "key": rec["key"], "pinned": "false"}),
+    {"op": "unpin"},
 ], ids=["not-json", "bad-key", "list", "string", "pin-key-int", "size-null", "size-inf",
         "codec-list", "codec-unknown-field", "file-int", "deep-nesting", "not-utf8",
-        "size-fraction", "tokens-string", "pos-bool", "pinned-string", "pin-pinned-string"])
+        "size-fraction", "tokens-string", "pos-bool", "pinned-string", "pin-pinned-string", "op-unknown"])
 def test_corrupt_manifest_line_skipped(tmp_path, model, line, caplog):
     st = _store(tmp_path)
     keys = st.store_text(model, [1, 2, 3])
